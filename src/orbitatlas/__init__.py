@@ -40,6 +40,7 @@ from .flags import (
     isotropy_roots,
     kostant_summands,
     painted,
+    scan_ss_cohom,
 )
 from .linalg import RationalMatrix, kernel_basis, rank_rational, solve_linear
 from .orbits import (

@@ -1,187 +1,45 @@
-"""Mod-p elimination backends and a deterministic prime stream.
+"""Rank of an integer matrix modulo the one word-size prime P = 2**31 - 1.
 
-The compiled kernel (`orbitatlas._corex`) is preferred; a vectorized numpy
-kernel and a pure-Python kernel provide the same results.  Everything here is
-exact integer arithmetic: no floats anywhere.
+`rank_mod_p` is a vectorized numpy elimination over GF(P).  Entries are kept
+in [0, P), so every product of two residues is below 2**62 and int64
+arithmetic never overflows.  Everything here is exact integer arithmetic: no
+floats anywhere.
+
+Reducing mod P never raises a rank: every r x r minor that vanishes over Q
+vanishes mod P.  The result is therefore a lower bound on the rank r over Q;
+it is r itself unless P divides every r x r minor.
 """
 
 from __future__ import annotations
 
-_LIMB_BITS = 30
-_LIMB = 1 << _LIMB_BITS
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-try:
-    from . import _corex as _cx
-except ImportError:
-    _cx = None
-
-if _cx is not None:
-    BACKEND = "compiled"
-elif _np is not None:
-    BACKEND = "numpy"
-else:  # pragma: no cover
-    BACKEND = "python"
+P = (1 << 31) - 1  # a Mersenne prime
 
 
-def backend_name() -> str:
-    return BACKEND
+def residues(rows: list[list[int]], ncols: int) -> np.ndarray:
+    """Integer matrix reduced into [0, P), as an int64 array."""
+    return np.array([[a % P for a in row] for row in rows], dtype=np.int64).reshape(
+        len(rows), ncols
+    )
 
 
-# ---------------------------------------------------------------------------
-# primes
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin for n < 3.3e24
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-_PRIMES: list[int] = []
-
-
-def prime_stream(i: int) -> int:
-    """i-th prime of a fixed descending sequence below 2**31 (deterministic)."""
-    while len(_PRIMES) <= i:
-        n = (_PRIMES[-1] if _PRIMES else (1 << 31)) - 1
-        while not _is_prime(n):
-            n -= 1
-        _PRIMES.append(n)
-    return _PRIMES[i]
-
-
-# ---------------------------------------------------------------------------
-# residue preparation
-
-class LimbMatrix:
-    """Base-2**30 limb decomposition of an integer matrix, for fast residues."""
-
-    def __init__(self, rows: list[list[int]]):
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self.rows = rows
-        if _np is not None and self.nrows:
-            nl = 1
-            for row in rows:
-                for a in row:
-                    b = (a if a >= 0 else -a).bit_length()
-                    k = max(1, -(-b // _LIMB_BITS))
-                    if k > nl:
-                        nl = k
-            arr = _np.zeros((self.nrows, self.ncols, nl), dtype=_np.int64)
-            neg = _np.zeros((self.nrows, self.ncols), dtype=_np.bool_)
-            for i, row in enumerate(rows):
-                for j, a in enumerate(row):
-                    if a < 0:
-                        neg[i, j] = True
-                        a = -a
-                    k = 0
-                    while a:
-                        arr[i, j, k] = a & (_LIMB - 1)
-                        a >>= _LIMB_BITS
-                        k += 1
-            self._limbs = arr
-            self._neg = neg
-            self._nlimbs = nl
-        else:  # pragma: no cover
-            self._limbs = None
-
-    def residues(self, p: int):
-        """Matrix reduced mod p: int64 ndarray or list of lists."""
-        if self._limbs is not None:
-            r = _np.zeros((self.nrows, self.ncols), dtype=_np.int64)
-            for k in range(self._nlimbs - 1, -1, -1):
-                r = (r * (_LIMB % p) + self._limbs[:, :, k]) % p
-            r[self._neg] = (p - r[self._neg]) % p
-            return r
-        return [[a % p for a in row] for row in self.rows]  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# rank mod p
-
-def _rank_mod_p_python(rows, p: int) -> int:
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    rank = 0
-    col = 0
-    while col < m and rank < n:
-        piv = -1
-        for i in range(rank, n):
-            if rows[i][col] % p:
-                piv = i
-                break
-        if piv < 0:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        prow = rows[rank]
-        for i in range(rank + 1, n):
-            f = rows[i][col] % p
-            if f:
-                f = f * inv % p
-                ri = rows[i]
-                for j in range(col, m):
-                    ri[j] = (ri[j] - f * prow[j]) % p
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_mod_p_numpy(a, p: int) -> int:
+def rank_mod_p(a: np.ndarray) -> int:
+    """Rank over GF(P) of an int64 array with entries in [0, P); destroys `a`."""
     n, m = a.shape
     rank = 0
     col = 0
     while col < m and rank < n:
-        nz = _np.nonzero(a[rank:, col])[0]
+        nz = np.nonzero(a[rank:, col])[0]
         if nz.size == 0:
             col += 1
             continue
         piv = rank + nz[0]
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        f = (a[rank + 1:, col] * inv) % p
-        a[rank + 1:, col:] = (a[rank + 1:, col:] - f[:, None] * a[rank, col:]) % p
+        inv = pow(int(a[rank, col]), -1, P)
+        f = (a[rank + 1:, col] * inv) % P
+        a[rank + 1:, col:] = (a[rank + 1:, col:] - f[:, None] * a[rank, col:]) % P
         rank += 1
         col += 1
     return rank
-
-
-def rank_mod_p(limbs: LimbMatrix, p: int) -> int:
-    """Rank of the wrapped integer matrix mod p (exact over GF(p))."""
-    if limbs.nrows == 0 or limbs.ncols == 0:
-        return 0
-    a = limbs.residues(p)
-    if _cx is not None:
-        return _cx.rank_mod_p(_np.ascontiguousarray(a), p)
-    if _np is not None:
-        return _rank_mod_p_numpy(a, p)
-    return _rank_mod_p_python(a, p)  # pragma: no cover

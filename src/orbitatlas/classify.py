@@ -18,7 +18,7 @@ from importlib import resources
 
 from .chevalley import ChevalleyAlgebra, build_algebra
 from .cohom import CohomReport, SampleConfig, cohom_adjoint
-from .flags import PaintedDiagram, classify_ss_low_cohom, flag_cohom, painted
+from .flags import PaintedDiagram, flag_cohom, painted, scan_ss_cohom
 from .orbits import (
     OrbitLabel,
     min_orbit_representative,
@@ -231,8 +231,9 @@ def reproduce_thm_ss_c2(
     max_rank: int = 6, cfg: SampleConfig = SampleConfig(), strict: bool = True
 ) -> ClassificationTable:
     table = ClassificationTable("semi-simple orbits of cohomogeneity two")
-    found2 = {str(p) for p in classify_ss_low_cohom(max_rank, 2, cfg)}
-    found1 = {str(p) for p in classify_ss_low_cohom(max_rank, 1, cfg)}
+    scan = scan_ss_cohom(max_rank, cfg)
+    found2 = {str(p) for p, c in scan if c == 2}
+    found1 = {str(p) for p, c in scan if c == 1}
     exp2 = expected_ss_c2(max_rank)
     exp1 = expected_ss_c1(max_rank)
     table.rows.append(TableRow(

@@ -127,21 +127,28 @@ def scan_types(max_rank: int) -> list[CartanType]:
     return out
 
 
-def classify_ss_low_cohom(
-    max_rank: int, target: int, cfg: SampleConfig = SampleConfig()
-) -> list[PaintedDiagram]:
-    """Exhaustive scan of length-1 painted diagrams with flag_cohom == target.
+def scan_ss_cohom(
+    max_rank: int, cfg: SampleConfig = SampleConfig()
+) -> list[tuple[PaintedDiagram, int]]:
+    """(diagram, flag_cohom) for every length-1 painted diagram up to max_rank.
 
-    Length >= 2 diagrams are pruned: every tested one has cohomogeneity >= 3
-    (kostant_summands >= 3 forces it), so they cannot reach target <= 2.
+    One diagram per node up to diagram automorphism, on `scan_types(max_rank)`.
+    Length >= 2 diagrams are left out: every tested one has cohomogeneity >= 3
+    (kostant_summands >= 3 forces it), so they cannot reach a target <= 2.
     """
-    if target not in (1, 2):
-        raise ValueError("target must be 1 or 2")
-    found = []
+    out = []
     for t in scan_types(max_rank):
         a = build_algebra(build_root_system(t))
         for node in nodes_up_to_automorphism(t):
             pd = PaintedDiagram(t, frozenset([node]))
-            if flag_cohom(a, pd, cfg).cohomogeneity == target:
-                found.append(pd)
-    return found
+            out.append((pd, flag_cohom(a, pd, cfg).cohomogeneity))
+    return out
+
+
+def classify_ss_low_cohom(
+    max_rank: int, target: int, cfg: SampleConfig = SampleConfig()
+) -> list[PaintedDiagram]:
+    """Painted diagrams of `scan_ss_cohom` whose flag_cohom equals target (1 or 2)."""
+    if target not in (1, 2):
+        raise ValueError("target must be 1 or 2")
+    return [pd for pd, c in scan_ss_cohom(max_rank, cfg) if c == target]

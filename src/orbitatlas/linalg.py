@@ -1,16 +1,16 @@
-"""Exact rational linear algebra: rank, kernel, solve.
+"""Linear algebra over Q: exact rank, kernel and solve, plus a mod-p rank bound.
 
-Everything is arbitrary-precision rational arithmetic; there is no floating
-point anywhere in the package.  Two exact rank routes are provided:
+There is no floating point anywhere in the package.  The two rank functions
+differ in what their number certifies:
 
-* fraction-free (Bareiss) elimination over the integers, used for small and
-  medium matrices and for kernel/solve back-substitution;
-* a deterministic multi-prime route for large matrices: the rank of an integer
-  matrix equals the maximum of its ranks mod p over any set of primes whose
-  product exceeds the Hadamard bound on its minors (a nonzero minor cannot be
-  divisible by a larger product of distinct primes).
-
-Both routes return the exact rank over Q and are cross-checked in the tests.
+* `rank_int_rows` is the exact rank over Q, by fraction-free (Bareiss)
+  elimination over the integers.  Centralizer dimensions, the commutant Gram,
+  branching independence, kernel and solve rely on it.
+* `rank_lower_bound` is the rank modulo the one prime P = 2**31 - 1 (see
+  `_modp`).  Reducing mod P never raises a rank, so it is a certified lower
+  bound on the rank over Q, and equals it unless P divides every minor of
+  that size.  The orbit samplers use it: they only claim a lower bound on the
+  generic rank.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import lcm
 
-from ._modp import LimbMatrix, prime_stream, rank_mod_p
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - optional accelerator
-    def mpz(x):
-        return x
+from ._modp import rank_mod_p, residues
 
 
 class RationalMatrix:
@@ -73,7 +67,7 @@ def _bareiss_echelon(rows: list[list], ncols: int | None = None, limit: int | No
     """In-place fraction-free row echelon; returns pivot column list.
 
     `limit` restricts pivot search to the first `limit` columns (used for
-    augmented solves).  Entries must be integers (or mpz).
+    augmented solves).  Entries must be integers.
     """
     n = len(rows)
     m = ncols if ncols is not None else (len(rows[0]) if n else 0)
@@ -112,63 +106,16 @@ def _bareiss_echelon(rows: list[list], ncols: int | None = None, limit: int | No
     return pivots
 
 
-def _rank_bareiss(rows: list[list[int]], ncols: int) -> int:
-    work = [[mpz(a) for a in row] for row in rows]
-    return len(_bareiss_echelon(work, ncols))
-
-
-def _hadamard_bits(rows: list[list[int]], size: int) -> int:
-    """Upper bound (in bits) for any `size` x `size` minor."""
-    norm_bits = sorted(
-        (sum(a * a for a in row).bit_length() // 2 + 1 for row in rows if any(row)),
-        reverse=True,
-    )
-    return sum(norm_bits[:size]) if norm_bits else 0
-
-
-def _rank_certified(rows: list[list[int]], nrows: int, ncols: int) -> int:
-    """Exact rank via the deterministic multi-prime certificate."""
-    if not any(any(r) for r in rows):
-        return 0
-    limbs = LimbMatrix(rows)
-    cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    full = min(nrows, ncols)
-    rank = 0
-    prodbits = 0
-
-    def target(r):
-        s = min(r + 1, full)
-        return min(_hadamard_bits(rows, s), _hadamard_bits(cols, s)) + 1
-
-    goal = None
-    i = 0
-    while True:
-        p = prime_stream(i)
-        i += 1
-        rp = rank_mod_p(limbs, p)
-        if rp > rank:
-            rank = rp
-            goal = None
-        if rank == full:
-            return rank
-        if goal is None:
-            goal = target(rank)
-        prodbits += p.bit_length() - 1
-        if prodbits > goal:
-            return rank
-
-
 def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
-    """Exact rank of an integer matrix, choosing the cheaper exact route."""
-    nrows = len(rows)
-    if nrows == 0 or ncols == 0:
+    """Exact rank over Q of an integer matrix (Bareiss; `rows` is not modified)."""
+    if not rows or ncols == 0:
         return 0
-    if min(nrows, ncols) <= 24:
-        return _rank_bareiss(rows, ncols)
-    maxbit = max((abs(a).bit_length() for row in rows for a in row), default=0)
-    if min(nrows, ncols) * maxbit <= 2500:
-        return _rank_bareiss(rows, ncols)
-    return _rank_certified(rows, nrows, ncols)
+    return len(_bareiss_echelon([list(row) for row in rows], ncols))
+
+
+def rank_lower_bound(rows: list[list[int]], ncols: int) -> int:
+    """Rank of an integer matrix mod 2**31 - 1: never above its rank over Q."""
+    return rank_mod_p(residues(rows, ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +127,7 @@ def rank_rational(m: RationalMatrix) -> int:
 
 
 def kernel_basis_int(rows: list[list[int]], ncols: int) -> list[tuple[Q, ...]]:
-    work = [[mpz(a) for a in row] for row in rows]
+    work = [list(row) for row in rows]
     pivots = _bareiss_echelon(work, ncols)
     rank = len(pivots)
     pivset = set(pivots)
@@ -191,8 +138,8 @@ def kernel_basis_int(rows: list[list[int]], ncols: int) -> list[tuple[Q, ...]]:
         x[f] = Q(1)
         for i in range(rank - 1, -1, -1):
             pc = pivots[i]
-            s = sum((Q(int(work[i][j])) * x[j] for j in range(pc + 1, ncols) if x[j]), Q(0))
-            x[pc] = -s / Q(int(work[i][pc]))
+            s = sum((Q(work[i][j]) * x[j] for j in range(pc + 1, ncols) if x[j]), Q(0))
+            x[pc] = -s / Q(work[i][pc])
         basis.append(tuple(x))
     return basis
 
@@ -210,7 +157,7 @@ def solve_linear(m: RationalMatrix, b) -> tuple[Q, ...] | None:
     for row, be in zip(m.entries, b):
         ents = list(row) + [Q(be)]
         d = lcm(*(a.denominator for a in ents))
-        aug.append([mpz(int(a * d)) for a in ents])
+        aug.append([int(a * d) for a in ents])
     n, mcols = m.rows, m.cols
     pivots = _bareiss_echelon(aug, mcols + 1, limit=mcols)
     rank = len(pivots)
@@ -220,15 +167,15 @@ def solve_linear(m: RationalMatrix, b) -> tuple[Q, ...] | None:
     x = [Q(0)] * mcols
     for i in range(rank - 1, -1, -1):
         pc = pivots[i]
-        s = sum((Q(int(aug[i][j])) * x[j] for j in range(pc + 1, mcols) if x[j]), Q(0))
-        x[pc] = (Q(int(aug[i][mcols])) - s) / Q(int(aug[i][pc]))
+        s = sum((Q(aug[i][j]) * x[j] for j in range(pc + 1, mcols) if x[j]), Q(0))
+        x[pc] = (Q(aug[i][mcols]) - s) / Q(aug[i][pc])
     return tuple(x)
 
 
 def is_negative_definite(sym: list[list[int]]) -> bool:
     """Sign test on leading principal minors of an exact symmetric matrix."""
     n = len(sym)
-    work = [[mpz(a) for a in row] for row in sym]
+    work = [list(row) for row in sym]
     prev = 1
     for k in range(n):
         pc = work[k][k]

@@ -1,5 +1,6 @@
 import pytest
 
+from orbitatlas import cohom
 from orbitatlas.chevalley import build_algebra
 from orbitatlas.cohom import (
     SampleConfig,
@@ -9,13 +10,16 @@ from orbitatlas.cohom import (
     real_orbit_dim,
     sample_orbit_point,
 )
-from orbitatlas.linalg import RationalMatrix
+from orbitatlas.linalg import RationalMatrix, rank_int_rows
 from orbitatlas.orbits import (
     Partition,
     hasse_diagram,
     min_orbit_representative,
     minimal_orbit,
+    next_to_minimal,
+    representative,
     valid_partitions,
+    weighted_diagram,
 )
 from orbitatlas.roots import coweight_element
 
@@ -50,6 +54,25 @@ def test_real_orbit_dims_A1():
     assert real_orbit_dim(a, a.zero()) == 0
     assert real_orbit_dim(a, a.root_vector((1,))) == 3
     assert real_orbit_dim(a, a.cartan_vector(coweight_element(a.rs, [2]))) == 2
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "F4"])
+def test_sampled_rank_mod_p_equals_exact_rank(name, monkeypatch):
+    a = build_algebra(name)
+    x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0]))
+    points = [sample_orbit_point(a, x0, SampleConfig(seed=0), index=i) for i in range(2)]
+    mod_p = [real_orbit_dim(a, x) for x in points]
+    monkeypatch.setattr(cohom, "rank_lower_bound", rank_int_rows)
+    assert mod_p == [real_orbit_dim(a, x) for x in points]
+
+
+def test_sampled_dimension_above_orbit_dimension_raises(monkeypatch):
+    a = build_algebra("A2")
+    x0 = a.root_vector(a.rs.highest_root)
+    orbit_real = 2 * (a.dim - a.centralizer_dim(x0))
+    monkeypatch.setattr(cohom, "real_orbit_dim", lambda a, x: orbit_real + 1)
+    with pytest.raises(ArithmeticError, match="exceeds"):
+        cohom_adjoint(a, x0)
 
 
 def test_cohom_rejects_zero():

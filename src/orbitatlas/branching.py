@@ -1,7 +1,9 @@
 """Weight multiplicities and branching of the adjoint representation.
 
 Weights live in fundamental-weight coordinates.  Multiplicities come from
-Freudenthal's recursion, run exactly over Q; decomposition under a root
+Freudenthal's recursion, run in integers: the invariant form is scaled by
+det_cartan, and the recursion is a quotient of two sums homogeneous of
+degree 1 in the form, so the scale cancels.  Decomposition under a root
 subsystem is restricted-weight bookkeeping: repeatedly extract the highest
 remaining dominant weight and subtract that component's full weight table.
 Centralizer subsystems are reductive, so each component carries a rational
@@ -18,40 +20,46 @@ from .roots import RootSystem, build_root_system, identify_subsystem
 
 
 def _weight_form(rs: RootSystem):
-    """Gram matrix of the invariant form in fundamental-weight coordinates."""
-    det = rs.det_cartan
+    """det_cartan times the invariant form's Gram matrix in fundamental-weight
+    coordinates; the entries are integers."""
     minv = rs.inv_cartan_times_det
     n = rs.rank
-    return [
-        [Q(minv[j][i] * rs.symmetrizers[j], det) for j in range(n)]
-        for i in range(n)
-    ]
+    return [[minv[j][i] * rs.symmetrizers[j] for j in range(n)] for i in range(n)]
+
+
+def _dot(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
 
 
 class _WeightGeometry:
     """Cached per-root-system data for weight computations."""
 
     def __init__(self, rs: RootSystem):
-        self.rs = rs
         self.form = _weight_form(rs)
         self.n = rs.rank
         # fundamental coordinates of the simple roots: columns of the Cartan matrix
         self.alpha_fund = [
             tuple(rs.cartan_matrix[i][j] for i in range(self.n)) for j in range(self.n)
         ]
-        self.pos_fund = [
-            tuple(rs.pair_with_coroot(g, i) for i in range(self.n))
+        # (alpha, F alpha, (alpha, alpha)) per simple and per positive root alpha
+        self.simple = [self._root_data(a) for a in self.alpha_fund]
+        self.pos = [
+            self._root_data(tuple(rs.pair_with_coroot(g, i) for i in range(self.n)))
             for g in rs.positive_roots
         ]
-        self.rho = tuple([1] * self.n)
+        # det_cartan times the height (sum of simple-root coordinates) of a weight
+        self.height_vec = [sum(col) for col in zip(*rs.inv_cartan_times_det)]
 
-    def ip(self, x, y) -> Q:
-        total = Q(0)
-        for i, a in enumerate(x):
-            if a:
-                row = self.form[i]
-                total += a * sum((row[j] * y[j] for j in range(self.n) if y[j]), Q(0))
-        return total
+    def _root_data(self, a):
+        fa = tuple(_dot(row, a) for row in self.form)
+        return a, fa, _dot(a, fa)
+
+    def ip(self, x, y) -> int:
+        """det_cartan times the invariant form (x, y)."""
+        return sum(a * _dot(row, y) for a, row in zip(x, self.form) if a)
+
+    def height(self, w) -> int:
+        return _dot(self.height_vec, w)
 
     def dominant_conjugate(self, w):
         w = list(w)
@@ -79,12 +87,16 @@ class _WeightGeometry:
         return seen
 
     def weyl_dimension(self, hw) -> int:
-        num = Q(1)
+        # prod (hw + rho, alpha) / (rho, alpha); the det_cartan scale cancels
+        num = den = 1
         lr = tuple(h + 1 for h in hw)
-        for a in self.pos_fund:
-            num *= self.ip(lr, a) / self.ip(self.rho, a)
-        assert num.denominator == 1
-        return int(num)
+        for _, fa, _ in self.pos:
+            num *= _dot(lr, fa)
+            den *= sum(fa)
+        dim, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"Weyl dimension of {hw} is not an integer")
+        return dim
 
 
 _GEO: dict[str, _WeightGeometry] = {}
@@ -113,57 +125,53 @@ def weight_multiplicities(rs: RootSystem, hw) -> WeightMultiplicityTable:
         raise ValueError("highest weight must be dominant")
     geo = _geometry(rs)
     lam_norm = geo.ip(hw, hw)
-    # all lattice points hw - sum k_i alpha_i inside the length ball
-    ball = {hw}
+    # all lattice points hw - sum k_i alpha_i inside the length ball, with their
+    # norms: |w - alpha|^2 = |w|^2 - 2(w, alpha) + (alpha, alpha)
+    ball = {hw: lam_norm}
     frontier = [hw]
     while frontier:
         new = []
         for w in frontier:
-            for a in geo.alpha_fund:
-                v = tuple(w[k] - a[k] for k in range(geo.n))
-                if v not in ball and geo.ip(v, v) <= lam_norm:
-                    ball.add(v)
-                    new.append(v)
+            w2 = ball[w]
+            for a, fa, a2 in geo.simple:
+                v2 = w2 - 2 * _dot(w, fa) + a2
+                if v2 <= lam_norm:
+                    v = tuple(x - y for x, y in zip(w, a))
+                    if v not in ball:
+                        ball[v] = v2
+                        new.append(v)
         frontier = new
     dominants = [w for w in ball if all(c >= 0 for c in w)]
     lr = tuple(h + 1 for h in hw)
     lr2 = geo.ip(lr, lr)
-
-    def depth(w):
-        # height of hw - w in the root lattice
-        diff = tuple(a - b for a, b in zip(hw, w))
-        # root coordinates of diff: solve A c = diff
-        det = rs.det_cartan
-        minv = rs.inv_cartan_times_det
-        return sum(
-            Q(sum(minv[i][j] * diff[j] for j in range(geo.n)), det)
-            for i in range(geo.n)
-        )
-
-    dominants.sort(key=lambda w: (depth(w), w))
+    # by depth of hw - w in the root lattice, i.e. by decreasing height of w
+    dominants.sort(key=lambda w: (-geo.height(w), w))
     mult: dict[tuple, int] = {}
     for w in dominants:
         if w == hw:
             mult[w] = 1
             continue
-        rhs = Q(0)
-        for a in geo.pos_fund:
-            k = 1
-            while True:
-                v = tuple(w[t] + k * a[t] for t in range(geo.n))
-                if geo.ip(v, v) > lam_norm:
-                    break
+        w2 = ball[w]
+        rhs = 0
+        for a, fa, a2 in geo.pos:
+            # along v = w + k alpha: |v|^2 = |w|^2 + 2k(w, alpha) + k^2 (alpha, alpha)
+            wa = _dot(w, fa)
+            v, va, v2 = w, wa + a2, w2 + 2 * wa + a2
+            while v2 <= lam_norm:
+                v = tuple(x + y for x, y in zip(v, a))
                 m = mult.get(geo.dominant_conjugate(v), 0)
                 if m:
-                    rhs += 2 * m * geo.ip(v, a)
-                k += 1
+                    rhs += 2 * m * va
+                v2 += 2 * va + a2
+                va += a2
         wr = tuple(c + 1 for c in w)
         denom = lr2 - geo.ip(wr, wr)
         if denom <= 0 or rhs == 0:
             continue  # not a weight of V(hw)
-        val = rhs / denom
-        assert val.denominator == 1 and val > 0, "Freudenthal bookkeeping failure"
-        mult[w] = int(val)
+        val, rem = divmod(rhs, denom)
+        if rem or val <= 0:
+            raise ArithmeticError(f"Freudenthal bookkeeping failure at {w}")
+        mult[w] = val
 
     entries: dict[tuple, int] = {}
     for w, m in mult.items():
@@ -171,19 +179,24 @@ def weight_multiplicities(rs: RootSystem, hw) -> WeightMultiplicityTable:
             entries[u] = m
     dim = sum(entries.values())
     wd = geo.weyl_dimension(hw)
-    assert dim == wd, f"dimension check failed: {dim} != {wd}"
+    if dim != wd:
+        raise ArithmeticError(f"dimension check failed: {dim} != {wd}")
     return WeightMultiplicityTable(hw, entries, dim)
+
+
+def _coroot_rows(rs: RootSystem, subsystem) -> list[tuple[int, ...]]:
+    """Integer coroot rows of independent roots: <w, beta_j^vee> = row_j . w."""
+    rows = [rs.coroot_coords(tuple(b)) for b in subsystem]
+    if not rows:
+        raise ValueError("empty subsystem")
+    if rank_int_rows([list(r) for r in rows], rs.rank) != len(rows):
+        raise ValueError("subsystem basis is linearly dependent")
+    return rows
 
 
 def restriction_matrix(rs: RootSystem, subsystem) -> RationalMatrix:
     """Matrix sending rs-weights to subsystem-weights (subsystem coroot pairings)."""
-    subsystem = [tuple(b) for b in subsystem]
-    if not subsystem:
-        raise ValueError("empty subsystem")
-    rows = [rs.coroot_coords(b) for b in subsystem]
-    if rank_int_rows([list(r) for r in rows], rs.rank) != len(subsystem):
-        raise ValueError("subsystem basis is linearly dependent")
-    return RationalMatrix(rows)
+    return RationalMatrix(_coroot_rows(rs, subsystem))
 
 
 @dataclass(frozen=True)
@@ -214,23 +227,17 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
     subsystem = [tuple(b) for b in subsystem]
     ctype, ordered = identify_subsystem(rs, subsystem)
     sub_rs = build_root_system(ctype)
-    rmat = restriction_matrix(rs, ordered)
-    geo = _geometry(rs)
+    rows = _coroot_rows(rs, ordered)
 
     # torus charge functionals: kernel of h -> <beta_j, h>
-    pair_rows = [
-        [Q(rs.pair_with_coroot(b, i)) for i in range(rs.rank)] for b in ordered
-    ]
+    pair_rows = [[rs.pair_with_coroot(b, i) for i in range(rs.rank)] for b in ordered]
     torus = kernel_basis(RationalMatrix(pair_rows)) if ordered else []
 
     def charge(w):
         return tuple(sum((t[i] * w[i] for i in range(rs.rank)), Q(0)) for t in torus)
 
     def restrict(w):
-        return tuple(
-            int(sum(rmat.entries[j][i] * w[i] for i in range(rs.rank)))
-            for j in range(len(ordered))
-        )
+        return tuple(_dot(row, w) for row in rows)
 
     adj_hw = tuple(rs.pair_with_coroot(rs.positive_roots[-1], i) for i in range(rs.rank)) \
         if rs.cartan_type.is_simple else None
@@ -252,27 +259,17 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
         remaining[key] = remaining.get(key, 0) + m
 
     sub_geo = _geometry(sub_rs)
-    det = sub_rs.det_cartan
-    minv = sub_rs.inv_cartan_times_det
-    htvec = [
-        Q(sum(minv[i][j] for i in range(sub_rs.rank)), det) for j in range(sub_rs.rank)
-    ]
-
-    def height(w):
-        return sum((htvec[j] * w[j] for j in range(sub_rs.rank)), Q(0))
-
     components = []
     sub_tables: dict[tuple, WeightMultiplicityTable] = {}
     while True:
         live = [(k, m) for k, m in remaining.items() if m != 0]
         if not live:
             break
-        key = max(live, key=lambda km: (height(km[0][0]), km[0]))[0]
+        key = max(live, key=lambda km: (sub_geo.height(km[0][0]), km[0]))[0]
         hw, ch = key
         mult = remaining[key]
         if mult < 0 or any(c < 0 for c in hw):
             raise RuntimeError(f"branching bookkeeping failure at {key} -> {mult}")
-        hw = tuple(int(c) for c in hw)
         if hw not in sub_tables:
             sub_tables[hw] = weight_multiplicities(sub_rs, hw)
         tbl = sub_tables[hw]
@@ -284,5 +281,7 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
             remaining[k2] = newm
         components.append(BranchComponent(str(ctype), hw, ch, mult, tbl.dimension))
     result = BranchingResult(tuple(components), parent_dim)
-    assert result.total_dimension == parent_dim, "dimension conservation failed"
+    if result.total_dimension != parent_dim:
+        raise ArithmeticError(f"dimension conservation failed: {result.total_dimension}"
+                              f" != {parent_dim}")
     return result

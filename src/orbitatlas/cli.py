@@ -191,10 +191,19 @@ def cmd_decomp(args):
 
 
 def cmd_branch(args):
+    kind, _, spec = args.sub.partition(":")
+    if kind not in ("marks", "nodes"):
+        args.parser.error(f"--sub must be marks:... or nodes:..., got {args.sub!r}")
+    try:
+        values = [int(v) for v in spec.split(",")]
+    except ValueError:
+        args.parser.error(f"--sub {args.sub!r}: entries must be integers")
     rs = build_root_system(args.type)
-    if args.sub.startswith("marks:"):
-        marks = [int(v) for v in args.sub[6:].split(",")]
-        h = coweight_element(rs, marks)
+    if kind == "marks":
+        if len(values) != rs.rank:
+            args.parser.error(f"--sub marks: needs {rs.rank} entries for {args.type}, "
+                              f"got {len(values)}")
+        h = coweight_element(rs, values)
         sub = root_centralizer_subsystem(rs, h)
         simples = list(sub.simple_roots)
         meta = {
@@ -202,14 +211,14 @@ def cmd_branch(args):
             "torus_dim": sub.torus_dim,
             "num_zero_roots": len(sub.roots),
         }
-    elif args.sub.startswith("nodes:"):
-        nodes = [int(v) - 1 for v in args.sub[6:].split(",")]
-        simples = [
-            tuple(1 if j == i else 0 for j in range(rs.rank)) for i in nodes
-        ]
-        meta = {"subsystem_nodes": [n + 1 for n in nodes]}
     else:
-        raise SystemExit("--sub must be marks:... or nodes:...")
+        if len(set(values)) != len(values) or not all(1 <= v <= rs.rank for v in values):
+            args.parser.error(f"--sub nodes: must be distinct nodes in 1..{rs.rank}, "
+                              f"got {spec}")
+        simples = [
+            tuple(1 if j == v - 1 else 0 for j in range(rs.rank)) for v in values
+        ]
+        meta = {"subsystem_nodes": values}
     if not simples:
         raise SystemExit("empty subsystem (regular element); nothing to branch to")
     br = branch_adjoint(rs, simples)
@@ -309,7 +318,7 @@ def main(argv=None):
     p.add_argument("type")
     p.add_argument("--sub", required=True, dest="sub",
                    help="marks:1,0,... (coweight centralizer) or nodes:2,3")
-    p.set_defaults(fn=cmd_branch)
+    p.set_defaults(fn=cmd_branch, parser=p)
 
     p = sub.add_parser("classify", help="classification drivers")
     p.add_argument("what", choices=["table1", "ss-c2", "tables23", "mixed"])

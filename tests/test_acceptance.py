@@ -17,7 +17,7 @@ from orbitatlas.classify import (
     reproduce_thm_ss_c2,
 )
 from orbitatlas.cohom import SampleConfig, check_monotonicity, cohom_adjoint
-from orbitatlas.flags import classify_ss_low_cohom, flag_cohom, kostant_summands, painted
+from orbitatlas.flags import flag_cohom, kostant_summands, painted, scan_ss_cohom
 from orbitatlas.linalg import is_negative_definite
 from orbitatlas.orbits import (
     Partition,
@@ -65,9 +65,10 @@ def test_criterion_2_table1_reproduction():
 
 
 def test_criterion_3_ss_cohom_two_scan():
-    found2 = {str(p) for p in classify_ss_low_cohom(6, 2)}
+    scan = scan_ss_cohom(6)
+    found2 = {str(p) for p, c in scan if c == 2}
     assert found2 == expected_ss_c2(6), found2 ^ expected_ss_c2(6)
-    found1 = {str(p) for p in classify_ss_low_cohom(6, 1)}
+    found1 = {str(p) for p, c in scan if c == 1}
     assert found1 == expected_ss_c1(6), found1 ^ expected_ss_c1(6)
     _ok(3, f"scan(rank<=6): target 2 -> {len(found2)} diagrams (five families), "
            f"target 1 -> exactly the A_n end nodes")

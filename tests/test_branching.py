@@ -1,6 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
-from orbitatlas.branching import branch_adjoint, restriction_matrix, weight_multiplicities
+from orbitatlas.branching import (
+    _WeightGeometry,
+    branch_adjoint,
+    restriction_matrix,
+    weight_multiplicities,
+)
 from orbitatlas.roots import build_root_system, coweight_element, root_centralizer_subsystem
 
 
@@ -29,12 +36,24 @@ def test_G2_adjoint():
     assert t.entries[(0, 0)] == 2
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4"])
+SIMPLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", SIMPLE_TYPES)
 def test_adjoint_zero_weight_is_rank(name):
+    # the whole adjoint table: each root's weight once, and zero rank times
     rs = build_root_system(name)
+    expected = {
+        tuple(rs.pair_with_coroot(r, i) for i in range(rs.rank)): 1 for r in rs.all_roots
+    }
+    expected[(0,) * rs.rank] = rs.rank
     t = weight_multiplicities(rs, adjoint_hw(rs))
+    assert t.entries == expected
     assert t.dimension == rs.dimension
-    assert t.entries[(0,) * rs.rank] == rs.rank
 
 
 def test_weyl_invariance_spot_check():
@@ -141,3 +160,35 @@ def test_branch_E8_fig1_pipeline():
     assert br.total_dimension == 248
     mults = sorted(c.dimension for c in br.components)
     assert mults == [1, 14, 14, 64, 64, 91]
+
+
+def test_A2_V22():
+    t = weight_multiplicities(build_root_system("A2"), (2, 2))
+    assert t.dimension == 27
+    assert t.entries[(0, 0)] == 3
+
+
+@pytest.mark.parametrize(
+    "name,hw,dim", [("E6", (1, 0, 0, 0, 0, 0), 27), ("B3", (0, 0, 1), 8)]
+)
+def test_minuscule_tables(name, hw, dim):
+    t = weight_multiplicities(build_root_system(name), hw)
+    assert t.dimension == dim
+    assert len(t.entries) == dim
+    assert set(t.entries.values()) == {1}
+
+
+def test_branch_E7_node7_is_E6_plus_torus():
+    rs = build_root_system("E7")
+    sub = root_centralizer_subsystem(rs, coweight_element(rs, [0, 0, 0, 0, 0, 0, 1]))
+    assert str(sub.cartan_type) == "E6" and sub.torus_dim == 1
+    br = branch_adjoint(rs, sub.simple_roots)
+    assert sorted(c.dimension for c in br.components) == [1, 27, 27, 78]
+    charges = sorted(c.torus_charge for c in br.components if c.dimension == 27)
+    assert charges == [(Fraction(-2, 3),), (Fraction(2, 3),)]
+
+
+def test_dimension_check_raises(monkeypatch):
+    monkeypatch.setattr(_WeightGeometry, "weyl_dimension", lambda self, hw: 9)
+    with pytest.raises(ArithmeticError, match="dimension check failed"):
+        weight_multiplicities(build_root_system("A2"), (1, 1))

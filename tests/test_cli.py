@@ -120,3 +120,15 @@ def test_classify_ss_c2_small(capsys):
     data = json.loads(out)
     assert code == 0
     assert data["all_match"] is True
+
+
+@pytest.mark.parametrize(
+    "spec", ["nodes:1,1", "nodes:0", "nodes:5", "nodes:", "marks:1", "marks:x,1", "foo"]
+)
+def test_branch_bad_sub_is_one_line_exit_2(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "A2", "--sub", spec])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("atlas branch: error: --sub")

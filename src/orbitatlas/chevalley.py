@@ -9,79 +9,83 @@ constant is forced from these by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
 two exact identities relating N on a triple of roots summing to zero.  The
 construction is deterministic, so constants are reproducible across runs.
 
-Algebras are immutable after construction; the lazily built bracket tables
-are idempotent, so concurrent readers are safe.
+Each algebra builds its structure-constant table once: row i maps every j
+with [b_i, b_j] != 0 to that bracket as (basis index, integer coefficient)
+pairs.  Every bracket is derived from the table by one routine,
+`ChevalleyAlgebra.bracket_vec`, on integer coordinate vectors.  An element
+is an integer vector over one positive denominator (`AlgebraElement`).
+Algebras are immutable after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd
+from math import gcd, lcm
 import random
 
 from .linalg import RationalMatrix, rank_int_rows
 from .roots import CartanElement, RootSystem, build_root_system
 
-ZERO = Q(0)
-
 
 class AlgebraElement:
-    """Element of g^C: rational coordinate vector over the Chevalley basis.
+    """Element of g^C with rational coordinates over the Chevalley basis.
 
-    Complex elements carry a second rational vector `im`; most of the pipeline
-    works with real-rational elements (im is None).
+    Coordinate i is num[i] / den: `num` is a tuple of ints and `den` a
+    positive int, normalised so that gcd(*num, den) == 1.  Equal elements
+    therefore have equal (num, den).
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("num", "den")
 
-    def __init__(self, re, im=None):
-        self.re = tuple(Q(a) for a in re)
-        self.im = tuple(Q(a) for a in im) if im is not None else None
+    def __init__(self, num, den=1):
+        if not den:
+            raise ZeroDivisionError("AlgebraElement with denominator 0")
+        num = tuple(num)
+        if den < 0:
+            num, den = tuple(-a for a in num), -den
+        g = gcd(den, *num)
+        if g > 1:
+            num, den = tuple(a // g for a in num), den // g
+        self.num, self.den = num, den
 
-    @property
-    def is_real(self):
-        return self.im is None or all(a == 0 for a in self.im)
+    @classmethod
+    def from_rationals(cls, coords) -> AlgebraElement:
+        """The element with the given rational coordinates."""
+        coords = [Q(c) for c in coords]
+        den = lcm(*(c.denominator for c in coords))
+        return cls([c.numerator * (den // c.denominator) for c in coords], den)
 
     def __add__(self, other):
-        re = tuple(a + b for a, b in zip(self.re, other.re))
-        if self.im is None and other.im is None:
-            return AlgebraElement(re)
-        si = self.im or (ZERO,) * len(self.re)
-        oi = other.im or (ZERO,) * len(other.re)
-        return AlgebraElement(re, tuple(a + b for a, b in zip(si, oi)))
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return AlgebraElement([p * a + q * b for a, b in zip(self.num, other.num)], den)
 
     def scale(self, c):
         c = Q(c)
-        return AlgebraElement(
-            tuple(c * a for a in self.re),
-            None if self.im is None else tuple(c * a for a in self.im),
-        )
+        return AlgebraElement([c.numerator * a for a in self.num], c.denominator * self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, AlgebraElement)
-            and self.re == other.re
-            and (self.im or ()) == (other.im or ())
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __repr__(self):
-        nnz = sum(1 for a in self.re if a)
-        return f"AlgebraElement(nnz={nnz})"
+        nnz = sum(1 for a in self.num if a)
+        return f"AlgebraElement(nnz={nnz}, den={self.den})"
 
 
 class ChevalleyAlgebra:
-    """Structure-constant realization of g^C with cached adjoint data."""
+    """Structure-constant realization of g^C."""
 
     def __init__(self, rs: RootSystem, verify="auto", seed=0):
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.dimension
-        self.nroots = len(rs.all_roots)
         self._eidx = {r: rs.rank + k for k, r in enumerate(rs.all_roots)}
-        self._nconst: dict = {}
-        self._hcoeff = {r: rs.coroot_coords(r) for r in rs.all_roots}
+        self._table: list[dict] = [{} for _ in range(self.dim)]
         self._build_constants()
-        self._pairs: dict = {}
         self._killing_e: dict = {}
         if verify == "auto":
             verify = "full" if rs.rank <= 4 else "sampled"
@@ -157,181 +161,102 @@ class ChevalleyAlgebra:
                 if d2 in idx:
                     t += nmixed(tuple(-c for c in alpha), a1) * nmixed(d2, b1)
                 val = Q(dd[gamma], dd[beta]) * t / n1
-                assert val.denominator == 1, "inexact structure constant"
+                if val.denominator != 1:
+                    raise ArithmeticError(f"inexact structure constant N{(alpha, beta)} = {val}")
                 n = int(val)
-                assert abs(n) == self._down_string(beta, alpha) + 1, (
-                    "structure constant magnitude violates root strings"
-                )
+                if abs(n) != self._down_string(beta, alpha) + 1:
+                    raise ArithmeticError(
+                        f"structure constant N{(alpha, beta)} = {n} violates root strings"
+                    )
                 npos[(alpha, beta)] = n
 
-        # fill the complete table over all root pairs
+        # the table: [h_i, e_beta], [e_beta, e_-beta] = h_beta, and
+        # [e_x, e_y] = N_{x,y} e_{x+y} for every ordered pair of roots; the
+        # second of each pair takes N_{y,x} = -N_{x,y}
+        table, eidx, r = self._table, self._eidx, self.rank
+        for beta, ib in eidx.items():
+            for i in range(r):
+                c = rs.pair_with_coroot(beta, i)
+                if c:
+                    table[i][ib] = ((ib, c),)
+                    table[ib][i] = ((ib, -c),)
+            table[ib][eidx[tuple(-c for c in beta)]] = tuple(
+                (k, c) for k, c in enumerate(rs.coroot_coords(beta)) if c
+            )
         nall = {}
-        for x in rs.all_roots:
-            for y in rs.all_roots:
+        roots = rs.all_roots
+        for ix, x in enumerate(roots):
+            for y in roots[ix + 1:]:
                 s = tuple(a + b for a, b in zip(x, y))
                 if s in idx:
                     v = nmixed(x, y)
-                    vi = int(v)
-                    assert v == vi
-                    nall[(x, y)] = vi
+                    n = int(v)
+                    if n != v:
+                        raise ArithmeticError(f"inexact structure constant N{(x, y)} = {v}")
+                    nall[(x, y)], nall[(y, x)] = n, -n
+                    table[eidx[x]][eidx[y]] = ((eidx[s], n),)
+                    table[eidx[y]][eidx[x]] = ((eidx[s], -n),)
         self._nconst = nall
-
-    # -- basis bracket table ---------------------------------------------------
-
-    def basis_root(self, i: int):
-        return self.rs.all_roots[i - self.rank] if i >= self.rank else None
 
     def root_vector_index(self, beta) -> int:
         return self._eidx[beta]
 
-    def bracket_basis(self, i: int, j: int):
-        """[b_i, b_j] as a tuple of (basis index, integer coeff)."""
-        key = (i, j)
-        if key in self._pairs:
-            return self._pairs[key]
-        rs = self.rs
-        r = self.rank
-        if i < r and j < r:
-            out = ()
-        elif i < r:  # [h_i, e_beta]
-            beta = rs.all_roots[j - r]
-            c = rs.pair_with_coroot(beta, i)
-            out = ((j, c),) if c else ()
-        elif j < r:
-            out = tuple((k, -c) for k, c in self.bracket_basis(j, i))
-        else:
-            a = rs.all_roots[i - r]
-            b = rs.all_roots[j - r]
-            s = tuple(x + y for x, y in zip(a, b))
-            if all(c == 0 for c in s):
-                out = tuple((k, c) for k, c in enumerate(self._hcoeff[a]) if c)
-            elif s in rs.root_index:
-                out = ((self._eidx[s], self._nconst[(a, b)]),)
-            else:
-                out = ()
-        self._pairs[key] = out
-        return out
-
     # -- element construction ----------------------------------------------------
+
+    def basis_vector(self, i: int) -> list[int]:
+        """Integer coordinate vector of the basis element b_i."""
+        v = [0] * self.dim
+        v[i] = 1
+        return v
 
     def zero(self) -> AlgebraElement:
         return AlgebraElement((0,) * self.dim)
 
     def root_vector(self, beta) -> AlgebraElement:
-        co = [ZERO] * self.dim
-        co[self._eidx[beta]] = Q(1)
-        return AlgebraElement(co)
+        return AlgebraElement(self.basis_vector(self._eidx[beta]))
 
     def cartan_vector(self, h: CartanElement) -> AlgebraElement:
-        co = [ZERO] * self.dim
-        for i, c in enumerate(h.coords):
-            co[i] = Q(c)
-        return AlgebraElement(co)
-
-    def from_int_coords(self, ints, den=1) -> AlgebraElement:
-        return AlgebraElement(tuple(Q(a, den) for a in ints))
+        return AlgebraElement.from_rationals(
+            list(h.coords) + [0] * (self.dim - self.rank)
+        )
 
     # -- bracket / adjoint -----------------------------------------------------
 
-    def _bracket_re(self, xs, ys):
-        out = [ZERO] * self.dim
-        nzx = [(i, a) for i, a in enumerate(xs) if a]
-        nzy = [(j, b) for j, b in enumerate(ys) if b]
-        for i, a in nzx:
-            for j, b in nzy:
-                if i == j:
-                    continue
-                if i < j:
-                    for k, c in self.bracket_basis(i, j):
-                        out[k] += a * b * c
-                else:
-                    for k, c in self.bracket_basis(j, i):
-                        out[k] -= a * b * c
+    def bracket_vec(self, x, y) -> list[int]:
+        """[x, y] for integer coordinate vectors x and y.
+
+        It walks the table rows of x's nonzeros, so it is cheapest when x is
+        sparse, a basis vector say.
+        """
+        out = [0] * self.dim
+        table = self._table
+        for i, a in enumerate(x):
+            if a:
+                for j, pairs in table[i].items():
+                    b = y[j]
+                    if b:
+                        b *= a
+                        for k, c in pairs:
+                            out[k] += b * c
         return out
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        if x.im is None and y.im is None:
-            return AlgebraElement(self._bracket_re(x.re, y.re))
-        zim = (ZERO,) * self.dim
-        xr, xi = x.re, x.im or zim
-        yr, yi = y.re, y.im or zim
-        re = self._bracket_re(xr, yr)
-        for k, v in enumerate(self._bracket_re(xi, yi)):
-            re[k] -= v
-        im = self._bracket_re(xr, yi)
-        for k, v in enumerate(self._bracket_re(xi, yr)):
-            im[k] += v
-        return AlgebraElement(re, im)
+        return AlgebraElement(self.bracket_vec(x.num, y.num), x.den * y.den)
 
-    def apply_ad_basis_int(self, i: int, vec: list) -> list:
-        """[b_i, v] for an integer coordinate vector (integer fast path)."""
-        out = [0] * self.dim
-        for j, b in enumerate(vec):
-            if not b:
-                continue
-            if i < j:
-                for k, c in self.bracket_basis(i, j):
-                    out[k] += b * c
-            elif i > j:
-                for k, c in self.bracket_basis(j, i):
-                    out[k] -= b * c
-        return out
-
-    def ad_int_rows(self, ints) -> list[list[int]]:
-        """Columns of ad(x) for integer x, returned as rows of the transpose."""
-        cols = []
-        nzx = [(i, a) for i, a in enumerate(ints) if a]
-        for j in range(self.dim):
-            col = [0] * self.dim
-            for i, a in nzx:
-                if i == j:
-                    continue
-                if i < j:
-                    for k, c in self.bracket_basis(i, j):
-                        col[k] += a * c
-                else:
-                    for k, c in self.bracket_basis(j, i):
-                        col[k] -= a * c
-            cols.append(col)
-        return cols
-
-    def _clear_denoms(self, x: AlgebraElement) -> list[int]:
-        if not x.is_real:
-            raise ValueError("expected a real-rational element")
-        den = 1
-        for a in x.re:
-            den = den * a.denominator // gcd(den, a.denominator)
-        return [int(a * den) for a in x.re]
+    def _ad_rows(self, x: AlgebraElement) -> list[list[int]]:
+        """Row j is [b_j, x.num] = -den * (column j of ad(x))."""
+        return [self.bracket_vec(self.basis_vector(j), x.num) for j in range(self.dim)]
 
     def ad_matrix(self, x: AlgebraElement) -> RationalMatrix:
-        """Matrix of y -> [x, y] in the Chevalley basis (real x)."""
-        cols = [
-            self._bracket_re(x.re, [Q(1) if t == j else ZERO for t in range(self.dim)])
-            for j in range(self.dim)
-        ]
+        """Matrix of y -> [x, y] in the Chevalley basis."""
+        rows = self._ad_rows(x)
         return RationalMatrix(
-            [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+            [[Q(-row[i], x.den) for row in rows] for i in range(self.dim)]
         )
 
     def centralizer_dim(self, x: AlgebraElement) -> int:
-        """Complex dimension of ker ad(x)."""
-        if x.is_real:
-            ints = self._clear_denoms(x)
-            rows = self.ad_int_rows(ints)  # rank(ad) = rank(ad^T)
-            return self.dim - rank_int_rows(rows, self.dim)
-        # realified 2N x 2N kernel has twice the complex dimension
-        den = 1
-        for a in list(x.re) + list(x.im):
-            den = den * a.denominator // gcd(den, a.denominator)
-        re = [int(a * den) for a in x.re]
-        im = [int(a * den) for a in x.im]
-        rows_r = self.ad_int_rows(re)
-        rows_i = self.ad_int_rows(im)
-        big = []
-        for j in range(self.dim):
-            big.append(rows_r[j] + [-v for v in rows_i[j]])
-            big.append(rows_i[j] + rows_r[j])
-        return (2 * self.dim - rank_int_rows(big, 2 * self.dim)) // 2
+        """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""
+        return self.dim - rank_int_rows(self._ad_rows(x), self.dim)
 
     # -- Killing form ------------------------------------------------------------
 
@@ -342,78 +267,58 @@ class ChevalleyAlgebra:
         )
 
     def killing_ef(self, beta) -> int:
-        """K(e_beta, e_{-beta}) by an explicit trace."""
-        if beta in self._killing_e:
-            return self._killing_e[beta]
-        ib = self._eidx[beta]
-        imb = self._eidx[tuple(-c for c in beta)]
-        tr = 0
-        for k in range(self.dim):
-            v = [0] * self.dim
-            v[k] = 1
-            w = self.apply_ad_basis_int(imb, v)
-            u = self.apply_ad_basis_int(ib, w)
-            tr += u[k]
-        self._killing_e[beta] = tr
-        return tr
+        """K(e_beta, e_{-beta}) = tr(ad e_beta ad e_{-beta}), by an explicit trace."""
+        if beta not in self._killing_e:
+            ib, imb = self._eidx[beta], self._eidx[tuple(-c for c in beta)]
+            e, f = self.basis_vector(ib), self.basis_vector(imb)
+            # only the b_k with [e_{-beta}, b_k] != 0 contribute
+            self._killing_e[beta] = sum(
+                self.bracket_vec(e, self.bracket_vec(f, self.basis_vector(k)))[k]
+                for k in self._table[imb]
+            )
+        return self._killing_e[beta]
 
     def killing(self, x: AlgebraElement, y: AlgebraElement) -> Q:
-        """K(x, y) for real-rational elements, by bilinearity."""
-        total = ZERO
-        r = self.rank
-        for i, a in enumerate(x.re):
+        """K(x, y), by bilinearity over the Chevalley basis."""
+        r, npos = self.rank, self.rs.num_positive
+        total = 0
+        for i, a in enumerate(x.num):
             if not a:
                 continue
-            for j, b in enumerate(y.re):
-                if not b:
-                    continue
-                if i < r and j < r:
-                    total += a * b * self.killing_h(i, j)
-                elif i >= r and j >= r:
-                    bi = self.rs.all_roots[i - r]
-                    bj = self.rs.all_roots[j - r]
-                    if all(p + q == 0 for p, q in zip(bi, bj)):
-                        pos = bi if bi in {*self.rs.positive_roots} else bj
-                        total += a * b * self.killing_ef(pos)
-        return total
+            if i < r:
+                total += a * sum(
+                    self.killing_h(i, j) * y.num[j] for j in range(r) if y.num[j]
+                )
+            else:
+                b = y.num[r + (i - r + npos) % (2 * npos)]  # coefficient of e_{-beta}
+                if b:
+                    total += a * b * self.killing_ef(self.rs.positive_roots[(i - r) % npos])
+        return Q(total, x.den * y.den)
 
     # -- verification ---------------------------------------------------------------
 
     def _jacobi_triple(self, i, j, k) -> bool:
-        acc = [0] * self.dim
-
-        def br(i1, j1):
-            if i1 == j1:
-                return ()
-            if i1 < j1:
-                return self.bracket_basis(i1, j1)
-            return tuple((t, -c) for t, c in self.bracket_basis(j1, i1))
-
-        for t, c in br(j, k):
-            for u, d in br(i, t):
-                acc[u] += c * d
-        for t, c in br(k, i):
-            for u, d in br(j, t):
-                acc[u] += c * d
-        for t, c in br(i, j):
-            for u, d in br(k, t):
-                acc[u] += c * d
-        return all(v == 0 for v in acc)
+        """[b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]] == 0, from the table."""
+        table = self._table
+        acc: dict = {}
+        for p, q, s in ((i, j, k), (j, k, i), (k, i, j)):
+            for t, c in table[q].get(s, ()):
+                for u, d in table[p].get(t, ()):
+                    acc[u] = acc.get(u, 0) + c * d
+        return not any(acc.values())
 
     def verify_jacobi(self, exhaustive=False, samples=1000, seed=0):
         n = self.dim
         if exhaustive:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for k in range(j + 1, n):
-                        if not self._jacobi_triple(i, j, k):
-                            raise AssertionError(f"Jacobi fails on basis triple {(i, j, k)}")
+            triples = (
+                (i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+            )
         else:
             rng = random.Random(seed)
-            for _ in range(samples):
-                i, j, k = (rng.randrange(n) for _ in range(3))
-                if not self._jacobi_triple(i, j, k):
-                    raise AssertionError(f"Jacobi fails on basis triple {(i, j, k)}")
+            triples = (tuple(rng.randrange(n) for _ in range(3)) for _ in range(samples))
+        for t in triples:
+            if not self._jacobi_triple(*t):
+                raise ArithmeticError(f"Jacobi fails on basis triple {t}")
         return True
 
     def __repr__(self):
@@ -421,41 +326,22 @@ class ChevalleyAlgebra:
 
 
 class CompactFormBasis:
-    """Basis of the compact real form: {i h_j} u {e_b - e_-b, i(e_b + e_-b)}."""
+    """Labels of the compact real form's basis {i h_j} u {e_b - e_-b, i(e_b + e_-b)}."""
 
     def __init__(self, algebra: ChevalleyAlgebra):
         self.algebra = algebra
-        a = algebra
-        r = a.rank
-        self.labels = []
-        self.elements = []
-        zero = (ZERO,) * a.dim
-        for j in range(r):
-            im = [ZERO] * a.dim
-            im[j] = Q(1)
-            self.labels.append(("ih", j))
-            self.elements.append(AlgebraElement(zero, im))
-        for beta in a.rs.positive_roots:
-            ib, imb = a._eidx[beta], a._eidx[tuple(-c for c in beta)]
-            re = [ZERO] * a.dim
-            re[ib] = Q(1)
-            re[imb] = Q(-1)
-            self.labels.append(("e-f", beta))
-            self.elements.append(AlgebraElement(re))
-            im = [ZERO] * a.dim
-            im[ib] = Q(1)
-            im[imb] = Q(1)
-            self.labels.append(("i(e+f)", beta))
-            self.elements.append(AlgebraElement(zero, im))
+        self.labels = [("ih", j) for j in range(algebra.rank)]
+        for beta in algebra.rs.positive_roots:
+            self.labels += [("e-f", beta), ("i(e+f)", beta)]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.labels)
 
     def gram_killing(self) -> list[list[int]]:
         """Exact Killing Gram matrix of the compact basis (block structure)."""
         a = self.algebra
         r = a.rank
-        n = len(self.elements)
+        n = len(self.labels)
         g = [[0] * n for _ in range(n)]
         for i in range(r):
             for j in range(r):

@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from math import lcm
 
-from .chevalley import ChevalleyAlgebra, build_algebra
+from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from .cohom import CohomReport, SampleConfig, cohom_adjoint
 from .flags import PaintedDiagram, flag_cohom, painted, scan_ss_cohom
 from .orbits import (
@@ -157,7 +158,7 @@ def table1_row(a: ChevalleyAlgebra, label: OrbitLabel, cfg: SampleConfig) -> dic
         k: (commutant_dim(mats) if mats else d * d) for k, mats, d in blocks
     }
     return {
-        "orbit_dim": a.dim - a.centralizer_dim(x),
+        "orbit_dim": report.orbit_real_dim // 2,
         "cohom": report.cohomogeneity,
         "k_dim": k_dim,
         "w_dim": decomp.w_dim,
@@ -262,7 +263,8 @@ def mixed_orbit_cohom(n: int, cfg: SampleConfig = SampleConfig()) -> CohomReport
     marks = [0] * (n - 1) + [n + 1]
     h = coweight_element(a.rs, marks)
     alpha1 = tuple([1] + [0] * (n - 1))
-    assert a.rs.pair_root_cartan(alpha1, h) == 0
+    if a.rs.pair_root_cartan(alpha1, h) != 0:
+        raise ArithmeticError("alpha_1 does not vanish on the semi-simple part")
     x = a.cartan_vector(h) + a.root_vector(alpha1)
     return cohom_adjoint(a, x, cfg)
 
@@ -277,7 +279,7 @@ class ProductCohomReport:
         return self.report.cohomogeneity == sum(self.component_cohoms)
 
 
-def _component_x0(a: ChevalleyAlgebra, spec) -> "AlgebraElement":
+def _component_x0(a: ChevalleyAlgebra, spec) -> AlgebraElement:
     """Representative of a component orbit inside the component's own algebra."""
     if isinstance(spec, PaintedDiagram):
         marks = [1 if i in spec.crossed else 0 for i in range(a.rs.rank)]
@@ -310,21 +312,17 @@ def product_orbit_cohom(components, cfg: SampleConfig = SampleConfig()) -> Produ
     prod_type = "x".join(t for t, _ in components)
     ap = build_algebra(prod_type)
     # embed: coordinates concatenate per component (cartan block then roots)
-    from fractions import Fraction as Q
-
-    from .chevalley import AlgebraElement
-
-    co = [Q(0)] * ap.dim
+    den = lcm(*(x.den for x in comp_x0))
+    co = [0] * ap.dim
     for ci, (a, x) in enumerate(zip(comp_algebras, comp_x0)):
         sl = ap.rs.component_slices[ci]
-        for i in range(a.rs.rank):
-            co[sl.start + i] = x.re[i]
+        num = [v * (den // x.den) for v in x.num]
+        co[sl.start:sl.stop] = num[:a.rank]
         for k, g in enumerate(a.rs.all_roots):
-            v = x.re[a.rank + k]
-            if v:
+            if num[a.rank + k]:
                 gg = tuple([0] * sl.start + list(g) + [0] * (ap.rs.rank - sl.stop))
-                co[ap.root_vector_index(gg)] = v
-    x0 = AlgebraElement(co)
+                co[ap.root_vector_index(gg)] = num[a.rank + k]
+    x0 = AlgebraElement(co, den)
     report = cohom_adjoint(ap, x0, cfg)
     return ProductCohomReport(report, comp_cohoms)
 

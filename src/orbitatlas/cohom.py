@@ -85,18 +85,16 @@ def sample_orbit_point(
     """Image of x0 under a random product of root-unipotent flows (exact)."""
     rng = random.Random(derived_seed(cfg, index))
     steps = cfg.steps_for(a)
-    num = a._clear_denoms(x0)
-    den = 1
+    x = x0
     roots = a.rs.all_roots
     rmax = cfg.coefficient_range
     for _ in range(steps):
         gamma = roots[rng.randrange(len(roots))]
         t = rng.choice([c for c in range(-rmax, rmax + 1) if c])
-        gi = a.root_vector_index(gamma)
-        terms = [num]
-        cur = num
+        e = a.root_vector(gamma).num
+        terms = [x.num]
         while True:
-            cur = a.apply_ad_basis_int(gi, cur)
+            cur = a.bracket_vec(e, terms[-1])
             if not any(cur):
                 break
             terms.append(cur)
@@ -109,17 +107,8 @@ def sample_orbit_point(
             for j, v in enumerate(vec):
                 if v:
                     new[j] += c * v
-        num = new
-        den *= fk
-        g = den
-        for v in num:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            num = [v // g for v in num]
-            den //= g
-    return a.from_int_coords(num, den)
+        x = AlgebraElement(new, x.den * fk)
+    return x
 
 
 def real_orbit_dim(a: ChevalleyAlgebra, x: AlgebraElement) -> int:
@@ -131,16 +120,11 @@ def real_orbit_dim(a: ChevalleyAlgebra, x: AlgebraElement) -> int:
     with {ih, i(e+f)} rows are purely imaginary, so the realified rank splits
     into two N-column ranks.
     """
-    ints = a._clear_denoms(x)
+    imag_rows = [a.bracket_vec(a.basis_vector(j), x.num) for j in range(a.rank)]
     real_rows = []
-    imag_rows = []
-    for j in range(a.rank):
-        imag_rows.append(a.apply_ad_basis_int(j, ints))
     for beta in a.rs.positive_roots:
-        ib = a.root_vector_index(beta)
-        imb = a.root_vector_index(tuple(-c for c in beta))
-        ve = a.apply_ad_basis_int(ib, ints)
-        vf = a.apply_ad_basis_int(imb, ints)
+        ve = a.bracket_vec(a.root_vector(beta).num, x.num)
+        vf = a.bracket_vec(a.root_vector(tuple(-c for c in beta)).num, x.num)
         real_rows.append([p - q for p, q in zip(ve, vf)])
         imag_rows.append([p + q for p, q in zip(ve, vf)])
     return rank_lower_bound(real_rows, a.dim) + rank_lower_bound(imag_rows, a.dim)

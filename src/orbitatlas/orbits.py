@@ -290,9 +290,9 @@ def next_to_minimal(t) -> list[OrbitLabel]:
 def grading(rs, h: CartanElement) -> dict:
     """Dimensions of the ad(h) eigenspaces, keyed by eigenvalue."""
     dims = {0: rs.rank}
-    for g in rs.all_roots:
-        v = rs.pair_root_cartan(g, h)
-        k = int(v) if v.denominator == 1 else v
+    scaled, den = rs.scaled_pairings(h)
+    for v in scaled:
+        k = v // den if v % den == 0 else Q(v, den)
         dims[k] = dims.get(k, 0) + 1
     return dims
 
@@ -315,7 +315,8 @@ def representative(
     """
     rs = a.rs
     h = coweight_element(rs, w.marks)
-    g2roots = [g for g in rs.all_roots if rs.pair_root_cartan(g, h) == 2]
+    scaled, den = rs.scaled_pairings(h)
+    g2roots = [g for g, v in zip(rs.all_roots, scaled) if v == 2 * den]
     if not g2roots:
         raise ValueError(f"diagram {w} has empty degree-2 piece")
     expected = expected_orbit_dimension(rs, w)
@@ -325,10 +326,9 @@ def representative(
         coeffs = [rng.randint(-crange, crange) for _ in g2roots]
         if not any(coeffs):
             continue
-        co = [Q(0)] * a.dim
+        co = [0] * a.dim
         for g, c in zip(g2roots, coeffs):
-            if c:
-                co[a.root_vector_index(g)] = Q(c)
+            co[a.root_vector_index(g)] = c
         x = AlgebraElement(co)
         if a.centralizer_dim(x) == a.dim - expected:
             return x

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _RANK_MAX = {"E": 8, "F": 4, "G": 2}
@@ -289,6 +290,18 @@ class RootSystem:
             for j in range(self.rank)
         )
 
+    def scaled_pairings(self, h: CartanElement) -> tuple[list[int], int]:
+        """(<beta, h> * den for every root beta in `all_roots` order, den).
+
+        den is the least common denominator of h's marks, so the pairings
+        compare in ints: <beta, h> = sum_j beta_j <alpha_j, h>.
+        """
+        marks = self.marks_of(h)
+        den = lcm(*(m.denominator for m in marks))
+        ints = [m.numerator * (den // m.denominator) for m in marks]
+        pos = [sum(b * m for b, m in zip(beta, ints)) for beta in self.positive_roots]
+        return pos + [-v for v in pos], den
+
     # -- distinguished roots -------------------------------------------------
 
     @property
@@ -366,7 +379,8 @@ class Subsystem:
 
 def root_centralizer_subsystem(rs: RootSystem, h: CartanElement) -> Subsystem:
     """Roots alpha with <alpha, h> = 0 and the Cartan type of their span."""
-    zero = [r for r in rs.all_roots if rs.pair_root_cartan(r, h) == 0]
+    scaled, _ = rs.scaled_pairings(h)
+    zero = [r for r, v in zip(rs.all_roots, scaled) if v == 0]
     pos = [r for r in zero if r > tuple([0] * rs.rank)]
     pos_set = set(pos)
     simples = [

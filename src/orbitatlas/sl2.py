@@ -27,43 +27,41 @@ class Sl2Triple:
     y: AlgebraElement
     h: AlgebraElement
     h_cartan: CartanElement
+    grading: dict  # ad(h) eigenvalue -> basis indices of that eigenspace, ascending
 
 
 def _graded_basis(a: ChevalleyAlgebra, h: CartanElement) -> dict:
-    """Basis indices of g grouped by the (integer) ad(h) eigenvalue."""
+    """Basis indices of g grouped by the ad(h) eigenvalue, which must be an integer."""
+    scaled, den = a.rs.scaled_pairings(h)
     out: dict[int, list[int]] = {0: list(range(a.rank))}
-    for k, g in enumerate(a.rs.all_roots):
-        v = a.rs.pair_root_cartan(g, h)
-        assert v.denominator == 1
-        out.setdefault(int(v), []).append(a.rank + k)
+    for k, v in enumerate(scaled):
+        q, rem = divmod(v, den)
+        if rem:
+            raise ArithmeticError(f"ad(h) eigenvalue {v}/{den} is not an integer")
+        out.setdefault(q, []).append(a.rank + k)
     return out
 
 
-def _restricted_map_rows(a, x_ints, src: list[int], dst: list[int]) -> list[list[int]]:
-    """Rows (indexed by dst) of ad(x) restricted to the span of src."""
+def _embed(a: ChevalleyAlgebra, idx: list[int], v) -> AlgebraElement:
+    """The element with coordinates v on the basis indices idx, zero elsewhere."""
+    co = [0] * a.dim
+    for b, c in zip(idx, v):
+        co[b] = c
+    return AlgebraElement.from_rationals(co)
+
+
+def _restricted_map_rows(a, x, src: list[int], dst: list[int]) -> list[list[int]]:
+    """Rows (indexed by dst) of ad(x) restricted to the span of src; x is an int vector."""
     rows = [[0] * len(src) for _ in dst]
     dpos = {b: i for i, b in enumerate(dst)}
     for cj, j in enumerate(src):
-        vec = [0] * a.dim
-        vec[j] = 1
-        img = _bracket_int(a, x_ints, vec)
-        for b, v in enumerate(img):
+        # [b_j, x] = -[x, b_j]
+        for b, v in enumerate(a.bracket_vec(a.basis_vector(j), x)):
             if v:
-                assert b in dpos, "image leaves the expected graded piece"
-                rows[dpos[b]][cj] = v
+                if b not in dpos:
+                    raise ArithmeticError("image leaves the expected graded piece")
+                rows[dpos[b]][cj] = -v
     return rows
-
-
-def _bracket_int(a: ChevalleyAlgebra, x_ints, y_ints) -> list[int]:
-    out = [0] * a.dim
-    for i, c in enumerate(x_ints):
-        if not c:
-            continue
-        img = a.apply_ad_basis_int(i, y_ints)
-        for k, v in enumerate(img):
-            if v:
-                out[k] += c * v
-    return out
 
 
 def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, h_cartan: CartanElement) -> Sl2Triple:
@@ -71,56 +69,38 @@ def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, h_cartan: CartanElem
     h = a.cartan_vector(h_cartan)
     if a.bracket(h, x) != x.scale(2):
         raise ValueError("[H, X] != 2X: X is not in the degree-2 piece")
-    x_ints = a._clear_denoms(x)
     graded = _graded_basis(a, h_cartan)
     gm2 = graded.get(-2, [])
-    g0 = sorted(graded.get(0, []))
+    g0 = graded[0]
     if not gm2:
         raise ValueError("empty degree -2 piece")
-    # columns: [X, e_gamma] for gamma in the -2 piece, expressed on g_0
-    cols = []
-    for j in gm2:
-        vec = [0] * a.dim
-        vec[j] = 1
-        img = _bracket_int(a, x_ints, vec)
-        cols.append([img[b] for b in g0])
-    m = RationalMatrix([[cols[c][r] for c in range(len(gm2))] for r in range(len(g0))])
-    target = [h.re[b] for b in g0]
-    sol = solve_linear(m, target)
+    # [den(X) X, .] from the -2 piece to g_0
+    m = RationalMatrix(_restricted_map_rows(a, x.num, gm2, g0))
+    sol = solve_linear(m, [Q(h.num[b], h.den) for b in g0])
     if sol is None:
         raise ValueError("no sl2 partner: X is not generic in its grade")
-    # the solve used den(x) * X, so scale Y up by the same factor
-    d = 1
-    for q in x.re:
-        d = d * q.denominator // gcd(d, q.denominator)
-    yco = [Q(0)] * a.dim
-    for j, c in zip(gm2, sol):
-        yco[j] = c * d
-    y = AlgebraElement(yco)
-    t = Sl2Triple(x, y, h, h_cartan)
-    assert a.bracket(x, y) == h, "triple relation [X,Y]=H failed"
-    assert a.bracket(h, y) == y.scale(-2), "triple relation [H,Y]=-2Y failed"
-    return t
+    # the solve used den(X) * X, so scale Y up by the same factor
+    y = _embed(a, gm2, [c * x.den for c in sol])
+    if a.bracket(x, y) != h:
+        raise ArithmeticError("triple relation [X, Y] = H failed")
+    if a.bracket(h, y) != y.scale(-2):
+        raise ArithmeticError("triple relation [H, Y] = -2Y failed")
+    return Sl2Triple(x, y, h, h_cartan, graded)
 
 
 def triple_centralizer(a: ChevalleyAlgebra, t: Sl2Triple):
     """Basis and dimension of the joint centralizer k of the triple."""
-    graded = _graded_basis(a, t.h_cartan)
-    g0 = sorted(graded.get(0, []))
-    g2 = sorted(graded.get(2, []))
-    x_ints = a._clear_denoms(t.x)
-    rows = _restricted_map_rows(a, x_ints, g0, g2)
-    basis_small = kernel_basis_int(rows, len(g0))
+    g0 = t.grading[0]
+    g2 = t.grading.get(2, [])
+    rows = _restricted_map_rows(a, t.x.num, g0, g2)
     basis = []
-    for v in basis_small:
-        co = [Q(0)] * a.dim
-        for b, c in zip(g0, v):
-            co[b] = c
-        u = AlgebraElement(co)
-        assert all(c == 0 for c in a.bracket(u, t.y).re), "centralizer misses Y"
+    for v in kernel_basis_int(rows, len(g0)):
+        u = _embed(a, g0, v)
+        if any(a.bracket(u, t.y).num):
+            raise ArithmeticError("centralizer misses Y")
         basis.append(u)
-    n = {k: len(v) for k, v in graded.items()}
-    assert len(basis) == n.get(0, 0) - n.get(2, 0), "spectral count mismatch"
+    if len(basis) != len(g0) - len(g2):
+        raise ArithmeticError("spectral count mismatch")
     return basis, len(basis)
 
 
@@ -134,8 +114,7 @@ class IsotypicDecomposition:
 
 def isotypic_decomposition(a: ChevalleyAlgebra, t: Sl2Triple) -> IsotypicDecomposition:
     """Decompose g = su(2) + k + sum [A_k S^k] from the ad(H) grading."""
-    graded = _graded_basis(a, t.h_cartan)
-    n = {k: len(v) for k, v in graded.items()}
+    n = {k: len(v) for k, v in t.grading.items()}
     kmax = max(n)
     mult = {}
     for k in range(1, kmax + 1):
@@ -148,8 +127,10 @@ def isotypic_decomposition(a: ChevalleyAlgebra, t: Sl2Triple) -> IsotypicDecompo
             mult[k] = ak
     k_dim = n.get(0, 0) - n.get(2, 0)
     total = 3 + k_dim + sum(ak * (k + 1) for k, ak in mult.items())
-    assert total == a.dim, f"isotypic bookkeeping failed: {total} != {a.dim}"
-    assert all(n.get(k, 0) == n.get(-k, 0) for k in n), "asymmetric ad(H) spectrum"
+    if total != a.dim:
+        raise ArithmeticError(f"isotypic bookkeeping failed: {total} != {a.dim}")
+    if any(n.get(k, 0) != n.get(-k, 0) for k in n):
+        raise ArithmeticError("asymmetric ad(H) spectrum")
     w_dim = sum(ak * (k - 1) for k, ak in mult.items() if k >= 2)
     return IsotypicDecomposition(k_dim, mult, w_dim, n)
 
@@ -228,60 +209,43 @@ def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
     Realized on highest-vector slices: ker(ad X) in the degree-k piece; the
     k = 2 slice drops the Killing-orthogonal line through X itself.
     """
-    graded = _graded_basis(a, t.h_cartan)
+    graded = t.grading
     n = {k: len(v) for k, v in graded.items()}
-    x_ints = a._clear_denoms(t.x)
     blocks = []
     kmax = max(n)
     for k in range(2, kmax + 1):
         ak = n.get(k, 0) - n.get(k + 2, 0) - (1 if k == 2 else 0)
         if ak <= 0:
             continue
-        gk = sorted(graded.get(k, []))
-        gk2 = sorted(graded.get(k + 2, []))
-        rows = _restricted_map_rows(a, x_ints, gk, gk2) if gk2 else []
-        ker = kernel_basis_int(rows, len(gk)) if rows else [
+        gk = graded.get(k, [])
+        gk2 = graded.get(k + 2, [])
+        rows = _restricted_map_rows(a, t.x.num, gk, gk2) if gk2 else []
+        # slice vectors in coordinates over gk
+        vecs = kernel_basis_int(rows, len(gk)) if rows else [
             tuple(Q(1) if i == j else Q(0) for i in range(len(gk))) for j in range(len(gk))
         ]
-        # vectors of the slice in full coordinates
-        vecs = []
-        for v in ker:
-            co = [Q(0)] * a.dim
-            for b, c in zip(gk, v):
-                co[b] = c
-            vecs.append(co)
         if k == 2:
-            kappa = [_killing_against(a, co, t.y) for co in vecs]
-            keep = _hyperplane_basis(vecs, kappa)
-            vecs = keep
-        assert len(vecs) == ak, f"W-block dimension mismatch at k={k}"
+            kappa = [a.killing(_embed(a, gk, v), t.y) for v in vecs]
+            vecs = _hyperplane_basis(vecs, kappa)
+        if len(vecs) != ak:
+            raise ArithmeticError(f"W-block dimension mismatch at k={k}: {len(vecs)} != {ak}")
+        bm = RationalMatrix([[v[i] for v in vecs] for i in range(len(gk))])
+        elems = [_embed(a, gk, v) for v in vecs]
+        inside = set(gk)
         mats = []
-        gkset = set(gk)
-        basis_mat = [[v[b] for v in vecs] for b in gk]  # len(gk) x ak
-        bm = RationalMatrix(basis_mat)
         for u in kbasis:
             cols = []
-            for v in vecs:
-                img = _bracket_frac(a, u, v)
-                assert all(c == 0 for b, c in enumerate(img) if b not in gkset), (
-                    "bracket left the graded piece"
-                )
-                sol = solve_linear(bm, [img[b] for b in gk])
-                assert sol is not None, "k-action leaves the W slice"
+            for v in elems:
+                img = a.bracket(u, v)
+                if any(c for b, c in enumerate(img.num) if b not in inside):
+                    raise ArithmeticError("bracket left the graded piece")
+                sol = solve_linear(bm, [Q(img.num[b], img.den) for b in gk])
+                if sol is None:
+                    raise ArithmeticError("k-action leaves the W slice")
                 cols.append(sol)
-            mats.append(RationalMatrix([[cols[c][r] for c in range(len(vecs))]
-                                        for r in range(len(vecs))]))
+            mats.append(RationalMatrix(list(zip(*cols))))
         blocks.append((k, mats, len(vecs)))
     return blocks
-
-
-def _bracket_frac(a, u: AlgebraElement, vco) -> list[Q]:
-    v = AlgebraElement(vco)
-    return list(a.bracket(u, v).re)
-
-
-def _killing_against(a, vco, y: AlgebraElement) -> Q:
-    return a.killing(AlgebraElement(vco), y)
 
 
 def _hyperplane_basis(vecs, kappa):

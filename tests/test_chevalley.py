@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
-from orbitatlas.chevalley import AlgebraElement, build_algebra, compact_form_basis
+from orbitatlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra, compact_form_basis
 from orbitatlas.linalg import is_negative_definite
 from orbitatlas.roots import build_root_system, coweight_element
 
@@ -12,7 +13,7 @@ def test_sl2_relations():
     a = build_algebra("A1")
     e, f = a.root_vector((1,)), a.root_vector((-1,))
     h = a.bracket(e, f)
-    assert h.re[0] == 1 and all(c == 0 for c in h.re[1:])
+    assert h.den == 1 and h.num[0] == 1 and all(c == 0 for c in h.num[1:])
     assert a.bracket(h, e) == e.scale(2)
     assert a.bracket(h, f) == f.scale(-2)
 
@@ -50,8 +51,8 @@ def test_bracket_ef_lands_in_cartan():
     a = build_algebra("F4")
     for beta in a.rs.positive_roots:
         v = a.bracket(a.root_vector(beta), a.root_vector(tuple(-c for c in beta)))
-        assert all(v.re[i] == 0 for i in range(a.rank, a.dim))
-        assert any(v.re[i] != 0 for i in range(a.rank))
+        assert all(v.num[i] == 0 for i in range(a.rank, a.dim))
+        assert any(v.num[i] != 0 for i in range(a.rank))
 
 
 def test_ad_derivation_property():
@@ -142,11 +143,61 @@ def test_compact_basis_A1_gram_diagonal():
     assert all(g[i][i] < 0 for i in range(3))
 
 
-def test_complex_centralizer_realified():
-    a = build_algebra("A1")
-    # x = i e: same centralizer dimension as e
-    zero = (Q(0),) * a.dim
-    im = [Q(0)] * a.dim
-    im[a.root_vector_index((1,))] = Q(1)
-    x = AlgebraElement(zero, im)
-    assert a.centralizer_dim(x) == 1
+def test_element_normalisation():
+    x = AlgebraElement((2, 4, -6, 0), 2)
+    assert x == AlgebraElement((1, 2, -3, 0))
+    assert (x.num, x.den) == ((1, 2, -3, 0), 1)
+    y = AlgebraElement((6, -4, 0), -12)
+    assert (y.num, y.den) == ((-3, 2, 0), 6)
+    assert y.den > 0 and gcd(*y.num, y.den) == 1
+    assert AlgebraElement((0, 0), 7) == AlgebraElement((0, 0))
+    assert AlgebraElement.from_rationals([Q(1, 2), Q(-2, 3), 0]) == AlgebraElement((3, -4, 0), 6)
+    with pytest.raises(ZeroDivisionError):
+        AlgebraElement((1, 2), 0)
+
+
+def test_element_add_and_scale_are_exact():
+    x = AlgebraElement((1, 1, 0), 2)
+    y = AlgebraElement((1, -1, 3), 3)
+    assert x + y == AlgebraElement.from_rationals([Q(5, 6), Q(1, 6), 1])
+    assert x.scale(Q(4, 3)) == AlgebraElement((2, 2, 0), 3)
+    assert x.scale(0) == AlgebraElement((0, 0, 0))
+    assert x + x.scale(-1) == AlgebraElement((0, 0, 0))
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2"])
+def test_bracket_with_denominators(name):
+    a = build_algebra(name)
+    rng = random.Random(5)
+
+    def rand_elt():
+        return AlgebraElement([rng.randint(-3, 3) for _ in range(a.dim)], rng.choice([2, 3, 6, 35]))
+
+    for _ in range(3):
+        x, y = rand_elt(), rand_elt()
+        assert x.den > 1 and y.den > 1
+        z = a.bracket(x, y)
+        m = a.ad_matrix(x)
+        my = [sum(m.entries[i][j] * Q(y.num[j], y.den) for j in range(a.dim)) for i in range(a.dim)]
+        assert AlgebraElement.from_rationals(my) == z
+        assert a.bracket(y, x) == z.scale(-1)
+        for q in (Q(3, 4), Q(-5, 7), 6):
+            assert a.bracket(x.scale(q), y) == z.scale(q)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6", "A2xG2"])
+def test_table_is_antisymmetric(name):
+    a = build_algebra(name)
+    for i, row in enumerate(a._table):
+        assert i not in row
+        for j, pairs in row.items():
+            assert a._table[j][i] == tuple((k, -c) for k, c in pairs)
+
+
+def test_jacobi_check_catches_a_corrupted_table():
+    a = ChevalleyAlgebra(build_root_system("A2"), verify=None)
+    i, j = a.root_vector_index((1, 0)), a.root_vector_index((0, 1))
+    (k, c), = a._table[i][j]
+    a._table[i][j] = ((k, 2 * c),)  # [e_a1, e_a2] doubled, [e_a2, e_a1] left alone
+    with pytest.raises(ArithmeticError, match="Jacobi"):
+        a.verify_jacobi(exhaustive=True)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
@@ -201,3 +203,14 @@ def test_dominant_marks_conjugation():
     before = sorted(rs.pair_root_cartan(g, h) for g in rs.all_roots)
     after = sorted(rs.pair_root_cartan(g, hdom) for g in rs.all_roots)
     assert before == after
+
+
+@pytest.mark.parametrize("name", ["A3", "B4", "C3", "D5", "G2", "F4", "E7", "A2xB2"])
+def test_scaled_pairings_match_fraction_pairings(name):
+    rs = build_root_system(name)
+    rng = random.Random(len(name))
+    for _ in range(3):
+        h = CartanElement(tuple(Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rs.rank)))
+        scaled, den = rs.scaled_pairings(h)
+        assert den == lcm(*(m.denominator for m in rs.marks_of(h)))
+        assert [Q(v, den) for v in scaled] == [rs.pair_root_cartan(g, h) for g in rs.all_roots]

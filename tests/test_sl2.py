@@ -1,5 +1,8 @@
+from fractions import Fraction as Q
+
 import pytest
 
+from orbitatlas import sl2
 from orbitatlas.chevalley import build_algebra
 from orbitatlas.linalg import RationalMatrix
 from orbitatlas.orbits import (
@@ -9,7 +12,7 @@ from orbitatlas.orbits import (
     representative,
     weighted_diagram,
 )
-from orbitatlas.roots import coweight_element
+from orbitatlas.roots import CartanElement, coweight_element
 from orbitatlas.sl2 import (
     commutant_dim,
     complete_triple,
@@ -124,3 +127,32 @@ def test_E6_ntm_quick():
     kb, kd = triple_centralizer(a, t)
     assert kd == 22  # so(2) + so(7)
     assert d.w_dim == 7
+
+
+def test_triple_carries_its_integer_grading():
+    a = build_algebra("B3")
+    w = weighted_diagram("B3", Partition((3, 1, 1, 1, 1)))
+    h = coweight_element(a.rs, w.marks)
+    t = complete_triple(a, representative(a, w), h)
+    assert t.grading[0][: a.rank] == list(range(a.rank))
+    for k, idx in t.grading.items():
+        assert idx == sorted(idx)
+        for i in idx[a.rank if k == 0 else 0:]:
+            assert a.rs.pair_root_cartan(a.rs.all_roots[i - a.rank], h) == k
+    assert sum(len(v) for v in t.grading.values()) == a.dim
+
+
+def test_graded_basis_rejects_fractional_eigenvalues():
+    a = build_algebra("A2")
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        sl2._graded_basis(a, CartanElement((Q(1, 2), Q(0))))  # marks (1, -1/2)
+
+
+def test_wrong_partner_fails_the_triple_check(monkeypatch):
+    a = build_algebra("A2")
+    w = weighted_diagram("A2", Partition((3,)))
+    x = representative(a, w)
+    good = sl2.solve_linear
+    monkeypatch.setattr(sl2, "solve_linear", lambda m, b: tuple(2 * c for c in good(m, b)))
+    with pytest.raises(ArithmeticError, match=r"\[X, Y\] = H"):
+        complete_triple(a, x, coweight_element(a.rs, w.marks))

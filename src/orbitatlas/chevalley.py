@@ -243,20 +243,20 @@ class ChevalleyAlgebra:
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(self.bracket_vec(x.num, y.num), x.den * y.den)
 
-    def _ad_rows(self, x: AlgebraElement) -> list[list[int]]:
+    def ad_rows(self, x: AlgebraElement) -> list[list[int]]:
         """Row j is [b_j, x.num] = -den * (column j of ad(x))."""
         return [self.bracket_vec(self.basis_vector(j), x.num) for j in range(self.dim)]
 
     def ad_matrix(self, x: AlgebraElement) -> RationalMatrix:
         """Matrix of y -> [x, y] in the Chevalley basis."""
-        rows = self._ad_rows(x)
+        rows = self.ad_rows(x)
         return RationalMatrix(
             [[Q(-row[i], x.den) for row in rows] for i in range(self.dim)]
         )
 
     def centralizer_dim(self, x: AlgebraElement) -> int:
         """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""
-        return self.dim - rank_int_rows(self._ad_rows(x), self.dim)
+        return self.dim - rank_int_rows(self.ad_rows(x), self.dim)
 
     # -- Killing form ------------------------------------------------------------
 

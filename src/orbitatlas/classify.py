@@ -22,6 +22,7 @@ from .cohom import CohomReport, SampleConfig, cohom_adjoint
 from .flags import PaintedDiagram, flag_cohom, painted, scan_ss_cohom
 from .orbits import (
     OrbitLabel,
+    expected_orbit_dimension,
     min_orbit_representative,
     minimal_orbit,
     next_to_minimal,
@@ -151,7 +152,7 @@ def table1_row(a: ChevalleyAlgebra, label: OrbitLabel, cfg: SampleConfig) -> dic
     triple = complete_triple(a, x, h)
     kbasis, k_dim = triple_centralizer(a, triple)
     decomp = isotypic_decomposition(a, triple)
-    report = cohom_adjoint(a, x, cfg)
+    report = cohom_adjoint(a, x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
     blocks = w_isotypic_action(a, triple, kbasis)
     # an empty k acts trivially: the commutant is all of End(W-block)
     commutants = {

@@ -27,6 +27,7 @@ from .orbits import (
     OrbitLabel,
     Partition,
     WeightedDynkinDiagram,
+    expected_orbit_dimension,
     hasse_diagram,
     minimal_orbit,
     next_to_minimal,
@@ -111,8 +112,6 @@ def cmd_orbits_list(args):
                 "next_to_minimal": str(lab) in ntm,
             })
     else:
-        from .orbits import expected_orbit_dimension
-
         rs = build_root_system(t)
         for lab in [mini] + next_to_minimal(t):
             rows.append({
@@ -148,7 +147,7 @@ def cmd_cohom_orbit(args):
     lab = _parse_label(t, args.label)
     w = lab.diagram if lab.diagram is not None else weighted_diagram(t, lab)
     x = representative(a, w, seed=args.seed or 0)
-    rep = cohom_adjoint(a, x, _cfg(args))
+    rep = cohom_adjoint(a, x, _cfg(args), orbit_dim=expected_orbit_dimension(a.rs, w))
     _emit({"type": t, "label": str(lab), "weighted_diagram": str(w), **rep.as_dict()})
     return 0
 
@@ -193,16 +192,16 @@ def cmd_decomp(args):
 def cmd_branch(args):
     kind, _, spec = args.sub.partition(":")
     if kind not in ("marks", "nodes"):
-        args.parser.error(f"--sub must be marks:... or nodes:..., got {args.sub!r}")
+        raise ValueError(f"--sub must be marks:... or nodes:..., got {args.sub!r}")
     try:
         values = [int(v) for v in spec.split(",")]
     except ValueError:
-        args.parser.error(f"--sub {args.sub!r}: entries must be integers")
+        raise ValueError(f"--sub {args.sub!r}: entries must be integers") from None
     rs = build_root_system(args.type)
     if kind == "marks":
         if len(values) != rs.rank:
-            args.parser.error(f"--sub marks: needs {rs.rank} entries for {args.type}, "
-                              f"got {len(values)}")
+            raise ValueError(f"--sub marks: needs {rs.rank} entries for {args.type}, "
+                             f"got {len(values)}")
         h = coweight_element(rs, values)
         sub = root_centralizer_subsystem(rs, h)
         simples = list(sub.simple_roots)
@@ -213,8 +212,8 @@ def cmd_branch(args):
         }
     else:
         if len(set(values)) != len(values) or not all(1 <= v <= rs.rank for v in values):
-            args.parser.error(f"--sub nodes: must be distinct nodes in 1..{rs.rank}, "
-                              f"got {spec}")
+            raise ValueError(f"--sub nodes: must be distinct nodes in 1..{rs.rank}, "
+                             f"got {spec}")
         simples = [
             tuple(1 if j == v - 1 else 0 for j in range(rs.rank)) for v in values
         ]
@@ -282,17 +281,17 @@ def main(argv=None):
 
     p = sub.add_parser("roots", help="root system summary (JSON)")
     p.add_argument("type")
-    p.set_defaults(fn=cmd_roots)
+    p.set_defaults(fn=cmd_roots, parser=p)
 
     po = sub.add_parser("orbits", help="nilpotent orbit catalog")
     so = po.add_subparsers(dest="sub", required=True)
     p = so.add_parser("list", help="orbit labels, dimensions, flags (JSON)")
     p.add_argument("type")
-    p.set_defaults(fn=cmd_orbits_list)
+    p.set_defaults(fn=cmd_orbits_list, parser=p)
     p = so.add_parser("hasse", help="closure order")
     p.add_argument("type")
     p.add_argument("--format", choices=["dot", "json"], default="json")
-    p.set_defaults(fn=cmd_orbits_hasse)
+    p.set_defaults(fn=cmd_orbits_hasse, parser=p)
 
     pc = sub.add_parser("cohom", help="cohomogeneity reports")
     sc = pc.add_subparsers(dest="sub", required=True)
@@ -301,18 +300,18 @@ def main(argv=None):
     p.add_argument("--label", required=True,
                    help="partition '2,2,1' | wdd:0001 | min | ntm")
     _add_sampler_args(p)
-    p.set_defaults(fn=cmd_cohom_orbit)
+    p.set_defaults(fn=cmd_cohom_orbit, parser=p)
     p = sc.add_parser("flag", help="cohomogeneity of a painted-diagram orbit")
     p.add_argument("type")
     p.add_argument("--cross", required=True, help="1-based node list, e.g. 1,2")
     _add_sampler_args(p)
-    p.set_defaults(fn=cmd_cohom_flag)
+    p.set_defaults(fn=cmd_cohom_flag, parser=p)
 
     p = sub.add_parser("decomp", help="sl2 isotypic decomposition and W data")
     p.add_argument("type")
     p.add_argument("--label", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_decomp)
+    p.set_defaults(fn=cmd_decomp, parser=p)
 
     p = sub.add_parser("branch", help="restriction of the adjoint representation")
     p.add_argument("type")
@@ -326,10 +325,14 @@ def main(argv=None):
     p.add_argument("--max-rank", type=int, default=6)
     p.add_argument("--n", type=int, default=None, help="rank for the mixed orbit")
     _add_sampler_args(p)
-    p.set_defaults(fn=cmd_classify)
+    p.set_defaults(fn=cmd_classify, parser=p)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as e:
+        # bad input; a failed exactness check is an ArithmeticError and propagates
+        args.parser.exit(2, f"{args.parser.prog}: error: {e}\n")
 
 
 if __name__ == "__main__":

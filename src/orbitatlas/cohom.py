@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .linalg import RationalMatrix, rank_lower_bound
@@ -131,14 +131,19 @@ def real_orbit_dim(a: ChevalleyAlgebra, x: AlgebraElement) -> int:
 
 
 def cohom_adjoint(
-    a: ChevalleyAlgebra, x0: AlgebraElement, cfg: SampleConfig = SampleConfig()
+    a: ChevalleyAlgebra, x0: AlgebraElement, cfg: SampleConfig = SampleConfig(),
+    orbit_dim: int | None = None,
 ) -> CohomReport:
     """Cohomogeneity of the G^C-orbit of x0 under the compact real form.
 
-    The value is a certified upper bound; see the module docstring.
+    The value is a certified upper bound; see the module docstring.  A caller
+    that has already certified the orbit's complex dimension (as
+    `orbits.representative` does) passes it as `orbit_dim`; otherwise it is
+    computed exactly from the centralizer of x0.
     """
-    z = a.centralizer_dim(x0)
-    orbit_real = 2 * (a.dim - z)
+    if orbit_dim is None:
+        orbit_dim = a.dim - a.centralizer_dim(x0)
+    orbit_real = 2 * orbit_dim
     if orbit_real == 0:
         raise ValueError("x0 must be nonzero")
     samples = []
@@ -167,9 +172,7 @@ def cohom_linear_rep(
         rows = []
         for m in action_matrices:
             row = [sum(m.entries[r][c] * v[c] for c in range(rep_dim)) for r in range(rep_dim)]
-            den = 1
-            for q in row:
-                den = den * q.denominator // gcd(den, q.denominator)
+            den = lcm(*(q.denominator for q in row))
             rows.append([int(q * den) for q in row])
         d = rank_lower_bound(rows, rep_dim)
         samples.append((derived_seed(cfg, i), d))

@@ -4,13 +4,13 @@ There is no floating point anywhere in the package.  The two rank functions
 differ in what their number certifies:
 
 * `rank_int_rows` is the exact rank over Q, by fraction-free (Bareiss)
-  elimination over the integers.  Centralizer dimensions, the commutant Gram,
-  branching independence, kernel and solve rely on it.
+  elimination over the integers, which kernel and solve share.  Exact
+  centralizer dimensions, the commutant fallback and branching use it.
 * `rank_lower_bound` is the rank modulo the one prime P = 2**31 - 1 (see
   `_modp`).  Reducing mod P never raises a rank, so it is a certified lower
-  bound on the rank over Q, and equals it unless P divides every minor of
-  that size.  The orbit samplers use it: they only claim a lower bound on the
-  generic rank.
+  bound on the rank over Q.  The orbit samplers use it, and so do the checks
+  where a rank only has to reach a bound proven otherwise: the commutant
+  reading 1 and the acceptance of a nilpotent representative.
 """
 
 from __future__ import annotations
@@ -63,19 +63,14 @@ def _int_rows(m: RationalMatrix) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # fraction-free elimination
 
-def _bareiss_echelon(rows: list[list], ncols: int | None = None, limit: int | None = None):
-    """In-place fraction-free row echelon; returns pivot column list.
-
-    `limit` restricts pivot search to the first `limit` columns (used for
-    augmented solves).  Entries must be integers.
-    """
+def _bareiss_echelon(rows: list[list], ncols: int | None = None):
+    """In-place fraction-free row echelon of an integer matrix; returns pivot column list."""
     n = len(rows)
     m = ncols if ncols is not None else (len(rows[0]) if n else 0)
-    stop = m if limit is None else limit
     prev = 1
     pivots = []
     r = 0
-    for col in range(stop):
+    for col in range(m):
         if r >= n:
             break
         piv = -1
@@ -150,26 +145,15 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Q, ...]]:
 
 
 def solve_linear(m: RationalMatrix, b) -> tuple[Q, ...] | None:
-    """Some exact solution x of m x = b, or None if inconsistent."""
+    """The solution x of m x = b with x zero on the free columns, or None if inconsistent.
+
+    It is the kernel vector of [m | -b] that reads 1 in the last column; that
+    column is free exactly when b lies in the column span of m.
+    """
     if len(b) != m.rows:
         raise ValueError("dimension mismatch: len(b) != rows")
-    aug = []
-    for row, be in zip(m.entries, b):
-        ents = list(row) + [Q(be)]
-        d = lcm(*(a.denominator for a in ents))
-        aug.append([int(a * d) for a in ents])
-    n, mcols = m.rows, m.cols
-    pivots = _bareiss_echelon(aug, mcols + 1, limit=mcols)
-    rank = len(pivots)
-    for i in range(rank, n):
-        if aug[i][mcols]:
-            return None
-    x = [Q(0)] * mcols
-    for i in range(rank - 1, -1, -1):
-        pc = pivots[i]
-        s = sum((Q(aug[i][j]) * x[j] for j in range(pc + 1, mcols) if x[j]), Q(0))
-        x[pc] = (Q(aug[i][mcols]) - s) / Q(aug[i][pc])
-    return tuple(x)
+    aug = RationalMatrix([list(row) + [-Q(be)] for row, be in zip(m.entries, b)])
+    return next((v[:-1] for v in kernel_basis(aug) if v[-1] == 1), None)
 
 
 def is_negative_definite(sym: list[list[int]]) -> bool:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
+from .linalg import rank_lower_bound
 from .roots import CartanType, CartanElement, build_root_system, coweight_element, parse_cartan_type
 
 
@@ -309,9 +310,14 @@ def representative(
 ) -> AlgebraElement:
     """Nilpotent representative: random small-integer point of g_2(h).
 
-    Accepted iff the exact centralizer dimension matches the orbit dimension
-    the diagram predicts; retries with fresh coefficients, widening the range
-    after every third failure.
+    x is accepted iff the rank of ad(x) mod 2**31 - 1 equals the orbit
+    dimension the diagram predicts, `expected_orbit_dimension`; this proves
+    that the rank over Q equals it too.  ad(x) maps g_j to g_{j+2}, so its
+    kernel on g_j has dimension at least dim g_j - dim g_{j+2}; summed over
+    j >= -1 this telescopes to dim ker ad(x) >= dim g_{-1} + dim g_0 =
+    dim g_0 + dim g_1, that is rank_Q ad(x) <= expected.  Reducing mod p never
+    raises a rank, so rank_p = expected forces rank_Q = expected.  On failure
+    it retries with fresh coefficients, widening the range after every third.
     """
     rs = a.rs
     h = coweight_element(rs, w.marks)
@@ -330,7 +336,7 @@ def representative(
         for g, c in zip(g2roots, coeffs):
             co[a.root_vector_index(g)] = c
         x = AlgebraElement(co)
-        if a.centralizer_dim(x) == a.dim - expected:
+        if rank_lower_bound(a.ad_rows(x), a.dim) == expected:
             return x
         if attempt % 3 == 2:
             crange *= 2

@@ -183,7 +183,8 @@ def _det_and_scaled_inverse(a: list[list[int]]):
     scaled = [[m[i][n + j] * deti for j in range(n)] for i in range(n)]
     out = []
     for row in scaled:
-        assert all(x.denominator == 1 for x in row)
+        if any(x.denominator != 1 for x in row):
+            raise ArithmeticError("det(C) * C^-1 is not an integer matrix")
         out.append([int(x) for x in row])
     return deti, out
 
@@ -261,7 +262,8 @@ class RootSystem:
     def root_d(self, beta) -> int:
         """Half the squared length of a root (1, 2 or 3)."""
         n2 = self.bilinear(beta, beta)
-        assert n2 % 2 == 0
+        if n2 % 2:
+            raise ArithmeticError(f"odd squared length {n2} of {beta}")
         return n2 // 2
 
     def coroot_coords(self, beta) -> tuple[int, ...]:
@@ -270,7 +272,8 @@ class RootSystem:
         out = []
         for i in range(self.rank):
             num = beta[i] * self.symmetrizers[i]
-            assert num % d == 0
+            if num % d:
+                raise ArithmeticError(f"coroot of {beta} is not integral")
             out.append(num // d)
         return tuple(out)
 
@@ -409,7 +412,8 @@ def identify_subsystem(rs: RootSystem, simples) -> tuple[CartanType, tuple]:
         d = rs.root_d(bi)
         for j, bj in enumerate(simples):
             num = rs.bilinear(bi, bj)
-            assert num % d == 0
+            if num % d:
+                raise ArithmeticError(f"pairing of {bi} with {bj} is not an integer")
             pair[i][j] = num // d
     # connected components
     seen = [False] * n
@@ -445,7 +449,8 @@ def identify_subsystem(rs: RootSystem, simples) -> tuple[CartanType, tuple]:
     for i, bi in enumerate(ordered):
         d = rs.root_d(bi)
         for j, bj in enumerate(ordered):
-            assert rs.bilinear(bi, bj) // d == std[i][j], "subsystem identification failed"
+            if rs.bilinear(bi, bj) // d != std[i][j]:
+                raise ArithmeticError("subsystem identification failed")
     return ctype, tuple(ordered)
 
 
@@ -519,7 +524,8 @@ def _identify_component(pair, comp, ds) -> tuple[str, list[int]]:
         # D_{k}: long arm read inward, then branch, then the two tails
         spine = list(reversed(arms[2])) + [branch]
         return "D", spine + [arms[0][0], arms[1][0]]
-    assert (la, lb) == (1, 2), "not a Dynkin diagram"
+    if (la, lb) != (1, 2):
+        raise ValueError("not a Dynkin diagram")
     # E_k: Bourbaki order 1,3 from a length-2 arm, 2 the short arm, 4 branch
     two_arm = arms[1]
     long_arm = arms[2]

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd
+from math import lcm
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
-from .linalg import RationalMatrix, kernel_basis_int, rank_int_rows, solve_linear
+from .linalg import RationalMatrix, kernel_basis_int, rank_int_rows, rank_lower_bound, solve_linear
 from .roots import CartanElement, coweight_element
 from .orbits import WeightedDynkinDiagram
 
@@ -148,66 +148,61 @@ def sl2_data_for_diagram(a: ChevalleyAlgebra, w: WeightedDynkinDiagram, seed=0):
 # ---------------------------------------------------------------------------
 # commutants and the W-module realization
 
-def commutant_dim(action_matrices: list[RationalMatrix]) -> int:
-    """Dimension of the space of matrices commuting with all action matrices.
-
-    Exact: the commutator constraints are stacked and the rank taken via the
-    Gram-matrix route (rank A = rank A^T A over Q).
-    """
-    if not action_matrices:
-        raise ValueError("need at least one matrix")
-    d = action_matrices[0].rows
+def _commutator_rows(mats, d: int) -> list[list[int]]:
+    """Nonzero rows of B -> [M, B] for each integer d x d matrix M, on B flattened."""
     rows = []
-    for m in action_matrices:
-        if m.rows != d or m.cols != d:
-            raise ValueError("matrices must act on a common space")
-        den = 1
-        for r in m.entries:
-            for q in r:
-                den = den * q.denominator // gcd(den, q.denominator)
-        mi = [[int(q * den) for q in r] for r in m.entries]
+    for m in mats:
         # constraint on B: sum_k M[i][k] B[k][j] - B[i][k] M[k][j] = 0
         for i in range(d):
             for j in range(d):
                 row = [0] * (d * d)
                 for k in range(d):
-                    row[k * d + j] += mi[i][k]
-                    row[i * d + k] -= mi[k][j]
+                    row[k * d + j] += m[i][k]
+                    row[i * d + k] -= m[k][j]
                 if any(row):
                     rows.append(row)
-    if not rows:
-        return d * d
-    gram = _int_gram(rows, d * d)
-    return d * d - rank_int_rows(gram, d * d)
+    return rows
 
 
-def _int_gram(rows, ncols):
-    """A^T A for an integer matrix, exactly (numpy fast path with guard)."""
-    maxabs = max((abs(v) for r in rows for v in r), default=0)
-    if maxabs and maxabs * maxabs * len(rows) < 2**62:
-        try:
-            import numpy as np
+def commutant_dim(action_matrices: list[RationalMatrix]) -> int:
+    """Dimension of the space of matrices commuting with all action matrices.
 
-            a = np.array(rows, dtype=np.int64)
-            g = a.T @ a
-            return [[int(v) for v in row] for row in g]
-        except ImportError:  # pragma: no cover
-            pass
-    g = [[0] * ncols for _ in range(ncols)]
-    for r in rows:
-        nz = [(i, v) for i, v in enumerate(r) if v]
-        for i, vi in nz:
-            gi = g[i]
-            for j, vj in nz:
-                gi[j] += vi * vj
-    return g
+    Exact.  Each matrix is scaled to integers, and the commutant of two fixed
+    integer combinations A, B of them is ranked mod 2**31 - 1 first.  A and B
+    lie in the span of the matrices, so their commutant contains the one
+    sought; reducing mod p can only lower a rank, so only raise a nullity;
+    and the identity always commutes.  A reading of 1 is therefore the exact
+    answer.  Any other reading falls back to the exact rank of all the
+    stacked constraints.
+    """
+    if not action_matrices:
+        raise ValueError("need at least one matrix")
+    d = action_matrices[0].rows
+    mats = []
+    for m in action_matrices:
+        if m.rows != d or m.cols != d:
+            raise ValueError("matrices must act on a common space")
+        den = lcm(*(q.denominator for r in m.entries for q in r))
+        mats.append([[int(q * den) for q in r] for r in m.entries])
+    combos = (range(1, len(mats) + 1), [(-1) ** i * (i * i % 7 + 1) for i in range(len(mats))])
+    pair = [
+        [[sum(c * m[i][j] for c, m in zip(cs, mats)) for j in range(d)] for i in range(d)]
+        for cs in combos
+    ]
+    if d * d - rank_lower_bound(_commutator_rows(pair, d), d * d) == 1:
+        return 1
+    return d * d - rank_int_rows(_commutator_rows(mats, d), d * d)
 
 
 def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
     """Action matrices of k on each W-block (k >= 2 isotypic multiplicity space).
 
     Realized on highest-vector slices: ker(ad X) in the degree-k piece; the
-    k = 2 slice drops the Killing-orthogonal line through X itself.
+    k = 2 slice drops the Killing-orthogonal line through X itself.  The slice
+    basis is the identity on some of the piece's coordinates (the free columns
+    of `kernel_basis_int`), so the coordinates of an image are read off them
+    with no solve, and the image is then checked, in integers, to equal that
+    combination of the slice basis.
     """
     graded = t.grading
     n = {k: len(v) for k, v in graded.items()}
@@ -218,31 +213,32 @@ def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
         if ak <= 0:
             continue
         gk = graded.get(k, [])
-        gk2 = graded.get(k + 2, [])
-        rows = _restricted_map_rows(a, t.x.num, gk, gk2) if gk2 else []
-        # slice vectors in coordinates over gk
-        vecs = kernel_basis_int(rows, len(gk)) if rows else [
-            tuple(Q(1) if i == j else Q(0) for i in range(len(gk))) for j in range(len(gk))
-        ]
+        rows = _restricted_map_rows(a, t.x.num, gk, graded.get(k + 2, []))
+        vecs = kernel_basis_int(rows, len(gk))  # slice vectors in coordinates over gk
         if k == 2:
             kappa = [a.killing(_embed(a, gk, v), t.y) for v in vecs]
             vecs = _hyperplane_basis(vecs, kappa)
         if len(vecs) != ak:
             raise ArithmeticError(f"W-block dimension mismatch at k={k}: {len(vecs)} != {ak}")
-        bm = RationalMatrix([[v[i] for v in vecs] for i in range(len(gk))])
+        # positions in gk where slice vector i reads 1 and the others 0
+        at = [[v[r] for v in vecs] for r in range(len(gk))]
+        unit = [at.index([int(i == j) for j in range(ak)]) for i in range(ak)]
+        den = lcm(*(c.denominator for v in vecs for c in v))
+        ivecs = [[int(c * den) for c in v] for v in vecs]
         elems = [_embed(a, gk, v) for v in vecs]
         inside = set(gk)
         mats = []
         for u in kbasis:
             cols = []
-            for v in elems:
-                img = a.bracket(u, v)
-                if any(c for b, c in enumerate(img.num) if b not in inside):
+            for e in elems:
+                img = a.bracket_vec(u.num, e.num)  # [u, v] = img / (u.den * e.den)
+                if any(c for b, c in enumerate(img) if b not in inside):
                     raise ArithmeticError("bracket left the graded piece")
-                sol = solve_linear(bm, [Q(img.num[b], img.den) for b in gk])
-                if sol is None:
-                    raise ArithmeticError("k-action leaves the W slice")
-                cols.append(sol)
+                coords = [img[gk[r]] for r in unit]
+                for r, b in enumerate(gk):
+                    if img[b] * den != sum(c * w[r] for c, w in zip(coords, ivecs)):
+                        raise ArithmeticError("k-action leaves the W slice")
+                cols.append([Q(c, u.den * e.den) for c in coords])
             mats.append(RationalMatrix(list(zip(*cols))))
         blocks.append((k, mats, len(vecs)))
     return blocks

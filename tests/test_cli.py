@@ -132,3 +132,31 @@ def test_branch_bad_sub_is_one_line_exit_2(capsys, spec):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1].startswith("atlas branch: error: --sub")
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["roots", "E9"], "atlas roots"),
+    (["cohom", "flag", "C3", "--cross", "0"], "atlas cohom flag"),
+    (["orbits", "list", "A1xA1"], "atlas orbits list"),
+    (["classify", "mixed", "--n", "2"], "atlas classify"),
+    (["cohom", "orbit", "E7", "--label", "ntm", "--samples", "0"], "atlas cohom orbit"),
+])
+def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"{prog}: error: ")
+
+
+def test_failed_exactness_check_still_propagates(monkeypatch):
+    from orbitatlas import cli
+
+    def broken(_):
+        raise ArithmeticError("exactness check failed")
+
+    monkeypatch.setattr(cli, "build_root_system", broken)
+    with pytest.raises(ArithmeticError):
+        main(["roots", "A2"])

@@ -177,3 +177,15 @@ def test_A3_min_vs_ntm():
 
     rep = check_monotonicity(a, [minimal_orbit("A3")] + next_to_minimal("A3"))
     assert rep.cohomogeneities == (1, 2)
+
+
+@pytest.mark.parametrize("tname", ["G2", "B3", "E6"])
+def test_certified_orbit_dim_gives_the_same_report(tname):
+    from orbitatlas.orbits import expected_orbit_dimension
+
+    a = build_algebra(tname)
+    w = weighted_diagram(tname, next_to_minimal(tname)[0])
+    x = representative(a, w)
+    cfg = SampleConfig(num_samples=2)
+    given = cohom_adjoint(a, x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
+    assert given == cohom_adjoint(a, x, cfg)

@@ -1,6 +1,7 @@
 import pytest
 
 from orbitatlas.chevalley import build_algebra
+from orbitatlas.classify import TABLE1_TYPES
 from orbitatlas.orbits import (
     OrbitLabel,
     Partition,
@@ -205,6 +206,15 @@ def test_representative_scaling_invariance():
     a = build_algebra("B3")
     x = representative(a, weighted_diagram("B3", Partition((3, 1, 1, 1, 1))))
     assert a.centralizer_dim(x.scale(4)) == a.centralizer_dim(x)
+
+
+@pytest.mark.parametrize("tname", [t for t in TABLE1_TYPES if t != "E8"])
+def test_representative_accepted_mod_p_has_the_exact_orbit_dimension(tname):
+    a = build_algebra(tname)
+    for label in next_to_minimal(tname):
+        w = weighted_diagram(tname, label)
+        x = representative(a, w)
+        assert a.centralizer_dim(x) == a.dim - expected_orbit_dimension(a.rs, w)
 
 
 def test_min_orbit_representative_is_highest_root_vector():

@@ -214,3 +214,11 @@ def test_scaled_pairings_match_fraction_pairings(name):
         scaled, den = rs.scaled_pairings(h)
         assert den == lcm(*(m.denominator for m in rs.marks_of(h)))
         assert [Q(v, den) for v in scaled] == [rs.pair_root_cartan(g, h) for g in rs.all_roots]
+
+
+def test_extended_diagram_is_not_a_dynkin_diagram():
+    # the simple roots of E6 and the lowest root form the affine diagram E6~
+    rs = build_root_system("E6")
+    simples = [r for r in rs.positive_roots if sum(r) == 1]
+    with pytest.raises(ValueError, match="not a Dynkin diagram"):
+        identify_subsystem(rs, simples + [tuple(-c for c in rs.highest_root)])

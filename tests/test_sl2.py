@@ -1,10 +1,11 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from orbitatlas import sl2
 from orbitatlas.chevalley import build_algebra
-from orbitatlas.linalg import RationalMatrix
+from orbitatlas.linalg import RationalMatrix, kernel_basis_int, rank_int_rows, solve_linear
 from orbitatlas.orbits import (
     Partition,
     minimal_orbit,
@@ -156,3 +157,133 @@ def test_wrong_partner_fails_the_triple_check(monkeypatch):
     monkeypatch.setattr(sl2, "solve_linear", lambda m, b: tuple(2 * c for c in good(m, b)))
     with pytest.raises(ArithmeticError, match=r"\[X, Y\] = H"):
         complete_triple(a, x, coweight_element(a.rs, w.marks))
+
+
+# ---------------------------------------------------------------------------
+# commutant: mod-p reading of two combinations, exact fallback
+
+
+def _commutant_reference(mats):
+    """d^2 - rank of the stacked vec([M, B]) = (I (x) M - M^T (x) I) vec(B), by Bareiss."""
+    d = mats[0].rows
+    rows = []
+    for m in mats:
+        den = 1
+        for r in m.entries:
+            for q in r:
+                den = den * q.denominator
+        mi = [[q * den for q in r] for r in m.entries]
+        for i in range(d):
+            for j in range(d):
+                # entry (i, j) of MB - BM, on B[k][l] at column k * d + l
+                row = [0] * (d * d)
+                for k in range(d):
+                    row[k * d + j] += int(mi[i][k])
+                for l in range(d):
+                    row[i * d + l] -= int(mi[l][j])
+                rows.append(row)
+    return d * d - rank_int_rows(rows, d * d)
+
+
+@st.composite
+def action_matrices(draw):
+    d = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 3))
+    entries = st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=d, max_size=d)
+    return [
+        RationalMatrix([[Q(v, den) for v in row] for row in draw(entries)])
+        for den in draw(st.lists(st.integers(1, 3), min_size=count, max_size=count))
+    ]
+
+
+SO3 = [
+    RationalMatrix([[0, 0, 0], [0, 0, -1], [0, 1, 0]]),
+    RationalMatrix([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
+    RationalMatrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
+]
+
+
+@given(action_matrices())
+@example(SO3)  # irreducible: the mod-p reading 1 is returned
+@example([RationalMatrix([[1, 0], [0, 2]])])  # reading 2: the exact fallback
+# both fixed combinations are multiples of E11, so they read 2, but the span holds
+# E11 and E12, whose commutant is the scalars: the fallback must correct the reading
+@example([RationalMatrix([[-2, -8], [0, 0]]), RationalMatrix([[0, 1], [0, 0]]),
+          RationalMatrix([[1, 2], [0, 0]])])
+@settings(max_examples=150, deadline=None)
+def test_commutant_dim_matches_bareiss_on_the_full_stack(mats):
+    assert commutant_dim(mats) == _commutant_reference(mats)
+
+
+def _count_exact_ranks(monkeypatch):
+    calls = []
+    good = sl2.rank_int_rows
+    monkeypatch.setattr(sl2, "rank_int_rows", lambda *a: calls.append(1) or good(*a))
+    return calls
+
+
+def test_commutant_reading_one_needs_no_exact_rank(monkeypatch):
+    calls = _count_exact_ranks(monkeypatch)
+    assert commutant_dim(SO3) == 1
+    assert calls == []
+
+
+def test_commutant_reading_above_one_falls_back_to_exact(monkeypatch):
+    calls = _count_exact_ranks(monkeypatch)
+    assert commutant_dim([RationalMatrix([[0, -1], [1, 0]])]) == 2
+    assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# W-block action: read-off coordinates against solves
+
+
+def _ntm_triple(tname):
+    a = build_algebra(tname)
+    t, _ = sl2_data_for_diagram(a, weighted_diagram(tname, next_to_minimal(tname)[0]))
+    kb, _ = triple_centralizer(a, t)
+    return a, t, kb
+
+
+def _w_action_by_solves(a, t, kbasis):
+    """The W-block matrices, each column by solve_linear against the slice matrix."""
+    blocks = []
+    for k, _, d in w_isotypic_action(a, t, kbasis):
+        gk, gk2 = t.grading[k], t.grading.get(k + 2, [])
+        rows = sl2._restricted_map_rows(a, t.x.num, gk, gk2) if gk2 else []
+        vecs = kernel_basis_int(rows, len(gk)) if rows else [
+            tuple(Q(int(i == j)) for i in range(len(gk))) for j in range(len(gk))
+        ]
+        if k == 2:
+            kappa = [a.killing(sl2._embed(a, gk, v), t.y) for v in vecs]
+            vecs = sl2._hyperplane_basis(vecs, kappa)
+        bm = RationalMatrix([[v[i] for v in vecs] for i in range(len(gk))])
+        mats = []
+        for u in kbasis:
+            cols = []
+            for v in vecs:
+                img = a.bracket(u, sl2._embed(a, gk, v))
+                cols.append(solve_linear(bm, [Q(img.num[b], img.den) for b in gk]))
+            mats.append(RationalMatrix(list(zip(*cols))))
+        blocks.append((k, mats, d))
+    return blocks
+
+
+@pytest.mark.parametrize("tname", ["G2", "B3", "F4", "E6"])
+def test_w_action_equals_the_solves(tname):
+    a, t, kb = _ntm_triple(tname)
+    blocks = w_isotypic_action(a, t, kb)
+    assert blocks and blocks == _w_action_by_solves(a, t, kb)
+
+
+def test_bracket_leaving_the_slice_raises(monkeypatch):
+    a, t, kb = _ntm_triple("B3")
+    assert [k for k, _, _ in w_isotypic_action(a, t, kb)] == [2]
+    # X spans the line the k = 2 slice drops, so adding it leaves the slice
+    target, good = kb[0].num, a.bracket_vec
+    monkeypatch.setattr(
+        a, "bracket_vec",
+        lambda x, y: [p + q for p, q in zip(good(x, y), t.x.num)] if x is target else good(x, y),
+    )
+    with pytest.raises(ArithmeticError, match="leaves the W slice"):
+        w_isotypic_action(a, t, kb)

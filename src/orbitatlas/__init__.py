@@ -12,7 +12,6 @@ from .branching import branch_adjoint, restriction_matrix, weight_multiplicities
 from .chevalley import (
     AlgebraElement,
     ChevalleyAlgebra,
-    ad_matrix,
     build_algebra,
     centralizer_dim,
     compact_form_basis,
@@ -42,7 +41,7 @@ from .flags import (
     painted,
     scan_ss_cohom,
 )
-from .linalg import RationalMatrix, kernel_basis, rank_rational, solve_linear
+from .linalg import kernel_basis_int, rank_int_rows, solve_linear
 from .orbits import (
     OrbitLabel,
     Partition,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .linalg import RationalMatrix, kernel_basis, rank_int_rows
+from .linalg import kernel_basis_int, rank_int_rows
 from .roots import RootSystem, build_root_system, identify_subsystem
 
 
@@ -194,9 +194,9 @@ def _coroot_rows(rs: RootSystem, subsystem) -> list[tuple[int, ...]]:
     return rows
 
 
-def restriction_matrix(rs: RootSystem, subsystem) -> RationalMatrix:
-    """Matrix sending rs-weights to subsystem-weights (subsystem coroot pairings)."""
-    return RationalMatrix(_coroot_rows(rs, subsystem))
+def restriction_matrix(rs: RootSystem, subsystem) -> list[tuple[int, ...]]:
+    """Integer rows sending rs-weights to subsystem-weights (subsystem coroot pairings)."""
+    return _coroot_rows(rs, subsystem)
 
 
 @dataclass(frozen=True)
@@ -231,10 +231,10 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
 
     # torus charge functionals: kernel of h -> <beta_j, h>
     pair_rows = [[rs.pair_with_coroot(b, i) for i in range(rs.rank)] for b in ordered]
-    torus = kernel_basis(RationalMatrix(pair_rows)) if ordered else []
+    torus, tden = kernel_basis_int(pair_rows, rs.rank) if ordered else ([], 1)
 
     def charge(w):
-        return tuple(sum((t[i] * w[i] for i in range(rs.rank)), Q(0)) for t in torus)
+        return tuple(Q(sum(t[i] * w[i] for i in range(rs.rank)), tden) for t in torus)
 
     def restrict(w):
         return tuple(_dot(row, w) for row in rows)

@@ -23,7 +23,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 import random
 
-from .linalg import RationalMatrix, rank_int_rows
+from .linalg import rank_int_rows
 from .roots import CartanElement, RootSystem, build_root_system
 
 
@@ -247,13 +247,6 @@ class ChevalleyAlgebra:
         """Row j is [b_j, x.num] = -den * (column j of ad(x))."""
         return [self.bracket_vec(self.basis_vector(j), x.num) for j in range(self.dim)]
 
-    def ad_matrix(self, x: AlgebraElement) -> RationalMatrix:
-        """Matrix of y -> [x, y] in the Chevalley basis."""
-        rows = self.ad_rows(x)
-        return RationalMatrix(
-            [[Q(-row[i], x.den) for row in rows] for i in range(self.dim)]
-        )
-
     def centralizer_dim(self, x: AlgebraElement) -> int:
         """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""
         return self.dim - rank_int_rows(self.ad_rows(x), self.dim)
@@ -364,10 +357,6 @@ def build_algebra(rs: RootSystem | str, verify="auto") -> ChevalleyAlgebra:
     if key not in _ALG_CACHE:
         _ALG_CACHE[key] = ChevalleyAlgebra(rs, verify=verify)
     return _ALG_CACHE[key]
-
-
-def ad_matrix(a: ChevalleyAlgebra, x: AlgebraElement) -> RationalMatrix:
-    return a.ad_matrix(x)
 
 
 def centralizer_dim(a: ChevalleyAlgebra, x: AlgebraElement) -> int:

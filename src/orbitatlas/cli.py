@@ -71,7 +71,8 @@ def _parse_label(t: str, s: str) -> OrbitLabel:
     if s == "ntm":
         ls = next_to_minimal(t)
         if len(ls) != 1:
-            raise SystemExit(f"{t} has {len(ls)} next-to-minimal orbits; pass one explicitly")
+            wdds = ", ".join(f"wdd:{l.diagram or weighted_diagram(t, l)}" for l in ls)
+            raise ValueError(f"{t} has {len(ls)} next-to-minimal orbits; pass one of {wdds}")
         return ls[0]
     if s.startswith("wdd:"):
         marks = tuple(int(c) for c in s[4:].replace(",", ""))

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import lcm
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
-from .linalg import RationalMatrix, rank_lower_bound
+from .linalg import rank_lower_bound
 from .orbits import OrbitLabel, representative, weighted_diagram
 
 
@@ -161,19 +160,16 @@ def cohom_adjoint(
 
 
 def cohom_linear_rep(
-    action_matrices: list[RationalMatrix], rep_dim: int, cfg: SampleConfig = SampleConfig()
+    action_matrices: list[list[list[int]]], rep_dim: int, cfg: SampleConfig = SampleConfig()
 ) -> CohomReport:
-    """Cohomogeneity of a linear action given a basis of action matrices."""
+    """Cohomogeneity of a linear action given a basis of integer action matrices."""
     best = 0
     samples = []
     for i in range(cfg.num_samples):
         rng = random.Random(derived_seed(cfg, i))
         v = [rng.randint(-cfg.coefficient_range - 1, cfg.coefficient_range + 1) for _ in range(rep_dim)]
-        rows = []
-        for m in action_matrices:
-            row = [sum(m.entries[r][c] * v[c] for c in range(rep_dim)) for r in range(rep_dim)]
-            den = lcm(*(q.denominator for q in row))
-            rows.append([int(q * den) for q in row])
+        rows = [[sum(m[r][c] * v[c] for c in range(rep_dim)) for r in range(rep_dim)]
+                for m in action_matrices]
         d = rank_lower_bound(rows, rep_dim)
         samples.append((derived_seed(cfg, i), d))
         best = max(best, d)

@@ -1,11 +1,15 @@
-"""Linear algebra over Q: exact rank, kernel and solve, plus a mod-p rank bound.
+"""Linear algebra on integer rows: exact rank, kernel and solve, plus a mod-p rank bound.
 
-There is no floating point anywhere in the package.  The two rank functions
-differ in what their number certifies:
+A matrix is a list of integer rows and a column count; there is no floating
+point and no rational matrix anywhere in the package.  One fraction-free
+(Bareiss) elimination, `_bareiss_echelon`, backs every exact operation:
 
-* `rank_int_rows` is the exact rank over Q, by fraction-free (Bareiss)
-  elimination over the integers, which kernel and solve share.  Exact
-  centralizer dimensions, the commutant fallback and branching use it.
+* `rank_int_rows` is the exact rank over Q.  Exact centralizer dimensions,
+  the commutant fallback and branching use it.
+* `kernel_basis_int` and `solve_linear` return integer vectors over one
+  denominator, the last Bareiss pivot D (made positive).  By Cramer's rule
+  D times a kernel vector that reads 1 on a free column is an integer
+  vector, so back-substitution divides exactly; every division is checked.
 * `rank_lower_bound` is the rank modulo the one prime P = 2**31 - 1 (see
   `_modp`).  Reducing mod P never raises a rank, so it is a certified lower
   bound on the rank over Q.  The orbit samplers use it, and so do the checks
@@ -15,56 +19,15 @@ differ in what their number certifies:
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-from math import lcm
-
 from ._modp import rank_mod_p, residues
 
 
-class RationalMatrix:
-    """Immutable dense matrix with exact rational entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(Q(a) for a in row) for row in entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalMatrix is immutable")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols})"
-
-
-def _int_rows(m: RationalMatrix) -> list[list[int]]:
-    """Clear denominators row by row (rank and right kernel are unchanged)."""
-    out = []
-    for row in m.entries:
-        d = lcm(*(a.denominator for a in row)) if row else 1
-        out.append([int(a * d) for a in row])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# fraction-free elimination
-
 def _bareiss_echelon(rows: list[list], ncols: int | None = None):
-    """In-place fraction-free row echelon of an integer matrix; returns pivot column list."""
+    """In-place fraction-free row echelon of an integer matrix; returns pivot column list.
+
+    After it, row i's pivot is the (i+1)-st leading minor on the pivot
+    columns of the row-permuted matrix, so the last pivot is that whole minor.
+    """
     n = len(rows)
     m = ncols if ncols is not None else (len(rows[0]) if n else 0)
     prev = 1
@@ -113,47 +76,47 @@ def rank_lower_bound(rows: list[list[int]], ncols: int) -> int:
     return rank_mod_p(residues(rows, ncols))
 
 
-# ---------------------------------------------------------------------------
-# public operations
+def kernel_basis_int(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, ...]], int]:
+    """Basis of the right kernel of an integer matrix, as (integer vectors, denominator).
 
-def rank_rational(m: RationalMatrix) -> int:
-    """Exact rank over Q."""
-    return rank_int_rows(_int_rows(m), m.cols)
-
-
-def kernel_basis_int(rows: list[list[int]], ncols: int) -> list[tuple[Q, ...]]:
+    There is one vector per free column of the echelon form: it reads the
+    denominator D > 0 on its own free column and 0 on the others, so the
+    basis over Q is the vectors divided by D.  D is the absolute value of
+    the last Bareiss pivot (1 when the matrix is zero).  The basis is empty
+    iff the rank is `ncols`.
+    """
     work = [list(row) for row in rows]
     pivots = _bareiss_echelon(work, ncols)
-    rank = len(pivots)
+    den = abs(work[len(pivots) - 1][pivots[-1]]) if pivots else 1
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     basis = []
-    for f in free:
-        x = [Q(0)] * ncols
-        x[f] = Q(1)
-        for i in range(rank - 1, -1, -1):
-            pc = pivots[i]
-            s = sum((Q(work[i][j]) * x[j] for j in range(pc + 1, ncols) if x[j]), Q(0))
-            x[pc] = -s / Q(work[i][pc])
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        x = [0] * ncols
+        x[f] = den
+        for i in range(len(pivots) - 1, -1, -1):
+            pc, row = pivots[i], work[i]
+            s = sum(row[j] * x[j] for j in range(pc + 1, ncols) if x[j])
+            q, rem = divmod(-s, row[pc])
+            if rem:
+                raise ArithmeticError("kernel back-substitution is not exact over the last pivot")
+            x[pc] = q
         basis.append(tuple(x))
-    return basis
+    return basis, den
 
 
-def kernel_basis(m: RationalMatrix) -> list[tuple[Q, ...]]:
-    """Basis of the right null space; empty iff rank == cols."""
-    return kernel_basis_int(_int_rows(m), m.cols)
+def solve_linear(rows: list[list[int]], ncols: int, b) -> tuple[tuple[int, ...], int] | None:
+    """The solution of rows . x = b as (num, den), x = num / den, or None if inconsistent.
 
-
-def solve_linear(m: RationalMatrix, b) -> tuple[Q, ...] | None:
-    """The solution x of m x = b with x zero on the free columns, or None if inconsistent.
-
-    It is the kernel vector of [m | -b] that reads 1 in the last column; that
-    column is free exactly when b lies in the column span of m.
+    x is zero on the free columns.  It is the kernel vector of [rows | -b]
+    that is nonzero in the last column; that column is free exactly when b
+    lies in the column span, and the vector reads den there.
     """
-    if len(b) != m.rows:
+    if len(b) != len(rows):
         raise ValueError("dimension mismatch: len(b) != rows")
-    aug = RationalMatrix([list(row) + [-Q(be)] for row, be in zip(m.entries, b)])
-    return next((v[:-1] for v in kernel_basis(aug) if v[-1] == 1), None)
+    basis, den = kernel_basis_int([list(row) + [-be] for row, be in zip(rows, b)], ncols + 1)
+    return next(((v[:-1], den) for v in basis if v[-1]), None)
 
 
 def is_negative_definite(sym: list[list[int]]) -> bool:

@@ -340,8 +340,9 @@ def representative(
             return x
         if attempt % 3 == 2:
             crange *= 2
-    raise RuntimeError(
-        f"no representative found for diagram {w}: the diagram is likely wrong"
+    raise ValueError(
+        f"no representative found for diagram {w} in 30 tries: "
+        f"it is likely not a weighted Dynkin diagram of {rs.cartan_type}"
     )
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
 
+from .linalg import kernel_basis_int
+
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _RANK_MAX = {"E": 8, "F": 4, "G": 2}
 
@@ -162,31 +164,22 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
 
 
 def _det_and_scaled_inverse(a: list[list[int]]):
-    """(det, det * a^{-1}) computed exactly; second entry has integer entries."""
+    """(det a, det(a) * a^{-1}) in integers, for a with positive determinant.
+
+    The kernel of [a | -I] has one vector per column k of the identity; it
+    reads the last Bareiss pivot, |det a|, there and 0 on the other identity
+    columns, so its first half is column k of det(a) * a^{-1}.
+    """
     n = len(a)
-    m = [[Q(a[i][j]) for j in range(n)] + [Q(1 if k == i else 0) for k in range(n)]
-         for i in range(n)]
-    det = Q(1)
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != 0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    deti = int(det)
-    scaled = [[m[i][n + j] * deti for j in range(n)] for i in range(n)]
-    out = []
-    for row in scaled:
-        if any(x.denominator != 1 for x in row):
-            raise ArithmeticError("det(C) * C^-1 is not an integer matrix")
-        out.append([int(x) for x in row])
-    return deti, out
+    rows = [list(a[i]) + [-int(i == k) for k in range(n)] for i in range(n)]
+    basis, det = kernel_basis_int(rows, 2 * n)
+    inv = [[v[i] for v in basis] for i in range(n)]
+    if any(
+        sum(a[i][k] * inv[k][j] for k in range(n)) != det * (i == j)
+        for i in range(n) for j in range(n)
+    ):
+        raise ArithmeticError("C * (det(C) * C^-1) != det(C) * I")
+    return det, inv
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,9 @@ dimension sum A_k (k-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
-from math import lcm
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
-from .linalg import RationalMatrix, kernel_basis_int, rank_int_rows, rank_lower_bound, solve_linear
+from .linalg import kernel_basis_int, rank_int_rows, rank_lower_bound, solve_linear
 from .roots import CartanElement, coweight_element
 from .orbits import WeightedDynkinDiagram
 
@@ -42,12 +40,12 @@ def _graded_basis(a: ChevalleyAlgebra, h: CartanElement) -> dict:
     return out
 
 
-def _embed(a: ChevalleyAlgebra, idx: list[int], v) -> AlgebraElement:
-    """The element with coordinates v on the basis indices idx, zero elsewhere."""
+def _embed(a: ChevalleyAlgebra, idx: list[int], v, den: int = 1) -> AlgebraElement:
+    """The element with coordinates v / den on the basis indices idx, zero elsewhere."""
     co = [0] * a.dim
     for b, c in zip(idx, v):
         co[b] = c
-    return AlgebraElement.from_rationals(co)
+    return AlgebraElement(co, den)
 
 
 def _restricted_map_rows(a, x, src: list[int], dst: list[int]) -> list[list[int]]:
@@ -74,13 +72,13 @@ def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, h_cartan: CartanElem
     g0 = graded[0]
     if not gm2:
         raise ValueError("empty degree -2 piece")
-    # [den(X) X, .] from the -2 piece to g_0
-    m = RationalMatrix(_restricted_map_rows(a, x.num, gm2, g0))
-    sol = solve_linear(m, [Q(h.num[b], h.den) for b in g0])
+    # [den(X) X, num] = den * den(H) H on g_0, from the -2 piece
+    m = _restricted_map_rows(a, x.num, gm2, g0)
+    sol = solve_linear(m, len(gm2), [h.num[b] for b in g0])
     if sol is None:
         raise ValueError("no sl2 partner: X is not generic in its grade")
-    # the solve used den(X) * X, so scale Y up by the same factor
-    y = _embed(a, gm2, [c * x.den for c in sol])
+    num, den = sol
+    y = _embed(a, gm2, [c * x.den for c in num], den * h.den)
     if a.bracket(x, y) != h:
         raise ArithmeticError("triple relation [X, Y] = H failed")
     if a.bracket(h, y) != y.scale(-2):
@@ -94,8 +92,9 @@ def triple_centralizer(a: ChevalleyAlgebra, t: Sl2Triple):
     g2 = t.grading.get(2, [])
     rows = _restricted_map_rows(a, t.x.num, g0, g2)
     basis = []
-    for v in kernel_basis_int(rows, len(g0)):
-        u = _embed(a, g0, v)
+    vecs, den = kernel_basis_int(rows, len(g0))
+    for v in vecs:
+        u = _embed(a, g0, v, den)
         if any(a.bracket(u, t.y).num):
             raise ArithmeticError("centralizer misses Y")
         basis.append(u)
@@ -164,26 +163,23 @@ def _commutator_rows(mats, d: int) -> list[list[int]]:
     return rows
 
 
-def commutant_dim(action_matrices: list[RationalMatrix]) -> int:
-    """Dimension of the space of matrices commuting with all action matrices.
+def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
+    """Dimension of the space of matrices commuting with all integer action matrices.
 
-    Exact.  Each matrix is scaled to integers, and the commutant of two fixed
-    integer combinations A, B of them is ranked mod 2**31 - 1 first.  A and B
-    lie in the span of the matrices, so their commutant contains the one
-    sought; reducing mod p can only lower a rank, so only raise a nullity;
-    and the identity always commutes.  A reading of 1 is therefore the exact
+    Exact.  The commutant of two fixed integer combinations A, B of the
+    matrices is ranked mod 2**31 - 1 first.  A and B lie in the span of the
+    matrices, so their commutant contains the one sought; reducing mod p can
+    only lower a rank, so only raise a nullity; and the identity always
+    commutes.  A reading of 1 is therefore the exact
     answer.  Any other reading falls back to the exact rank of all the
     stacked constraints.
     """
     if not action_matrices:
         raise ValueError("need at least one matrix")
-    d = action_matrices[0].rows
-    mats = []
-    for m in action_matrices:
-        if m.rows != d or m.cols != d:
-            raise ValueError("matrices must act on a common space")
-        den = lcm(*(q.denominator for r in m.entries for q in r))
-        mats.append([[int(q * den) for q in r] for r in m.entries])
+    mats = action_matrices
+    d = len(mats[0])
+    if any(len(m) != d or any(len(row) != d for row in m) for m in mats):
+        raise ValueError("matrices must act on a common space")
     combos = (range(1, len(mats) + 1), [(-1) ** i * (i * i % 7 + 1) for i in range(len(mats))])
     pair = [
         [[sum(c * m[i][j] for c, m in zip(cs, mats)) for j in range(d)] for i in range(d)]
@@ -195,14 +191,17 @@ def commutant_dim(action_matrices: list[RationalMatrix]) -> int:
 
 
 def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
-    """Action matrices of k on each W-block (k >= 2 isotypic multiplicity space).
+    """Integer action matrices of k on each W-block (k >= 2 isotypic multiplicity space).
 
     Realized on highest-vector slices: ker(ad X) in the degree-k piece; the
-    k = 2 slice drops the Killing-orthogonal line through X itself.  The slice
-    basis is the identity on some of the piece's coordinates (the free columns
-    of `kernel_basis_int`), so the coordinates of an image are read off them
-    with no solve, and the image is then checked, in integers, to equal that
-    combination of the slice basis.
+    k = 2 slice drops the Killing-orthogonal line through X itself.  The
+    slice basis is integer and reads one common value s on its own unit
+    coordinate of the piece and 0 on the others' (the free columns of
+    `kernel_basis_int`), so the coordinates of an image are read off those
+    positions with no solve, and the image is then checked, in integers, to
+    equal that combination of the slice basis.  The matrix of u is
+    s * den(u) times the matrix of u's action; each scale is a nonzero
+    integer, which leaves the commutant unchanged.
     """
     graded = t.grading
     n = {k: len(v) for k, v in graded.items()}
@@ -214,45 +213,49 @@ def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
             continue
         gk = graded.get(k, [])
         rows = _restricted_map_rows(a, t.x.num, gk, graded.get(k + 2, []))
-        vecs = kernel_basis_int(rows, len(gk))  # slice vectors in coordinates over gk
+        vecs, s = kernel_basis_int(rows, len(gk))  # slice vectors over gk, reading s
         if k == 2:
-            kappa = [a.killing(_embed(a, gk, v), t.y) for v in vecs]
-            vecs = _hyperplane_basis(vecs, kappa)
+            # the Killing form against den(Y) Y is an integer on integer vectors
+            kappa = [int(a.killing(_embed(a, gk, v), t.y) * t.y.den) for v in vecs]
+            vecs, f = _hyperplane_basis(vecs, kappa)
+            s *= f
         if len(vecs) != ak:
             raise ArithmeticError(f"W-block dimension mismatch at k={k}: {len(vecs)} != {ak}")
-        # positions in gk where slice vector i reads 1 and the others 0
         at = [[v[r] for v in vecs] for r in range(len(gk))]
-        unit = [at.index([int(i == j) for j in range(ak)]) for i in range(ak)]
-        den = lcm(*(c.denominator for v in vecs for c in v))
-        ivecs = [[int(c * den) for c in v] for v in vecs]
-        elems = [_embed(a, gk, v) for v in vecs]
+        unit = [at.index([s * (i == j) for j in range(ak)]) for i in range(ak)]
+        elems = [_embed(a, gk, v).num for v in vecs]
         inside = set(gk)
         mats = []
         for u in kbasis:
             cols = []
             for e in elems:
-                img = a.bracket_vec(u.num, e.num)  # [u, v] = img / (u.den * e.den)
+                img = a.bracket_vec(u.num, e)  # den(u) [u, v]
                 if any(c for b, c in enumerate(img) if b not in inside):
                     raise ArithmeticError("bracket left the graded piece")
                 coords = [img[gk[r]] for r in unit]
                 for r, b in enumerate(gk):
-                    if img[b] * den != sum(c * w[r] for c, w in zip(coords, ivecs)):
+                    if img[b] * s != sum(c * w[r] for c, w in zip(coords, vecs)):
                         raise ArithmeticError("k-action leaves the W slice")
-                cols.append([Q(c, u.den * e.den) for c in coords])
-            mats.append(RationalMatrix(list(zip(*cols))))
+                cols.append(coords)
+            mats.append([list(r) for r in zip(*cols)])
         blocks.append((k, mats, len(vecs)))
     return blocks
 
 
 def _hyperplane_basis(vecs, kappa):
-    """Basis of the kernel of the functional kappa on span(vecs)."""
+    """Integer basis of the kernel of the functional kappa on span(vecs), and its scale.
+
+    For the first p with kappa[p] != 0, each other vecs[i] becomes
+    kappa[p] vecs[i] - kappa[i] vecs[p].  It still reads 0 on the other kept
+    vectors' unit coordinates, and kappa[p] times its old value on its own;
+    kappa[p] is the scale returned (1 when kappa vanishes and vecs is kept).
+    """
     piv = next((i for i, c in enumerate(kappa) if c != 0), None)
     if piv is None:
-        return vecs
-    out = []
-    for i, v in enumerate(vecs):
-        if i == piv:
-            continue
-        f = kappa[i] / kappa[piv]
-        out.append([a - f * b for a, b in zip(v, vecs[piv])])
-    return out
+        return vecs, 1
+    kp, vp = kappa[piv], vecs[piv]
+    out = [
+        [kp * x - c * y for x, y in zip(v, vp)]
+        for i, (v, c) in enumerate(zip(vecs, kappa)) if i != piv
+    ]
+    return out, kp

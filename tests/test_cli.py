@@ -140,6 +140,8 @@ def test_branch_bad_sub_is_one_line_exit_2(capsys, spec):
     (["orbits", "list", "A1xA1"], "atlas orbits list"),
     (["classify", "mixed", "--n", "2"], "atlas classify"),
     (["cohom", "orbit", "E7", "--label", "ntm", "--samples", "0"], "atlas cohom orbit"),
+    (["cohom", "orbit", "G2", "--label", "wdd:20"], "atlas cohom orbit"),
+    (["cohom", "orbit", "B4", "--label", "ntm"], "atlas cohom orbit"),
 ])
 def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     with pytest.raises(SystemExit) as exc:
@@ -149,6 +151,18 @@ def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"{prog}: error: ")
+
+
+@pytest.mark.parametrize("label, names", [
+    ("wdd:20", ["diagram 20"]),  # not a weighted Dynkin diagram of G2
+    ("ntm", ["wdd:2000", "wdd:0001"]),  # B4 has two next-to-minimal orbits
+])
+def test_label_errors_name_the_diagrams(capsys, label, names):
+    t = "G2" if label == "wdd:20" else "B4"
+    with pytest.raises(SystemExit):
+        main(["cohom", "orbit", t, "--label", label])
+    err = capsys.readouterr().err
+    assert all(n in err for n in names)
 
 
 def test_failed_exactness_check_still_propagates(monkeypatch):

@@ -10,7 +10,7 @@ from orbitatlas.cohom import (
     real_orbit_dim,
     sample_orbit_point,
 )
-from orbitatlas.linalg import RationalMatrix, rank_int_rows
+from orbitatlas.linalg import rank_int_rows
 from orbitatlas.orbits import (
     Partition,
     hasse_diagram,
@@ -128,12 +128,12 @@ def test_monotone_refinement_under_pooling():
 
 
 def test_cohom_linear_rep_trivial():
-    m = RationalMatrix([[0, 0], [0, 0]])
+    m = [[0, 0], [0, 0]]
     assert cohom_linear_rep([m], 2).cohomogeneity == 2
 
 
 def test_cohom_linear_rep_rotation():
-    m = RationalMatrix([[0, -1], [1, 0]])
+    m = [[0, -1], [1, 0]]
     assert cohom_linear_rep([m], 2).cohomogeneity == 1
 
 
@@ -145,7 +145,7 @@ def test_cohom_linear_rep_so3_diagonal():
         for off in (0, 3):
             rows[off + i][off + j] = -1
             rows[off + j][off + i] = 1
-        return RationalMatrix(rows)
+        return rows
 
     mats = [so3_gen(i, j) for i, j in itertools.combinations(range(3), 2)]
     assert cohom_linear_rep(mats, 6).cohomogeneity == 3

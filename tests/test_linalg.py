@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitatlas.linalg import (
-    RationalMatrix,
     is_negative_definite,
-    kernel_basis,
+    kernel_basis_int,
     rank_int_rows,
     rank_lower_bound,
-    rank_rational,
     solve_linear,
 )
 
@@ -18,48 +16,55 @@ P = 2**31 - 1
 
 
 def test_rank_identity():
-    assert rank_rational(RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert rank_int_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == 3
 
 
 def test_rank_zero():
-    assert rank_rational(RationalMatrix([[0, 0], [0, 0]])) == 0
+    assert rank_int_rows([[0, 0], [0, 0]], 2) == 0
 
 
 def test_rank_proportional_rows():
-    assert rank_rational(RationalMatrix([[1, 2], [2, 4], [3, 6]])) == 1
+    assert rank_int_rows([[1, 2], [2, 4], [3, 6]], 2) == 1
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RationalMatrix([[1, 0], [0, 1]])) == []
+    assert kernel_basis_int([[1, 0], [0, 1]], 2) == ([], 1)
 
 
 def test_kernel_symmetry():
-    (v,) = kernel_basis(RationalMatrix([[1, -1]]))
-    assert v == (Q(1), Q(1))
+    (v,), den = kernel_basis_int([[1, -1]], 2)
+    assert (Q(v[0], den), Q(v[1], den)) == (Q(1), Q(1))
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel_basis(RationalMatrix([[0, 0, 0]] * 3))) == 3
+    basis, den = kernel_basis_int([[0, 0, 0]] * 3, 3)
+    assert len(basis) == 3 and den == 1
+
+
+def test_kernel_reads_the_last_pivot():
+    # pivots 2 and det [[2, 1], [0, 3]] = 6 -> the free column reads 6
+    (v,), den = kernel_basis_int([[2, 1, 1], [0, 3, 2]], 3)
+    assert den == 6 and v == (-1, -4, 6)
 
 
 def test_solve_identity():
-    m = RationalMatrix([[1, 0], [0, 1]])
-    assert solve_linear(m, [Q(3), Q(-2, 7)]) == (Q(3), Q(-2, 7))
+    # the right-hand side (3, -2/7) scaled by 7
+    num, den = solve_linear([[1, 0], [0, 1]], 2, [21, -2])
+    assert (Q(num[0], 7 * den), Q(num[1], 7 * den)) == (Q(3), Q(-2, 7))
 
 
 def test_solve_underdetermined_verifies():
-    m = RationalMatrix([[1, 1]])
-    x = solve_linear(m, [2])
-    assert x is not None and x[0] + x[1] == 2
+    num, den = solve_linear([[1, 1]], 2, [2])
+    assert num[0] + num[1] == 2 * den
 
 
 def test_solve_inconsistent():
-    assert solve_linear(RationalMatrix([[1], [1]]), [0, 1]) is None
+    assert solve_linear([[1], [1]], 1, [0, 1]) is None
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_linear(RationalMatrix([[1, 2]]), [1, 2])
+        solve_linear([[1, 2]], 2, [1, 2])
 
 
 @st.composite
@@ -144,28 +149,73 @@ def test_rank_lower_bound_strict_on_the_prime():
 @given(int_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rank_nullity(rows):
-    m = RationalMatrix(rows)
-    assert rank_rational(m) + len(kernel_basis(m)) == m.cols
+    ncols = len(rows[0])
+    assert rank_int_rows(rows, ncols) + len(kernel_basis_int(rows, ncols)[0]) == ncols
 
 
 @given(int_matrices())
 @settings(max_examples=80, deadline=None)
 def test_kernel_vectors_annihilate(rows):
-    m = RationalMatrix(rows)
-    for v in kernel_basis(m):
+    for v in kernel_basis_int(rows, len(rows[0]))[0]:
         for row in rows:
-            assert sum(Q(c) * x for c, x in zip(row, v)) == 0
+            assert sum(c * x for c, x in zip(row, v)) == 0
 
 
 @given(int_matrices(maxn=5), st.lists(st.integers(-5, 5), min_size=1, max_size=5))
 @settings(max_examples=80, deadline=None)
 def test_solve_substitution(rows, b):
     b = (b * 5)[: len(rows)]
-    m = RationalMatrix(rows)
-    x = solve_linear(m, b)
-    if x is not None:
+    sol = solve_linear(rows, len(rows[0]), b)
+    if sol is not None:
+        num, den = sol
         for row, be in zip(rows, b):
-            assert sum(Q(c) * v for c, v in zip(row, x)) == be
+            assert sum(c * v for c, v in zip(row, num)) == den * be
+
+
+def _in_column_span(rows, b):
+    return rank_int_rows([list(r) + [be] for r, be in zip(rows, b)], len(rows[0]) + 1) == \
+        rank_int_rows(rows, len(rows[0]))
+
+
+# entries up to 2**40 make the Bareiss pivots, and so the denominators, large
+_kernel_entries = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
+
+
+@given(
+    st.integers(1, 6).flatmap(lambda m: st.tuples(
+        st.lists(st.lists(_kernel_entries, min_size=m, max_size=m), min_size=1, max_size=6),
+        st.lists(st.integers(-9, 9), min_size=6, max_size=6),
+        st.booleans(),
+    ))
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_kernel_and_solve(data):
+    rows, b, dependent = data
+    ncols = len(rows[0])
+    if dependent and len(rows) >= 2:
+        rows[-1] = [x - 3 * y for x, y in zip(rows[0], rows[1])]
+    basis, den = kernel_basis_int(rows, ncols)
+    assert den > 0
+    # one vector per free column, ncols - rank of them
+    assert len(basis) == ncols - rank_int_rows(rows, ncols)
+    # the free columns are those that do not raise the rank of the columns before them
+    prefix = [rank_int_rows([r[:j] for r in rows], j) for j in range(ncols + 1)]
+    free = [j for j in range(ncols) if prefix[j + 1] == prefix[j]]
+    assert len(basis) == len(free)
+    for v, f in zip(basis, free):
+        assert all(isinstance(x, int) for x in v)
+        # rows . v = 0 in integers
+        assert all(sum(c * x for c, x in zip(row, v)) == 0 for row in rows)
+        # v reads den on its own free column and 0 on the other free columns
+        assert [v[g] for g in free] == [den * (g == f) for g in free]
+    b = b[: len(rows)]
+    sol = solve_linear(rows, ncols, b)
+    if sol is None:
+        assert not _in_column_span(rows, b)
+    else:
+        num, d = sol
+        assert d != 0 and all(isinstance(x, int) for x in num)
+        assert all(sum(c * x for c, x in zip(row, num)) == d * be for row, be in zip(rows, b))
 
 
 def test_rank_row_order_independent():

@@ -5,6 +5,7 @@ from orbitatlas.classify import TABLE1_TYPES
 from orbitatlas.orbits import (
     OrbitLabel,
     Partition,
+    WeightedDynkinDiagram,
     dominates,
     expected_orbit_dimension,
     hasse_diagram,
@@ -190,9 +191,11 @@ def test_representative_nilpotent():
     a = build_algebra("C3")
     w = weighted_diagram("C3", Partition((2, 2, 1, 1)))
     x = representative(a, w)
-    m = a.ad_matrix(x)
+    # ad(X), from ad_rows: row j is [b_j, X] = -den(X) * column j
+    assert x.den == 1
+    rows = a.ad_rows(x)
+    v = [[-rows[j][i] for j in range(a.dim)] for i in range(a.dim)]
     # ad(X)^k vanishes for k = 2 * longest part
-    v = [row[:] for row in ([list(r) for r in m.entries],)][0]
     cur = v
     for _ in range(3):  # 2 * 2 - 1 more products
         cur = [
@@ -241,3 +244,10 @@ def test_minimal_marks_bounded_by_theta_pairing():
             for i in range(rs.rank)
         )
         assert marks == pair
+
+
+def test_representative_rejects_a_non_diagram():
+    # (2, 0) is not the weighted Dynkin diagram of any nilpotent orbit of G2
+    a = build_algebra("G2")
+    with pytest.raises(ValueError, match="diagram 20"):
+        representative(a, WeightedDynkinDiagram((2, 0)))

@@ -77,10 +77,22 @@ def test_invalid_ranks():
             build_root_system(bad)
 
 
+# det of the Cartan matrix: the order of the weight lattice modulo the root lattice
+KNOWN_DET = {
+    **{f"A{n}": n + 1 for n in range(1, 9)},
+    **{f"B{n}": 2 for n in range(2, 9)},
+    **{f"C{n}": 2 for n in range(3, 9)},
+    **{f"D{n}": 4 for n in range(4, 9)},
+    "E6": 3, "E7": 2, "E8": 1, "F4": 1, "G2": 1,
+    "A2xG2": 3, "B3xC4xD4": 16,
+}
+
+
 def test_cartan_inverse_identity():
-    for name in ["A2", "B3", "G2", "F4", "E6"]:
+    for name, det in KNOWN_DET.items():
         rs = build_root_system(name)
         n = rs.rank
+        assert rs.det_cartan == det, name
         for i in range(n):
             for j in range(n):
                 v = sum(

@@ -56,11 +56,9 @@ from .orbits import (
     weighted_diagram,
 )
 from .roots import (
-    CartanElement,
     CartanType,
     RootSystem,
     build_root_system,
-    coweight_element,
     parse_cartan_type,
     root_centralizer_subsystem,
 )

@@ -184,19 +184,18 @@ def weight_multiplicities(rs: RootSystem, hw) -> WeightMultiplicityTable:
     return WeightMultiplicityTable(hw, entries, dim)
 
 
-def _coroot_rows(rs: RootSystem, subsystem) -> list[tuple[int, ...]]:
-    """Integer coroot rows of independent roots: <w, beta_j^vee> = row_j . w."""
+def restriction_matrix(rs: RootSystem, subsystem) -> list[tuple[int, ...]]:
+    """Integer rows sending rs-weights to subsystem-weights: <w, beta_j^vee> = row_j . w.
+
+    The rows are the coroots of the subsystem's simple roots, which must be
+    independent.
+    """
     rows = [rs.coroot_coords(tuple(b)) for b in subsystem]
     if not rows:
         raise ValueError("empty subsystem")
     if rank_int_rows([list(r) for r in rows], rs.rank) != len(rows):
         raise ValueError("subsystem basis is linearly dependent")
     return rows
-
-
-def restriction_matrix(rs: RootSystem, subsystem) -> list[tuple[int, ...]]:
-    """Integer rows sending rs-weights to subsystem-weights (subsystem coroot pairings)."""
-    return _coroot_rows(rs, subsystem)
 
 
 @dataclass(frozen=True)
@@ -227,7 +226,7 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
     subsystem = [tuple(b) for b in subsystem]
     ctype, ordered = identify_subsystem(rs, subsystem)
     sub_rs = build_root_system(ctype)
-    rows = _coroot_rows(rs, ordered)
+    rows = restriction_matrix(rs, ordered)
 
     # torus charge functionals: kernel of h -> <beta_j, h>
     pair_rows = [[rs.pair_with_coroot(b, i) for i in range(rs.rank)] for b in ordered]

@@ -24,7 +24,7 @@ from math import gcd, lcm
 import random
 
 from .linalg import rank_int_rows
-from .roots import CartanElement, RootSystem, build_root_system
+from .roots import RootSystem, build_root_system
 
 
 class AlgebraElement:
@@ -47,13 +47,6 @@ class AlgebraElement:
         if g > 1:
             num, den = tuple(a // g for a in num), den // g
         self.num, self.den = num, den
-
-    @classmethod
-    def from_rationals(cls, coords) -> AlgebraElement:
-        """The element with the given rational coordinates."""
-        coords = [Q(c) for c in coords]
-        den = lcm(*(c.denominator for c in coords))
-        return cls([c.numerator * (den // c.denominator) for c in coords], den)
 
     def __add__(self, other):
         den = lcm(self.den, other.den)
@@ -79,7 +72,7 @@ class AlgebraElement:
 class ChevalleyAlgebra:
     """Structure-constant realization of g^C."""
 
-    def __init__(self, rs: RootSystem, verify="auto", seed=0):
+    def __init__(self, rs: RootSystem, verify="auto"):
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.dimension
@@ -92,7 +85,7 @@ class ChevalleyAlgebra:
         if verify == "full":
             self.verify_jacobi(exhaustive=True)
         elif verify == "sampled":
-            self.verify_jacobi(exhaustive=False, samples=1000, seed=seed)
+            self.verify_jacobi(exhaustive=False, samples=1000)
 
     # -- construction --------------------------------------------------------
 
@@ -215,10 +208,16 @@ class ChevalleyAlgebra:
     def root_vector(self, beta) -> AlgebraElement:
         return AlgebraElement(self.basis_vector(self._eidx[beta]))
 
-    def cartan_vector(self, h: CartanElement) -> AlgebraElement:
-        return AlgebraElement.from_rationals(
-            list(h.coords) + [0] * (self.dim - self.rank)
-        )
+    def coweight_vector(self, marks) -> AlgebraElement:
+        """The Cartan element h with <alpha_i, h> = marks_i, over the coroots.
+
+        Its coroot coordinates are C^-T marks = (det(C) C^-1)^T marks / det(C).
+        """
+        if len(marks) != self.rank:
+            raise ValueError("marks length != rank")
+        inv = self.rs.inv_cartan_times_det
+        co = [sum(inv[j][i] * m for j, m in enumerate(marks)) for i in range(self.rank)]
+        return AlgebraElement(co + [0] * (self.dim - self.rank), self.rs.det_cartan)
 
     # -- bracket / adjoint -----------------------------------------------------
 
@@ -349,13 +348,13 @@ class CompactFormBasis:
 _ALG_CACHE: dict[str, ChevalleyAlgebra] = {}
 
 
-def build_algebra(rs: RootSystem | str, verify="auto") -> ChevalleyAlgebra:
+def build_algebra(rs: RootSystem | str) -> ChevalleyAlgebra:
     """Construct (and cache) the Chevalley algebra of a root system."""
     if isinstance(rs, str):
         rs = build_root_system(rs)
     key = str(rs.cartan_type)
     if key not in _ALG_CACHE:
-        _ALG_CACHE[key] = ChevalleyAlgebra(rs, verify=verify)
+        _ALG_CACHE[key] = ChevalleyAlgebra(rs)
     return _ALG_CACHE[key]
 
 

@@ -19,7 +19,7 @@ from math import lcm
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from .cohom import CohomReport, SampleConfig, cohom_adjoint
-from .flags import PaintedDiagram, flag_cohom, painted, scan_ss_cohom
+from .flags import PaintedDiagram, flag_cohom, flag_point, painted, scan_ss_cohom
 from .orbits import (
     OrbitLabel,
     expected_orbit_dimension,
@@ -29,7 +29,7 @@ from .orbits import (
     representative,
     weighted_diagram,
 )
-from .roots import coweight_element, parse_cartan_type
+from .roots import parse_cartan_type
 from .sl2 import (
     commutant_dim,
     complete_triple,
@@ -148,8 +148,7 @@ def table1_row(a: ChevalleyAlgebra, label: OrbitLabel, cfg: SampleConfig) -> dic
     t = a.rs.cartan_type
     w = label.diagram if label.diagram is not None else weighted_diagram(t, label)
     x = representative(a, w, seed=cfg.seed)
-    h = coweight_element(a.rs, w.marks)
-    triple = complete_triple(a, x, h)
+    triple = complete_triple(a, x, w.marks)
     kbasis, k_dim = triple_centralizer(a, triple)
     decomp = isotypic_decomposition(a, triple)
     report = cohom_adjoint(a, x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
@@ -261,12 +260,11 @@ def mixed_orbit_cohom(n: int, cfg: SampleConfig = SampleConfig()) -> CohomReport
     if n < 3:
         raise ValueError("need n >= 3")
     a = build_algebra(f"A{n}")
-    marks = [0] * (n - 1) + [n + 1]
-    h = coweight_element(a.rs, marks)
-    alpha1 = tuple([1] + [0] * (n - 1))
-    if a.rs.pair_root_cartan(alpha1, h) != 0:
-        raise ArithmeticError("alpha_1 does not vanish on the semi-simple part")
-    x = a.cartan_vector(h) + a.root_vector(alpha1)
+    h = a.coweight_vector([0] * (n - 1) + [n + 1])
+    e = a.root_vector(tuple([1] + [0] * (n - 1)))
+    if any(a.bracket(h, e).num):
+        raise ArithmeticError("[h, e_alpha1] != 0: the nilpotent step does not commute")
+    x = h + e
     return cohom_adjoint(a, x, cfg)
 
 
@@ -283,9 +281,7 @@ class ProductCohomReport:
 def _component_x0(a: ChevalleyAlgebra, spec) -> AlgebraElement:
     """Representative of a component orbit inside the component's own algebra."""
     if isinstance(spec, PaintedDiagram):
-        marks = [1 if i in spec.crossed else 0 for i in range(a.rs.rank)]
-        h = coweight_element(a.rs, marks)
-        return a.cartan_vector(h.scale(a.rs.det_cartan))
+        return flag_point(a, spec)
     if isinstance(spec, OrbitLabel):
         if spec.partition is not None and spec.partition == minimal_orbit(
             str(a.rs.cartan_type)

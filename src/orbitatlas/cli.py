@@ -36,7 +36,7 @@ from .orbits import (
     valid_partitions,
     weighted_diagram,
 )
-from .roots import build_root_system, coweight_element, root_centralizer_subsystem
+from .roots import build_root_system, root_centralizer_subsystem
 from .sl2 import complete_triple, isotypic_decomposition, triple_centralizer
 
 
@@ -70,7 +70,9 @@ def _parse_label(t: str, s: str) -> OrbitLabel:
         return minimal_orbit(t)
     if s == "ntm":
         ls = next_to_minimal(t)
-        if len(ls) != 1:
+        if not ls:
+            raise ValueError(f"{t} has no next-to-minimal orbit")
+        if len(ls) > 1:
             wdds = ", ".join(f"wdd:{l.diagram or weighted_diagram(t, l)}" for l in ls)
             raise ValueError(f"{t} has {len(ls)} next-to-minimal orbits; pass one of {wdds}")
         return ls[0]
@@ -155,13 +157,15 @@ def cmd_cohom_orbit(args):
 
 def cmd_cohom_flag(args):
     a = build_algebra(args.type)
-    crossed = [int(v) - 1 for v in args.cross.split(",")]
-    pd = painted(args.type, crossed)
+    nodes = [int(v) for v in args.cross.split(",")]
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"--cross: nodes must be distinct, got {args.cross}")
+    pd = painted(args.type, [v - 1 for v in nodes])
     rep = flag_cohom(a, pd, _cfg(args))
     summ = kostant_summands(a.rs, pd)
     _emit({
         "type": args.type,
-        "crossed_nodes": sorted(int(v) for v in args.cross.split(",")),
+        "crossed_nodes": sorted(nodes),
         "num_kostant_summands": summ.num_summands,
         **rep.as_dict(),
     })
@@ -174,8 +178,7 @@ def cmd_decomp(args):
     lab = _parse_label(t, args.label)
     w = lab.diagram if lab.diagram is not None else weighted_diagram(t, lab)
     x = representative(a, w, seed=args.seed or 0)
-    h = coweight_element(a.rs, w.marks)
-    triple = complete_triple(a, x, h)
+    triple = complete_triple(a, x, w.marks)
     _, k_dim = triple_centralizer(a, triple)
     d = isotypic_decomposition(a, triple)
     _emit({
@@ -203,11 +206,13 @@ def cmd_branch(args):
         if len(values) != rs.rank:
             raise ValueError(f"--sub marks: needs {rs.rank} entries for {args.type}, "
                              f"got {len(values)}")
-        h = coweight_element(rs, values)
-        sub = root_centralizer_subsystem(rs, h)
+        sub = root_centralizer_subsystem(rs, values)
+        if sub.cartan_type is None:
+            raise ValueError(f"--sub {args.sub!r}: no root vanishes on a regular element; "
+                             "nothing to branch to")
         simples = list(sub.simple_roots)
         meta = {
-            "centralizer_type": str(sub.cartan_type) if sub.cartan_type else "torus",
+            "centralizer_type": str(sub.cartan_type),
             "torus_dim": sub.torus_dim,
             "num_zero_roots": len(sub.roots),
         }
@@ -219,8 +224,6 @@ def cmd_branch(args):
             tuple(1 if j == v - 1 else 0 for j in range(rs.rank)) for v in values
         ]
         meta = {"subsystem_nodes": values}
-    if not simples:
-        raise SystemExit("empty subsystem (regular element); nothing to branch to")
     br = branch_adjoint(rs, simples)
     _emit({
         "type": args.type,
@@ -257,14 +260,12 @@ def cmd_classify(args):
             t2, t3 = assemble_tables_2_3(cfg)
             _emit({"table2": t2.as_dict(), "table3": t3.as_dict()})
             return 0 if (t2.all_match and t3.all_match) else 1
-        if args.what == "mixed":
-            rep = mixed_orbit_cohom(args.n or 3, cfg)
-            _emit(rep.as_dict())
-            return 0
+        rep = mixed_orbit_cohom(args.n or 3, cfg)  # "mixed", the last of the parser's choices
+        _emit(rep.as_dict())
+        return 0
     except ClassificationError as e:
         print(f"classification mismatch: {e}", file=sys.stderr)
         return 1
-    raise SystemExit(f"unknown classify target {args.what}")
 
 
 def _add_sampler_args(p):

@@ -26,16 +26,19 @@ from .linalg import rank_lower_bound
 from .orbits import OrbitLabel, representative, weighted_diagram
 
 
+# flow parameters are drawn from -3..3 without 0, linear-rep points from -4..4
+COEFFICIENT_RANGE = 3
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     seed: int = 0
     num_samples: int = 5
     unipotent_steps: int | None = None  # default: 2 x number of positive roots
-    coefficient_range: int = 3
 
     def __post_init__(self):
-        if self.num_samples < 1 or self.coefficient_range < 1:
-            raise ValueError("num_samples and coefficient_range must be positive")
+        if self.num_samples < 1:
+            raise ValueError("num_samples must be positive")
         if self.unipotent_steps is not None and self.unipotent_steps < 0:
             raise ValueError("unipotent_steps must be non-negative")
 
@@ -86,10 +89,10 @@ def sample_orbit_point(
     steps = cfg.steps_for(a)
     x = x0
     roots = a.rs.all_roots
-    rmax = cfg.coefficient_range
+    params = [c for c in range(-COEFFICIENT_RANGE, COEFFICIENT_RANGE + 1) if c]
     for _ in range(steps):
         gamma = roots[rng.randrange(len(roots))]
-        t = rng.choice([c for c in range(-rmax, rmax + 1) if c])
+        t = rng.choice(params)
         e = a.root_vector(gamma).num
         terms = [x.num]
         while True:
@@ -167,7 +170,7 @@ def cohom_linear_rep(
     samples = []
     for i in range(cfg.num_samples):
         rng = random.Random(derived_seed(cfg, i))
-        v = [rng.randint(-cfg.coefficient_range - 1, cfg.coefficient_range + 1) for _ in range(rep_dim)]
+        v = [rng.randint(-COEFFICIENT_RANGE - 1, COEFFICIENT_RANGE + 1) for _ in range(rep_dim)]
         rows = [[sum(m[r][c] * v[c] for c in range(rep_dim)) for r in range(rep_dim)]
                 for m in action_matrices]
         d = rank_lower_bound(rows, rep_dim)

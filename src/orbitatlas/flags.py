@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chevalley import build_algebra
+from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from .cohom import CohomReport, SampleConfig, cohom_adjoint
-from .roots import CartanType, RootSystem, build_root_system, coweight_element, parse_cartan_type, simple
+from .roots import CartanType, RootSystem, build_root_system, parse_cartan_type, simple
 
 
 @dataclass(frozen=True)
@@ -82,16 +82,21 @@ def kostant_summands(rs: RootSystem, pd: PaintedDiagram) -> IsotropySummary:
     return IsotropySummary(tuple(mroots), cls, len(cls))
 
 
+def flag_point(a: ChevalleyAlgebra, pd: PaintedDiagram) -> AlgebraElement:
+    """det(C) h, for h the coweight with mark 1 on each crossed node and 0 elsewhere.
+
+    The scale makes the coordinates integers; rescaling h rescales its orbit
+    and leaves the cohomogeneity unchanged.
+    """
+    marks = [1 if i in pd.crossed else 0 for i in range(a.rank)]
+    return a.coweight_vector(marks).scale(a.rs.det_cartan)
+
+
 def flag_cohom(a, pd: PaintedDiagram, cfg: SampleConfig = SampleConfig()) -> CohomReport:
     """Cohomogeneity of the semi-simple orbit of the crossed-set coweight."""
     if isinstance(a, PaintedDiagram):
         raise TypeError("first argument is the Chevalley algebra")
-    marks = [1 if i in pd.crossed else 0 for i in range(a.rs.rank)]
-    h = coweight_element(a.rs, marks)
-    # scale to integer coordinates: rescaling h rescales the orbit and leaves
-    # the cohomogeneity unchanged
-    x0 = a.cartan_vector(h.scale(a.rs.det_cartan))
-    return cohom_adjoint(a, x0, cfg)
+    return cohom_adjoint(a, flag_point(a, pd), cfg)
 
 
 def nodes_up_to_automorphism(t: CartanType) -> list[int]:

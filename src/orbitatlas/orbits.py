@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .linalg import rank_lower_bound
-from .roots import CartanType, CartanElement, build_root_system, coweight_element, parse_cartan_type
+from .roots import CartanType, build_root_system, parse_cartan_type
 
 
 @dataclass(frozen=True)
@@ -241,8 +240,7 @@ def minimal_orbit(t) -> OrbitLabel:
     if fam == "D":
         return OrbitLabel(partition=Partition((2, 2) + (1,) * (2 * n - 4)))
     rs = build_root_system(t)
-    h = rs.coroot_element(rs.highest_root)
-    marks = tuple(int(m) for m in rs.marks_of(h))
+    marks = rs.coroot_marks(rs.highest_root)
     return OrbitLabel(diagram=WeightedDynkinDiagram(marks), name="minimal")
 
 
@@ -273,35 +271,31 @@ def next_to_minimal(t) -> list[OrbitLabel]:
     # exceptional: construct the representative's semi-simple element directly
     rs = build_root_system(t)
     if fam in ("G", "F"):
-        h = rs.coroot_element(rs.highest_short_root)
+        marks = rs.coroot_marks(rs.highest_short_root)
     else:
         theta = rs.highest_root
         beta = next(
             b for b in rs.positive_roots if rs.bilinear(theta, b) == 0
         )
-        h = rs.coroot_element(theta) + rs.coroot_element(beta)
-    marks, _ = rs.dominant_marks(h)
-    marks = tuple(int(m) for m in marks)
+        marks = [p + q for p, q in zip(rs.coroot_marks(theta), rs.coroot_marks(beta))]
+    marks = rs.dominant_marks(marks)
     return [OrbitLabel(diagram=WeightedDynkinDiagram(marks), name="next-to-minimal")]
 
 
 # ---------------------------------------------------------------------------
 # representatives
 
-def grading(rs, h: CartanElement) -> dict:
-    """Dimensions of the ad(h) eigenspaces, keyed by eigenvalue."""
+def grading(rs, marks) -> dict:
+    """Dimensions of the ad(h) eigenspaces, keyed by eigenvalue, for h with these marks."""
     dims = {0: rs.rank}
-    scaled, den = rs.scaled_pairings(h)
-    for v in scaled:
-        k = v // den if v % den == 0 else Q(v, den)
+    for k in rs.root_pairings(marks):
         dims[k] = dims.get(k, 0) + 1
     return dims
 
 
 def expected_orbit_dimension(rs, w: WeightedDynkinDiagram) -> int:
     """dim g - dim g_0(h) - dim g_1(h) for h the diagram's Cartan element."""
-    h = coweight_element(rs, w.marks)
-    dims = grading(rs, h)
+    dims = grading(rs, w.marks)
     return rs.dimension - dims.get(0, 0) - dims.get(1, 0)
 
 
@@ -320,9 +314,7 @@ def representative(
     it retries with fresh coefficients, widening the range after every third.
     """
     rs = a.rs
-    h = coweight_element(rs, w.marks)
-    scaled, den = rs.scaled_pairings(h)
-    g2roots = [g for g, v in zip(rs.all_roots, scaled) if v == 2 * den]
+    g2roots = [g for g, v in zip(rs.all_roots, rs.root_pairings(w.marks)) if v == 2]
     if not g2roots:
         raise ValueError(f"diagram {w} has empty degree-2 piece")
     expected = expected_orbit_dimension(rs, w)

@@ -16,8 +16,6 @@ Conventions, fixed for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as Q
-from math import lcm
 
 from .linalg import kernel_basis_int
 
@@ -182,23 +180,6 @@ def _det_and_scaled_inverse(a: list[list[int]]):
     return det, inv
 
 
-@dataclass(frozen=True)
-class CartanElement:
-    """Element of the Cartan subalgebra, coordinates over the coroot basis."""
-
-    coords: tuple[Q, ...]
-
-    def __add__(self, other):
-        return CartanElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c):
-        return CartanElement(tuple(Q(c) * a for a in self.coords))
-
-    @property
-    def is_zero(self):
-        return all(a == 0 for a in self.coords)
-
-
 class RootSystem:
     """Immutable root data for a (semi-)simple Cartan type."""
 
@@ -270,33 +251,23 @@ class RootSystem:
             out.append(num // d)
         return tuple(out)
 
-    def coroot_element(self, beta) -> CartanElement:
-        return CartanElement(tuple(Q(c) for c in self.coroot_coords(beta)))
-
-    def pair_root_cartan(self, beta, h: CartanElement) -> Q:
-        """<beta, h> for a root beta and Cartan element h."""
-        return sum(
-            (h.coords[i] * self.pair_with_coroot(beta, i) for i in range(self.rank)), Q(0)
-        )
-
-    def marks_of(self, h: CartanElement) -> tuple[Q, ...]:
-        """Pairings of the simple roots with h."""
+    def coroot_marks(self, beta) -> tuple[int, ...]:
+        """Marks <alpha_j, beta^vee> of the coroot of beta."""
+        c = self.coroot_coords(beta)
         return tuple(
-            sum((h.coords[i] * Q(self.cartan_matrix[i][j]) for i in range(self.rank)), Q(0))
+            sum(c[i] * self.cartan_matrix[i][j] for i in range(self.rank))
             for j in range(self.rank)
         )
 
-    def scaled_pairings(self, h: CartanElement) -> tuple[list[int], int]:
-        """(<beta, h> * den for every root beta in `all_roots` order, den).
+    def root_pairings(self, marks) -> list[int]:
+        """<beta, h> = sum_j beta_j marks_j for every root beta, in `all_roots` order.
 
-        den is the least common denominator of h's marks, so the pairings
-        compare in ints: <beta, h> = sum_j beta_j <alpha_j, h>.
+        A Cartan element h is its integer marks <alpha_j, h>.
         """
-        marks = self.marks_of(h)
-        den = lcm(*(m.denominator for m in marks))
-        ints = [m.numerator * (den // m.denominator) for m in marks]
-        pos = [sum(b * m for b, m in zip(beta, ints)) for beta in self.positive_roots]
-        return pos + [-v for v in pos], den
+        if len(marks) != self.rank:
+            raise ValueError("marks length != rank")
+        pos = [sum(b * m for b, m in zip(beta, marks)) for beta in self.positive_roots]
+        return pos + [-v for v in pos]
 
     # -- distinguished roots -------------------------------------------------
 
@@ -316,18 +287,17 @@ class RootSystem:
             key=lambda r: (sum(r), r),
         )
 
-    def dominant_marks(self, h: CartanElement) -> tuple[tuple[Q, ...], CartanElement]:
-        """Weyl-dominant representative of h and its simple-root pairings."""
-        cur = list(h.coords)
+    def dominant_marks(self, marks) -> tuple[int, ...]:
+        """Marks of the Weyl-dominant conjugate of the Cartan element with these marks."""
+        m = list(marks)
         while True:
-            marks = [
-                sum((cur[i] * Q(self.cartan_matrix[i][j]) for i in range(self.rank)), Q(0))
-                for j in range(self.rank)
-            ]
-            neg = next((j for j in range(self.rank) if marks[j] < 0), None)
-            if neg is None:
-                return tuple(marks), CartanElement(tuple(cur))
-            cur[neg] -= marks[neg]  # s_j(h) = h - <alpha_j, h> alpha_j^vee
+            j = next((j for j in range(self.rank) if m[j] < 0), None)
+            if j is None:
+                return tuple(m)
+            # s_j(h) = h - <alpha_j, h> alpha_j^vee, and <alpha_k, alpha_j^vee> = C[j][k]
+            mj = m[j]
+            for k in range(self.rank):
+                m[k] -= mj * self.cartan_matrix[j][k]
 
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"
@@ -346,20 +316,6 @@ def build_root_system(t: CartanType | str) -> RootSystem:
     return _CACHE[key]
 
 
-def coweight_element(rs: RootSystem, marks) -> CartanElement:
-    """The h with <alpha_i, h> = marks_i for every simple root alpha_i."""
-    if len(marks) != rs.rank:
-        raise ValueError("marks length != rank")
-    det = rs.det_cartan
-    minv = rs.inv_cartan_times_det
-    # solve A^T c = marks, i.e. c = (A^{-1})^T marks
-    coords = tuple(
-        sum(Q(minv[j][i]) * Q(marks[j]) for j in range(rs.rank)) / det
-        for i in range(rs.rank)
-    )
-    return CartanElement(coords)
-
-
 # ---------------------------------------------------------------------------
 # root-centralizer subsystems and type identification
 
@@ -373,10 +329,9 @@ class Subsystem:
     torus_dim: int
 
 
-def root_centralizer_subsystem(rs: RootSystem, h: CartanElement) -> Subsystem:
-    """Roots alpha with <alpha, h> = 0 and the Cartan type of their span."""
-    scaled, _ = rs.scaled_pairings(h)
-    zero = [r for r, v in zip(rs.all_roots, scaled) if v == 0]
+def root_centralizer_subsystem(rs: RootSystem, marks) -> Subsystem:
+    """Roots alpha with <alpha, h> = 0, for h with these marks, and the type of their span."""
+    zero = [r for r, v in zip(rs.all_roots, rs.root_pairings(marks)) if v == 0]
     pos = [r for r in zero if r > tuple([0] * rs.rank)]
     pos_set = set(pos)
     simples = [

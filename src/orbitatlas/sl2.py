@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .linalg import kernel_basis_int, rank_int_rows, rank_lower_bound, solve_linear
-from .roots import CartanElement, coweight_element
 from .orbits import WeightedDynkinDiagram
 
 
@@ -24,19 +23,15 @@ class Sl2Triple:
     x: AlgebraElement
     y: AlgebraElement
     h: AlgebraElement
-    h_cartan: CartanElement
+    marks: tuple[int, ...]  # <alpha_i, h>: h is the Cartan element with these marks
     grading: dict  # ad(h) eigenvalue -> basis indices of that eigenspace, ascending
 
 
-def _graded_basis(a: ChevalleyAlgebra, h: CartanElement) -> dict:
-    """Basis indices of g grouped by the ad(h) eigenvalue, which must be an integer."""
-    scaled, den = a.rs.scaled_pairings(h)
+def _graded_basis(a: ChevalleyAlgebra, marks) -> dict:
+    """Basis indices of g grouped by the ad(h) eigenvalue, for h with these marks."""
     out: dict[int, list[int]] = {0: list(range(a.rank))}
-    for k, v in enumerate(scaled):
-        q, rem = divmod(v, den)
-        if rem:
-            raise ArithmeticError(f"ad(h) eigenvalue {v}/{den} is not an integer")
-        out.setdefault(q, []).append(a.rank + k)
+    for k, v in enumerate(a.rs.root_pairings(marks)):
+        out.setdefault(v, []).append(a.rank + k)
     return out
 
 
@@ -62,12 +57,16 @@ def _restricted_map_rows(a, x, src: list[int], dst: list[int]) -> list[list[int]
     return rows
 
 
-def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, h_cartan: CartanElement) -> Sl2Triple:
-    """Solve [X, Y] = H inside the (-2)-eigenspace of ad(H); verify exactly."""
-    h = a.cartan_vector(h_cartan)
+def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, marks) -> Sl2Triple:
+    """Solve [X, Y] = H inside the (-2)-eigenspace of ad(H); verify exactly.
+
+    H is the Cartan element with the given integer marks <alpha_i, H>.
+    """
+    marks = tuple(marks)
+    h = a.coweight_vector(marks)
     if a.bracket(h, x) != x.scale(2):
         raise ValueError("[H, X] != 2X: X is not in the degree-2 piece")
-    graded = _graded_basis(a, h_cartan)
+    graded = _graded_basis(a, marks)
     gm2 = graded.get(-2, [])
     g0 = graded[0]
     if not gm2:
@@ -83,7 +82,7 @@ def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, h_cartan: CartanElem
         raise ArithmeticError("triple relation [X, Y] = H failed")
     if a.bracket(h, y) != y.scale(-2):
         raise ArithmeticError("triple relation [H, Y] = -2Y failed")
-    return Sl2Triple(x, y, h, h_cartan, graded)
+    return Sl2Triple(x, y, h, marks, graded)
 
 
 def triple_centralizer(a: ChevalleyAlgebra, t: Sl2Triple):
@@ -139,8 +138,7 @@ def sl2_data_for_diagram(a: ChevalleyAlgebra, w: WeightedDynkinDiagram, seed=0):
     from .orbits import representative
 
     x = representative(a, w, seed=seed)
-    h = coweight_element(a.rs, w.marks)
-    t = complete_triple(a, x, h)
+    t = complete_triple(a, x, w.marks)
     return t, isotypic_decomposition(a, t)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from orbitatlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra, compact_form_basis
 from orbitatlas.linalg import is_negative_definite
-from orbitatlas.roots import build_root_system, coweight_element
+from orbitatlas.roots import build_root_system
 
 
 def test_sl2_relations():
@@ -102,7 +102,7 @@ def test_ad_nilpotent_index_sl2():
 
 def test_ad_h_diagonal():
     a = build_algebra("A1")
-    h = a.cartan_vector(coweight_element(a.rs, [2]))
+    h = a.coweight_vector([2])
     m = _ad(a, h)
     diag = [m[i][i] for i in range(3)]
     assert sorted(diag) == [-2, 0, 2]
@@ -157,7 +157,6 @@ def test_element_normalisation():
     assert (y.num, y.den) == ((-3, 2, 0), 6)
     assert y.den > 0 and gcd(*y.num, y.den) == 1
     assert AlgebraElement((0, 0), 7) == AlgebraElement((0, 0))
-    assert AlgebraElement.from_rationals([Q(1, 2), Q(-2, 3), 0]) == AlgebraElement((3, -4, 0), 6)
     with pytest.raises(ZeroDivisionError):
         AlgebraElement((1, 2), 0)
 
@@ -165,7 +164,7 @@ def test_element_normalisation():
 def test_element_add_and_scale_are_exact():
     x = AlgebraElement((1, 1, 0), 2)
     y = AlgebraElement((1, -1, 3), 3)
-    assert x + y == AlgebraElement.from_rationals([Q(5, 6), Q(1, 6), 1])
+    assert x + y == AlgebraElement((5, 1, 6), 6)
     assert x.scale(Q(4, 3)) == AlgebraElement((2, 2, 0), 3)
     assert x.scale(0) == AlgebraElement((0, 0, 0))
     assert x + x.scale(-1) == AlgebraElement((0, 0, 0))
@@ -185,7 +184,7 @@ def test_bracket_with_denominators(name):
         z = a.bracket(x, y)
         m = _ad(a, x)
         my = [sum(m[i][j] * Q(y.num[j], y.den) for j in range(a.dim)) for i in range(a.dim)]
-        assert AlgebraElement.from_rationals(my) == z
+        assert [Q(v, z.den) for v in z.num] == my
         assert a.bracket(y, x) == z.scale(-1)
         for q in (Q(3, 4), Q(-5, 7), 6):
             assert a.bracket(x.scale(q), y) == z.scale(q)

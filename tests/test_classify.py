@@ -25,11 +25,9 @@ def test_mixed_orbit_semisimple_part_alone():
     # sanity: the semi-simple part alone is the cohomogeneity-one T*CP(n)
     from orbitatlas.chevalley import build_algebra
     from orbitatlas.cohom import cohom_adjoint
-    from orbitatlas.roots import coweight_element
 
     a = build_algebra("A3")
-    h = coweight_element(a.rs, [0, 0, 4])
-    assert cohom_adjoint(a, a.cartan_vector(h)).cohomogeneity == 1
+    assert cohom_adjoint(a, a.coweight_vector([0, 0, 4])).cohomogeneity == 1
 
 
 def test_mixed_orbit_rejects_small_rank():

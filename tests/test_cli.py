@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,7 +124,9 @@ def test_classify_ss_c2_small(capsys):
 
 
 @pytest.mark.parametrize(
-    "spec", ["nodes:1,1", "nodes:0", "nodes:5", "nodes:", "marks:1", "marks:x,1", "foo"]
+    "spec",
+    ["nodes:1,1", "nodes:0", "nodes:5", "nodes:", "marks:1", "marks:x,1", "foo",
+     "marks:1,1"],  # a regular coweight: its centralizer has no roots
 )
 def test_branch_bad_sub_is_one_line_exit_2(capsys, spec):
     with pytest.raises(SystemExit) as exc:
@@ -142,6 +145,8 @@ def test_branch_bad_sub_is_one_line_exit_2(capsys, spec):
     (["cohom", "orbit", "E7", "--label", "ntm", "--samples", "0"], "atlas cohom orbit"),
     (["cohom", "orbit", "G2", "--label", "wdd:20"], "atlas cohom orbit"),
     (["cohom", "orbit", "B4", "--label", "ntm"], "atlas cohom orbit"),
+    (["cohom", "flag", "A2", "--cross", "1,1"], "atlas cohom flag"),
+    (["cohom", "orbit", "A1", "--label", "ntm"], "atlas cohom orbit"),
 ])
 def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     with pytest.raises(SystemExit) as exc:
@@ -163,6 +168,29 @@ def test_label_errors_name_the_diagrams(capsys, label, names):
         main(["cohom", "orbit", t, "--label", label])
     err = capsys.readouterr().err
     assert all(n in err for n in names)
+
+
+def test_a_type_without_a_next_to_minimal_orbit_says_so(capsys):
+    with pytest.raises(SystemExit):
+        main(["cohom", "orbit", "A1", "--label", "ntm"])
+    assert "A1 has no next-to-minimal orbit" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("classify_table1", ["classify", "table1", "--types", "A2,B3,C2,G2,F4", "--seed", "0"]),
+    ("classify_ss_c2", ["classify", "ss-c2", "--max-rank", "3", "--seed", "0"]),
+    ("branch_E6", ["branch", "E6", "--sub", "marks:0,0,0,1,0,0"]),
+    ("decomp_E6_ntm", ["decomp", "E6", "--label", "ntm"]),
+    ("cohom_flag_C3", ["cohom", "flag", "C3", "--cross", "1"]),
+    ("classify_mixed", ["classify", "mixed", "--n", "3"]),
+])
+def test_output_matches_golden(capsys, name, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_failed_exactness_check_still_propagates(monkeypatch):

@@ -21,7 +21,6 @@ from orbitatlas.orbits import (
     valid_partitions,
     weighted_diagram,
 )
-from orbitatlas.roots import coweight_element
 
 
 def test_zero_steps_returns_x0():
@@ -34,7 +33,7 @@ def test_zero_steps_returns_x0():
 def test_single_step_sl2():
     # exp(ad e) h = h + [e, h] = h - 2e
     a = build_algebra("A1")
-    h = a.cartan_vector(coweight_element(a.rs, [2]))
+    h = a.coweight_vector([2])
     e = a.root_vector((1,))
     moved = a.bracket(e, h)
     assert moved == e.scale(-2)
@@ -53,7 +52,7 @@ def test_real_orbit_dims_A1():
     a = build_algebra("A1")
     assert real_orbit_dim(a, a.zero()) == 0
     assert real_orbit_dim(a, a.root_vector((1,))) == 3
-    assert real_orbit_dim(a, a.cartan_vector(coweight_element(a.rs, [2]))) == 2
+    assert real_orbit_dim(a, a.coweight_vector([2])) == 2
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "F4"])

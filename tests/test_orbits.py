@@ -236,11 +236,10 @@ def test_minimal_marks_bounded_by_theta_pairing():
             if w.diagram is not None
             else weighted_diagram(t, w).marks
         )
+        theta_vee = rs.coroot_coords(rs.highest_root)
         pair = tuple(
-            int(rs.pair_root_cartan(
-                tuple(1 if j == i else 0 for j in range(rs.rank)),
-                rs.coroot_element(rs.highest_root),
-            ))
+            sum(c * rs.pair_with_coroot(tuple(int(j == i) for j in range(rs.rank)), k)
+                for k, c in enumerate(theta_vee))
             for i in range(rs.rank)
         )
         assert marks == pair

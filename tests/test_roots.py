@@ -1,13 +1,10 @@
 import random
-from fractions import Fraction as Q
-from math import lcm
 
 import pytest
 
+from orbitatlas.chevalley import AlgebraElement, build_algebra
 from orbitatlas.roots import (
-    CartanElement,
     build_root_system,
-    coweight_element,
     identify_subsystem,
     parse_cartan_type,
     root_centralizer_subsystem,
@@ -104,37 +101,43 @@ def test_cartan_inverse_identity():
 
 @pytest.mark.parametrize("name", ["A2", "C3", "G2", "F4", "E6"])
 def test_coweight_roundtrip(name):
-    rs = build_root_system(name)
-    marks = [(i * 7 + 3) % 5 - 1 for i in range(rs.rank)]
-    h = coweight_element(rs, marks)
-    assert list(rs.marks_of(h)) == marks
+    a = build_algebra(name)
+    marks = [(i * 7 + 3) % 5 - 1 for i in range(a.rank)]
+    h = a.coweight_vector(marks)
+    for i in range(a.rank):
+        e = a.root_vector(tuple(int(j == i) for j in range(a.rank)))
+        assert a.bracket(h, e) == e.scale(marks[i])
 
 
 def test_coweight_zero():
-    rs = build_root_system("D4")
-    h = coweight_element(rs, [0, 0, 0, 0])
-    assert h.is_zero
+    a = build_algebra("D4")
+    assert a.coweight_vector([0, 0, 0, 0]) == a.zero()
+    assert not any(a.rs.root_pairings([0, 0, 0, 0]))
 
 
 def test_coweight_sl2_normalization():
-    rs = build_root_system("A1")
-    h = coweight_element(rs, [2])
-    assert h.coords == (Q(1),)  # the coroot of alpha_1
+    a = build_algebra("A1")
+    assert a.coweight_vector([2]) == AlgebraElement((1, 0, 0))  # the coroot of alpha_1
 
 
 def test_E8_fig1_coweight():
     rs = build_root_system("E8")
-    h = coweight_element(rs, [1] + [0] * 7)
-    marks = rs.marks_of(h)
-    assert marks[0] == 1 and all(m == 0 for m in marks[1:])
-    # every pairing against a root is an exact rational with det denominator
-    for g in rs.positive_roots:
-        assert rs.pair_root_cartan(g, h).denominator == 1  # det(E8) = 1
+    pairings = rs.root_pairings([1] + [0] * 7)
+    assert pairings[: rs.num_positive] == [g[0] for g in rs.positive_roots]
+    assert max(pairings) == 2  # the highest root has coefficient 2 on alpha_1
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "F4", "A1xG2"])
+def test_coroot_marks_of_simple_roots_are_cartan_rows(name):
+    rs = build_root_system(name)
+    for i in range(rs.rank):
+        alpha = tuple(int(j == i) for j in range(rs.rank))
+        assert rs.coroot_marks(alpha) == rs.cartan_matrix[i]
 
 
 def test_centralizer_h_zero():
     rs = build_root_system("A2")
-    sub = root_centralizer_subsystem(rs, coweight_element(rs, [0, 0]))
+    sub = root_centralizer_subsystem(rs, [0, 0])
     assert len(sub.roots) == len(rs.all_roots)
     assert str(sub.cartan_type) == "A2"
     assert sub.torus_dim == 0
@@ -142,7 +145,7 @@ def test_centralizer_h_zero():
 
 def test_centralizer_fundamental_coweight_A2():
     rs = build_root_system("A2")
-    sub = root_centralizer_subsystem(rs, coweight_element(rs, [1, 0]))
+    sub = root_centralizer_subsystem(rs, [1, 0])
     assert str(sub.cartan_type) == "A1"
     assert sub.torus_dim == 1
     assert len(sub.roots) == 2
@@ -150,7 +153,7 @@ def test_centralizer_fundamental_coweight_A2():
 
 def test_centralizer_regular():
     rs = build_root_system("B2")
-    sub = root_centralizer_subsystem(rs, coweight_element(rs, [1, 1]))
+    sub = root_centralizer_subsystem(rs, [1, 1])
     assert sub.cartan_type is None
     assert sub.torus_dim == 2
     assert len(sub.roots) == 0
@@ -169,7 +172,7 @@ def test_centralizer_regular():
 )
 def test_centralizer_types(name, marks, expected, torus):
     rs = build_root_system(name)
-    sub = root_centralizer_subsystem(rs, coweight_element(rs, marks))
+    sub = root_centralizer_subsystem(rs, marks)
     assert str(sub.cartan_type) == expected
     assert sub.torus_dim == torus
 
@@ -208,24 +211,23 @@ def test_dominant_marks_conjugation():
     rs = build_root_system("E6")
     theta = rs.highest_root
     beta = next(b for b in rs.positive_roots if rs.bilinear(theta, b) == 0)
-    h = rs.coroot_element(theta) + rs.coroot_element(beta)
-    marks, hdom = rs.dominant_marks(h)
-    assert all(m >= 0 for m in marks)
+    marks = [p + q for p, q in zip(rs.coroot_marks(theta), rs.coroot_marks(beta))]
+    dom = rs.dominant_marks(marks)
+    assert dom == (1, 0, 0, 0, 0, 1)  # the next-to-minimal diagram of E6
     # conjugation preserves the multiset of root pairings
-    before = sorted(rs.pair_root_cartan(g, h) for g in rs.all_roots)
-    after = sorted(rs.pair_root_cartan(g, hdom) for g in rs.all_roots)
-    assert before == after
+    assert sorted(rs.root_pairings(marks)) == sorted(rs.root_pairings(dom))
 
 
 @pytest.mark.parametrize("name", ["A3", "B4", "C3", "D5", "G2", "F4", "E7", "A2xB2"])
-def test_scaled_pairings_match_fraction_pairings(name):
-    rs = build_root_system(name)
+def test_root_pairings_are_the_ad_eigenvalues(name):
+    a = build_algebra(name)
     rng = random.Random(len(name))
     for _ in range(3):
-        h = CartanElement(tuple(Q(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rs.rank)))
-        scaled, den = rs.scaled_pairings(h)
-        assert den == lcm(*(m.denominator for m in rs.marks_of(h)))
-        assert [Q(v, den) for v in scaled] == [rs.pair_root_cartan(g, h) for g in rs.all_roots]
+        marks = [rng.randint(-5, 5) for _ in range(a.rank)]
+        h = a.coweight_vector(marks)
+        for beta, v in zip(a.rs.all_roots, a.rs.root_pairings(marks)):
+            e = a.root_vector(beta)
+            assert a.bracket(h, e) == e.scale(v)
 
 
 def test_extended_diagram_is_not_a_dynkin_diagram():

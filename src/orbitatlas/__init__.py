@@ -13,7 +13,6 @@ from .chevalley import (
     AlgebraElement,
     ChevalleyAlgebra,
     build_algebra,
-    centralizer_dim,
     compact_form_basis,
 )
 from .classify import (

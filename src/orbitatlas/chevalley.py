@@ -242,13 +242,13 @@ class ChevalleyAlgebra:
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(self.bracket_vec(x.num, y.num), x.den * y.den)
 
-    def ad_rows(self, x: AlgebraElement) -> list[list[int]]:
-        """Row j is [b_j, x.num] = -den * (column j of ad(x))."""
-        return [self.bracket_vec(self.basis_vector(j), x.num) for j in range(self.dim)]
+    def ad_rows(self, x: list[int]) -> list[list[int]]:
+        """Row j is [b_j, x] = -(column j of ad(x)), for an integer vector x."""
+        return [self.bracket_vec(self.basis_vector(j), x) for j in range(self.dim)]
 
     def centralizer_dim(self, x: AlgebraElement) -> int:
         """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""
-        return self.dim - rank_int_rows(self.ad_rows(x), self.dim)
+        return self.dim - rank_int_rows(self.ad_rows(x.num), self.dim)
 
     # -- Killing form ------------------------------------------------------------
 
@@ -356,10 +356,6 @@ def build_algebra(rs: RootSystem | str) -> ChevalleyAlgebra:
     if key not in _ALG_CACHE:
         _ALG_CACHE[key] = ChevalleyAlgebra(rs)
     return _ALG_CACHE[key]
-
-
-def centralizer_dim(a: ChevalleyAlgebra, x: AlgebraElement) -> int:
-    return a.centralizer_dim(x)
 
 
 def compact_form_basis(a: ChevalleyAlgebra) -> CompactFormBasis:

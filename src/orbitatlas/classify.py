@@ -103,7 +103,7 @@ def table1_expected(tname: str) -> list[dict]:
             rows.append({"orbit": "(3)", "cohom": 4, "k_dim": 0, "w_dim": 3,
                          "k_name": "0"})
         else:
-            # su(2) + su(n-3) + u(1); the u(1) factor dies at n = 3
+            # n >= 3 (A1 has none); su(2) + su(n-3) + u(1), the u(1) dies at n = 3
             k = 3 + _dim_su(n - 3) + (1 if n >= 4 else 0)
             rows.append({"orbit": f"(2,2,1^{n-3})", "cohom": 2, "k_dim": k,
                          "w_dim": 3, "k_name": "su(2)+su(n-3)+u(1)"})
@@ -146,7 +146,7 @@ TABLE1_TYPES = [
 def table1_row(a: ChevalleyAlgebra, label: OrbitLabel, cfg: SampleConfig) -> dict:
     """Computed facts for one next-to-minimal orbit."""
     t = a.rs.cartan_type
-    w = label.diagram if label.diagram is not None else weighted_diagram(t, label)
+    w = weighted_diagram(t, label)
     x = representative(a, w, seed=cfg.seed)
     triple = complete_triple(a, x, w.marks)
     kbasis, k_dim = triple_centralizer(a, triple)
@@ -174,8 +174,10 @@ def reproduce_table1(
     """Realize the next-to-minimal orbit rows and compare with the table."""
     table = ClassificationTable("next-to-minimal orbits")
     for tname in types or TABLE1_TYPES:
-        a = build_algebra(tname)
         labels = next_to_minimal(tname)
+        if not labels:
+            raise ValueError(f"{tname} has no next-to-minimal orbit")
+        a = build_algebra(tname)
         expected_rows = table1_expected(tname)
         if len(labels) != len(expected_rows):
             raise ClassificationError(
@@ -213,8 +215,8 @@ def expected_ss_c2(max_rank: int) -> set[str]:
     out = set()
     for m in range(3, max_rank + 1):          # SU(m+1)... Gr_2(C^{m+1})
         out.add(str(painted(f"A{m}", [1])))
-    out |= {str(painted("B2", [0])), str(painted("B2", [1]))}
-    out |= {str(painted("C2", [0])), str(painted("C2", [1]))}
+    if max_rank >= 2:
+        out |= {str(painted(f"{fam}2", [i])) for fam in "BC" for i in (0, 1)}
     for k in range(3, max_rank + 1):          # hyperquadrics, odd
         out.add(str(painted(f"B{k}", [0])))
     for k in range(3, max_rank + 1):          # Sp(k)/U(1)Sp(k-1)
@@ -231,6 +233,8 @@ def expected_ss_c2(max_rank: int) -> set[str]:
 def reproduce_thm_ss_c2(
     max_rank: int = 6, cfg: SampleConfig = SampleConfig(), strict: bool = True
 ) -> ClassificationTable:
+    if max_rank < 1:
+        raise ValueError(f"max rank must be at least 1, got {max_rank}")
     table = ClassificationTable("semi-simple orbits of cohomogeneity two")
     scan = scan_ss_cohom(max_rank, cfg)
     found2 = {str(p) for p, c in scan if c == 2}
@@ -287,10 +291,7 @@ def _component_x0(a: ChevalleyAlgebra, spec) -> AlgebraElement:
             str(a.rs.cartan_type)
         ).partition:
             return min_orbit_representative(a)
-        w = spec.diagram if spec.diagram is not None else weighted_diagram(
-            a.rs.cartan_type, spec
-        )
-        return representative(a, w)
+        return representative(a, weighted_diagram(a.rs.cartan_type, spec))
     raise TypeError(f"cannot interpret component orbit {spec!r}")
 
 

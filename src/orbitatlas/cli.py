@@ -73,7 +73,7 @@ def _parse_label(t: str, s: str) -> OrbitLabel:
         if not ls:
             raise ValueError(f"{t} has no next-to-minimal orbit")
         if len(ls) > 1:
-            wdds = ", ".join(f"wdd:{l.diagram or weighted_diagram(t, l)}" for l in ls)
+            wdds = ", ".join(f"wdd:{weighted_diagram(t, l)}" for l in ls)
             raise ValueError(f"{t} has {len(ls)} next-to-minimal orbits; pass one of {wdds}")
         return ls[0]
     if s.startswith("wdd:"):
@@ -148,7 +148,7 @@ def cmd_cohom_orbit(args):
     t = args.type
     a = build_algebra(t)
     lab = _parse_label(t, args.label)
-    w = lab.diagram if lab.diagram is not None else weighted_diagram(t, lab)
+    w = weighted_diagram(t, lab)
     x = representative(a, w, seed=args.seed or 0)
     rep = cohom_adjoint(a, x, _cfg(args), orbit_dim=expected_orbit_dimension(a.rs, w))
     _emit({"type": t, "label": str(lab), "weighted_diagram": str(w), **rep.as_dict()})
@@ -176,7 +176,7 @@ def cmd_decomp(args):
     t = args.type
     a = build_algebra(t)
     lab = _parse_label(t, args.label)
-    w = lab.diagram if lab.diagram is not None else weighted_diagram(t, lab)
+    w = weighted_diagram(t, lab)
     x = representative(a, w, seed=args.seed or 0)
     triple = complete_triple(a, x, w.marks)
     _, k_dim = triple_centralizer(a, triple)
@@ -260,7 +260,7 @@ def cmd_classify(args):
             t2, t3 = assemble_tables_2_3(cfg)
             _emit({"table2": t2.as_dict(), "table3": t3.as_dict()})
             return 0 if (t2.all_match and t3.all_match) else 1
-        rep = mixed_orbit_cohom(args.n or 3, cfg)  # "mixed", the last of the parser's choices
+        rep = mixed_orbit_cohom(args.n, cfg)  # "mixed", the last of the parser's choices
         _emit(rep.as_dict())
         return 0
     except ClassificationError as e:
@@ -325,7 +325,7 @@ def main(argv=None):
     p.add_argument("what", choices=["table1", "ss-c2", "tables23", "mixed"])
     p.add_argument("--types", default=None, help="comma list restricting table1")
     p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--n", type=int, default=None, help="rank for the mixed orbit")
+    p.add_argument("--n", type=int, default=3, help="rank for the mixed orbit")
     _add_sampler_args(p)
     p.set_defaults(fn=cmd_classify, parser=p)
 

@@ -1,11 +1,14 @@
 """Cohomogeneity of adjoint orbits under the compact real form.
 
-A point of the complexified orbit is moved around by exact unipotent flows
+A point of the complexified orbit is moved around by unipotent flows
 exp(t ad e_gamma) (polynomials, since ad e_gamma is nilpotent), so sampled
-points stay on the orbit and stay rational.  At each sample the dimension of
-the compact group's orbit through it is a matrix rank taken mod the prime
-2**31 - 1 (`linalg.rank_lower_bound`).  That rank never exceeds the exact rank
-at the point, which never exceeds the generic rank, so the reported value,
+points stay on the orbit.  A sampled point only feeds a rank mod the prime
+P = 2**31 - 1, so the flows run on residues mod P: the 1/k! of each flow
+(k <= 4) is an inverse mod P, and the point is den(x0) times the exact image
+of x0, reduced mod P.  At each sample the dimension of the compact group's
+orbit through it is a matrix rank taken mod P (`linalg.rank_lower_bound`).
+That rank never exceeds the exact rank at the point (den(x0) != 0 only
+rescales it), which never exceeds the generic rank, so the reported value,
 the orbit's real dimension minus the largest sampled rank, is a certified
 upper bound on the cohomogeneity.  It is the cohomogeneity itself when some
 sample is generic and the prime divides none of its relevant minors; pinned
@@ -21,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._modp import P
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .linalg import rank_lower_bound
 from .orbits import OrbitLabel, representative, weighted_diagram
@@ -70,65 +74,57 @@ _CERT = (
 )
 
 
-def _factorials(n):
-    out = [1]
-    for k in range(1, n + 1):
-        out.append(out[-1] * k)
-    return out
-
-
 def derived_seed(cfg: SampleConfig, index: int) -> int:
     return (cfg.seed * 1_000_003) ^ (index * 7_919)
 
 
 def sample_orbit_point(
     a: ChevalleyAlgebra, x0: AlgebraElement, cfg: SampleConfig, index: int = 0
-) -> AlgebraElement:
-    """Image of x0 under a random product of root-unipotent flows (exact)."""
+) -> list[int]:
+    """den(x0) times the image of x0 under a random product of root-unipotent flows, mod P.
+
+    Each flow exp(t ad e_gamma) = sum_k t^k (k!)^-1 ad(e_gamma)^k is applied to
+    the residue vector with inverses mod P, and the result is reduced once per
+    step.  P divides no k! that occurs (k <= 4), so the residues are the
+    reduction of the exact point den(x0) * image.
+    """
     rng = random.Random(derived_seed(cfg, index))
-    steps = cfg.steps_for(a)
-    x = x0
     roots = a.rs.all_roots
     params = [c for c in range(-COEFFICIENT_RANGE, COEFFICIENT_RANGE + 1) if c]
-    for _ in range(steps):
+    x = [v % P for v in x0.num]
+    for _ in range(cfg.steps_for(a)):
         gamma = roots[rng.randrange(len(roots))]
         t = rng.choice(params)
-        e = a.root_vector(gamma).num
-        terms = [x.num]
-        while True:
-            cur = a.bracket_vec(e, terms[-1])
-            if not any(cur):
-                break
-            terms.append(cur)
-        kmax = len(terms) - 1
-        fact = _factorials(kmax)
-        fk = fact[kmax]
-        new = [0] * a.dim
-        for k, vec in enumerate(terms):
-            c = (t ** k) * (fk // fact[k])
-            for j, v in enumerate(vec):
+        e = a.basis_vector(a.root_vector_index(gamma))
+        new = list(x)
+        term, c, k = a.bracket_vec(e, x), 1, 1  # term = ad(e)^k x, c = t^k / k! mod P
+        while any(term):
+            c = c * t * pow(k, -1, P) % P
+            for j, v in enumerate(term):
                 if v:
                     new[j] += c * v
-        x = AlgebraElement(new, x.den * fk)
+            term, k = a.bracket_vec(e, term), k + 1
+        x = [v % P for v in new]
     return x
 
 
-def real_orbit_dim(a: ChevalleyAlgebra, x: AlgebraElement) -> int:
+def real_orbit_dim(a: ChevalleyAlgebra, x: list[int]) -> int:
     """dim_R of span{[u, x] : u in the compact form basis}, or a lower bound on it.
 
-    The rank is taken mod 2**31 - 1, which can only lower it.
+    x is an integer coordinate vector (the residues of `sample_orbit_point`
+    will do).  The rank is taken mod 2**31 - 1, which can only lower it.
 
-    For real-rational x the brackets with {e-f} rows are real and the brackets
-    with {ih, i(e+f)} rows are purely imaginary, so the realified rank splits
-    into two N-column ranks.
+    For real x the compact-form rows are read off `ad_rows(x)`: the rows
+    i[h_j, x] are imaginary, and for each positive root beta (`all_roots` puts
+    -beta at the same offset among the negative roots) the row
+    [e_beta - e_-beta, x] is real and i[e_beta + e_-beta, x] imaginary.  So the
+    realified rank splits into two N-column ranks.
     """
-    imag_rows = [a.bracket_vec(a.basis_vector(j), x.num) for j in range(a.rank)]
-    real_rows = []
-    for beta in a.rs.positive_roots:
-        ve = a.bracket_vec(a.root_vector(beta).num, x.num)
-        vf = a.bracket_vec(a.root_vector(tuple(-c for c in beta)).num, x.num)
-        real_rows.append([p - q for p, q in zip(ve, vf)])
-        imag_rows.append([p + q for p, q in zip(ve, vf)])
+    rows = a.ad_rows(x)
+    r, npos = a.rank, a.rs.num_positive
+    pairs = list(zip(rows[r:r + npos], rows[r + npos:]))
+    real_rows = [[p - q for p, q in zip(ve, vf)] for ve, vf in pairs]
+    imag_rows = rows[:r] + [[p + q for p, q in zip(ve, vf)] for ve, vf in pairs]
     return rank_lower_bound(real_rows, a.dim) + rank_lower_bound(imag_rows, a.dim)
 
 
@@ -193,8 +189,7 @@ def check_monotonicity(
     t = a.rs.cartan_type
     cohoms = []
     for lab in labels:
-        w = lab.diagram if lab.diagram is not None else weighted_diagram(t, lab)
-        x = representative(a, w, seed=cfg.seed)
+        x = representative(a, weighted_diagram(t, lab), seed=cfg.seed)
         cohoms.append(cohom_adjoint(a, x, cfg).cohomogeneity)
     ok = all(cohoms[i] < cohoms[i + 1] for i in range(len(cohoms) - 1))
     return MonotonicityReport(

@@ -93,10 +93,16 @@ def flag_point(a: ChevalleyAlgebra, pd: PaintedDiagram) -> AlgebraElement:
 
 
 def flag_cohom(a, pd: PaintedDiagram, cfg: SampleConfig = SampleConfig()) -> CohomReport:
-    """Cohomogeneity of the semi-simple orbit of the crossed-set coweight."""
+    """Cohomogeneity of the semi-simple orbit of the crossed-set coweight.
+
+    The orbit's complex dimension is the number of m-roots, exactly:
+    <beta, h> is the sum of beta's coefficients on the crossed nodes, and a
+    root's coefficients all have one sign, so beta vanishes on h iff it is a
+    k-root, and ker ad(h) is the Cartan plus the k-root spaces.
+    """
     if isinstance(a, PaintedDiagram):
         raise TypeError("first argument is the Chevalley algebra")
-    return cohom_adjoint(a, flag_point(a, pd), cfg)
+    return cohom_adjoint(a, flag_point(a, pd), cfg, orbit_dim=len(isotropy_roots(a.rs, pd)))
 
 
 def nodes_up_to_automorphism(t: CartanType) -> list[int]:

@@ -327,9 +327,8 @@ def representative(
         co = [0] * a.dim
         for g, c in zip(g2roots, coeffs):
             co[a.root_vector_index(g)] = c
-        x = AlgebraElement(co)
-        if rank_lower_bound(a.ad_rows(x), a.dim) == expected:
-            return x
+        if rank_lower_bound(a.ad_rows(co), a.dim) == expected:
+            return AlgebraElement(co)
         if attempt % 3 == 2:
             crange *= 2
     raise ValueError(

@@ -70,8 +70,8 @@ def test_ad_derivation_property():
 
 
 def _ad(a, x):
-    """The matrix of y -> [x, y], read off `ad_rows` (row j is -den(x) times column j)."""
-    rows = a.ad_rows(x)
+    """The matrix of y -> [x, y], read off `ad_rows(x.num)` (row j is -den(x) times column j)."""
+    rows = a.ad_rows(x.num)
     return [[Q(-rows[j][i], x.den) for j in range(a.dim)] for i in range(a.dim)]
 
 

@@ -147,6 +147,9 @@ def test_branch_bad_sub_is_one_line_exit_2(capsys, spec):
     (["cohom", "orbit", "B4", "--label", "ntm"], "atlas cohom orbit"),
     (["cohom", "flag", "A2", "--cross", "1,1"], "atlas cohom flag"),
     (["cohom", "orbit", "A1", "--label", "ntm"], "atlas cohom orbit"),
+    (["classify", "mixed", "--n", "0"], "atlas classify"),
+    (["classify", "ss-c2", "--max-rank", "0"], "atlas classify"),
+    (["classify", "table1", "--types", "A1"], "atlas classify"),
 ])
 def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     with pytest.raises(SystemExit) as exc:
@@ -176,6 +179,20 @@ def test_a_type_without_a_next_to_minimal_orbit_says_so(capsys):
     assert "A1 has no next-to-minimal orbit" in capsys.readouterr().err
 
 
+def test_table1_of_a_type_without_a_next_to_minimal_orbit_says_so(capsys):
+    with pytest.raises(SystemExit):
+        main(["classify", "table1", "--types", "A1"])
+    assert "A1 has no next-to-minimal orbit" in capsys.readouterr().err
+
+
+def test_classify_ss_c2_rank_one(capsys):
+    code, out = run(capsys, "classify", "ss-c2", "--max-rank", "1")
+    data = json.loads(out)
+    assert code == 0
+    assert data["rows"][0]["computed"]["found"] == []
+    assert data["rows"][1]["computed"]["found"] == ["A1[x1]"]
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -186,6 +203,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("decomp_E6_ntm", ["decomp", "E6", "--label", "ntm"]),
     ("cohom_flag_C3", ["cohom", "flag", "C3", "--cross", "1"]),
     ("classify_mixed", ["classify", "mixed", "--n", "3"]),
+    ("cohom_orbit_E7_ntm", ["cohom", "orbit", "E7", "--label", "ntm", "--seed", "0"]),
+    ("cohom_flag_E6", ["cohom", "flag", "E6", "--cross", "1", "--seed", "3"]),
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)

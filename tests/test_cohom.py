@@ -1,16 +1,23 @@
+import random
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 from orbitatlas import cohom
 from orbitatlas.chevalley import build_algebra
+from orbitatlas._modp import P
 from orbitatlas.cohom import (
+    COEFFICIENT_RANGE,
     SampleConfig,
     check_monotonicity,
     cohom_adjoint,
     cohom_linear_rep,
+    derived_seed,
     real_orbit_dim,
     sample_orbit_point,
 )
-from orbitatlas.linalg import rank_int_rows
+from orbitatlas.linalg import rank_int_rows, rank_lower_bound
 from orbitatlas.orbits import (
     Partition,
     hasse_diagram,
@@ -27,7 +34,7 @@ def test_zero_steps_returns_x0():
     a = build_algebra("A2")
     x0 = a.root_vector(a.rs.highest_root)
     cfg = SampleConfig(seed=5, unipotent_steps=0)
-    assert sample_orbit_point(a, x0, cfg) == x0
+    assert sample_orbit_point(a, x0, cfg) == [v % P for v in x0.num]
 
 
 def test_single_step_sl2():
@@ -42,27 +49,50 @@ def test_single_step_sl2():
 def test_sampling_preserves_centralizer_dim():
     a = build_algebra("C2")
     x0 = min_orbit_representative(a)
-    z0 = a.centralizer_dim(x0)
+    orbit_dim = a.dim - a.centralizer_dim(x0)
     for i in range(4):
         x = sample_orbit_point(a, x0, SampleConfig(seed=11), index=i)
-        assert a.centralizer_dim(x) == z0
+        assert rank_lower_bound(a.ad_rows(x), a.dim) == orbit_dim
 
 
 def test_real_orbit_dims_A1():
     a = build_algebra("A1")
-    assert real_orbit_dim(a, a.zero()) == 0
-    assert real_orbit_dim(a, a.root_vector((1,))) == 3
-    assert real_orbit_dim(a, a.coweight_vector([2])) == 2
+    assert real_orbit_dim(a, a.zero().num) == 0
+    assert real_orbit_dim(a, a.root_vector((1,)).num) == 3
+    assert real_orbit_dim(a, a.coweight_vector([2]).num) == 2
+
+
+def _exact_orbit_point(a, x0, cfg, index):
+    """The exact image that `sample_orbit_point` reduces: the same draws, flowed in AlgebraElements."""
+    rng = random.Random(derived_seed(cfg, index))
+    roots = a.rs.all_roots
+    params = [c for c in range(-COEFFICIENT_RANGE, COEFFICIENT_RANGE + 1) if c]
+    x = x0
+    for _ in range(cfg.steps_for(a)):
+        e = a.root_vector(roots[rng.randrange(len(roots))])
+        t = rng.choice(params)
+        image, term, k = x, a.bracket(e, x), 1
+        while any(term.num):
+            image = image + term.scale(Fraction(t ** k, factorial(k)))
+            term, k = a.bracket(e, term), k + 1
+        x = image
+    return x
 
 
 @pytest.mark.parametrize("name", ["G2", "B3", "F4"])
 def test_sampled_rank_mod_p_equals_exact_rank(name, monkeypatch):
     a = build_algebra(name)
-    x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0]))
-    points = [sample_orbit_point(a, x0, SampleConfig(seed=0), index=i) for i in range(2)]
+    # x0 / 2 is on the same nilpotent orbit, and its denominator must show in the residues
+    x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0])).scale(Fraction(1, 2))
+    cfg = SampleConfig(seed=0)
+    points = [sample_orbit_point(a, x0, cfg, index=i) for i in range(2)]
+    exact = [_exact_orbit_point(a, x0, cfg, index=i) for i in range(2)]
+    for x, y in zip(points, exact):
+        unit = x0.den * pow(y.den, -1, P)
+        assert x == [v * unit % P for v in y.num]
     mod_p = [real_orbit_dim(a, x) for x in points]
     monkeypatch.setattr(cohom, "rank_lower_bound", rank_int_rows)
-    assert mod_p == [real_orbit_dim(a, x) for x in points]
+    assert mod_p == [real_orbit_dim(a, y.num) for y in exact]
 
 
 def test_sampled_dimension_above_orbit_dimension_raises(monkeypatch):

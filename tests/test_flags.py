@@ -5,8 +5,10 @@ import pytest
 from orbitatlas.chevalley import build_algebra
 from orbitatlas.cohom import SampleConfig
 from orbitatlas.flags import (
+    PaintedDiagram,
     classify_ss_low_cohom,
     flag_cohom,
+    flag_point,
     isotropy_roots,
     kostant_summands,
     nodes_up_to_automorphism,
@@ -32,6 +34,17 @@ def test_C2_isotropy_dimension():
     rs = build_root_system("C2")
     # m = H^n + R^2 at n = 1: real dimension 6
     assert len(isotropy_roots(rs, painted("C2", [0]))) == 6
+
+
+def test_flag_orbit_dim_is_the_number_of_m_roots():
+    # flag_cohom passes len(isotropy_roots) as the orbit dimension; check it
+    # against the exact centralizer on every diagram of length 1 and 2
+    for t in scan_types(4):
+        a = build_algebra(build_root_system(t))
+        for size in (1, 2):
+            for nodes in itertools.combinations(range(t.rank), size):
+                pd = PaintedDiagram(t, frozenset(nodes))
+                assert len(isotropy_roots(a.rs, pd)) == a.dim - a.centralizer_dim(flag_point(a, pd))
 
 
 def test_kostant_A2_single_class():

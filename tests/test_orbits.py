@@ -191,9 +191,9 @@ def test_representative_nilpotent():
     a = build_algebra("C3")
     w = weighted_diagram("C3", Partition((2, 2, 1, 1)))
     x = representative(a, w)
-    # ad(X), from ad_rows: row j is [b_j, X] = -den(X) * column j
+    # ad(X), from ad_rows: row j is [b_j, X.num] = -den(X) * column j
     assert x.den == 1
-    rows = a.ad_rows(x)
+    rows = a.ad_rows(x.num)
     v = [[-rows[j][i] for j in range(a.dim)] for i in range(a.dim)]
     # ad(X)^k vanishes for k = 2 * longest part
     cur = v

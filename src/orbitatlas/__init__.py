@@ -9,12 +9,7 @@ exposes the same drivers.
 """
 
 from .branching import branch_adjoint, restriction_matrix, weight_multiplicities
-from .chevalley import (
-    AlgebraElement,
-    ChevalleyAlgebra,
-    build_algebra,
-    compact_form_basis,
-)
+from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from .classify import (
     assemble_tables_2_3,
     mixed_orbit_cohom,

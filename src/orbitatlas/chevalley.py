@@ -11,18 +11,25 @@ construction is deterministic, so constants are reproducible across runs.
 
 Each algebra builds its structure-constant table once: row i maps every j
 with [b_i, b_j] != 0 to that bracket as (basis index, integer coefficient)
-pairs.  Every bracket is derived from the table by one routine,
+pairs.  Every exact bracket is derived from the table by one routine,
 `ChevalleyAlgebra.bracket_vec`, on integer coordinate vectors.  An element
-is an integer vector over one positive denominator (`AlgebraElement`).
-Algebras are immutable after construction.
+is an integer vector over one positive denominator (`AlgebraElement`).  The
+table is also kept as one index array for brackets mod P = 2**31 - 1
+(`bracket_residues`): int64 (i, k, c) of shape (dim, width), row j listing
+each [b_j, b_i] = c b_k term, padded with c = 0.  Algebras are immutable
+after construction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction as Q
 from math import gcd, lcm
 import random
 
+import numpy as np
+
+from ._modp import P
 from .linalg import rank_int_rows
 from .roots import RootSystem, build_root_system
 
@@ -79,6 +86,7 @@ class ChevalleyAlgebra:
         self._eidx = {r: rs.rank + k for k, r in enumerate(rs.all_roots)}
         self._table: list[dict] = [{} for _ in range(self.dim)]
         self._build_constants()
+        self._build_index()
         self._killing_e: dict = {}
         if verify == "auto":
             verify = "full" if rs.rank <= 4 else "sampled"
@@ -109,6 +117,13 @@ class ChevalleyAlgebra:
         npos: dict = {}
         dd = {r: rs.root_d(r) for r in rs.all_roots}
 
+        def exact(num, den):
+            # root-length ratios times integer constants must divide exactly
+            q, rem = divmod(num, den)
+            if rem:
+                raise ArithmeticError(f"inexact structure constant {num}/{den}")
+            return q
+
         def nlookup(a, b):
             if (a, b) in npos:
                 return npos[(a, b)]
@@ -127,9 +142,9 @@ class ChevalleyAlgebra:
             u = tuple(-c for c in y)
             s = tuple(a - b for a, b in zip(x, u))
             if s in order:  # x - u positive
-                return -Q(dd[s], dd[x]) * nlookup(u, s)
+                return -exact(dd[s] * nlookup(u, s), dd[x])
             sp = tuple(-c for c in s)
-            return Q(dd[sp], dd[u]) * nlookup(sp, x)
+            return exact(dd[sp] * nlookup(sp, x), dd[u])
 
         for gamma in pos:
             if sum(gamma) == 1:
@@ -146,17 +161,14 @@ class ChevalleyAlgebra:
             n1 = self._down_string(b1, a1) + 1
             npos[(a1, b1)] = n1
             for alpha, beta in pairs[1:]:
-                t = Q(0)
+                t = 0
                 d1 = tuple(x - a for x, a in zip(b1, alpha))  # b1 - alpha
                 if d1 in idx:
                     t += nmixed(b1, tuple(-c for c in alpha)) * nmixed(d1, a1)
                 d2 = tuple(x - a for x, a in zip(a1, alpha))  # a1 - alpha
                 if d2 in idx:
                     t += nmixed(tuple(-c for c in alpha), a1) * nmixed(d2, b1)
-                val = Q(dd[gamma], dd[beta]) * t / n1
-                if val.denominator != 1:
-                    raise ArithmeticError(f"inexact structure constant N{(alpha, beta)} = {val}")
-                n = int(val)
+                n = exact(dd[gamma] * t, dd[beta] * n1)
                 if abs(n) != self._down_string(beta, alpha) + 1:
                     raise ArithmeticError(
                         f"structure constant N{(alpha, beta)} = {n} violates root strings"
@@ -182,14 +194,33 @@ class ChevalleyAlgebra:
             for y in roots[ix + 1:]:
                 s = tuple(a + b for a, b in zip(x, y))
                 if s in idx:
-                    v = nmixed(x, y)
-                    n = int(v)
-                    if n != v:
-                        raise ArithmeticError(f"inexact structure constant N{(x, y)} = {v}")
+                    n = nmixed(x, y)
                     nall[(x, y)], nall[(y, x)] = n, -n
                     table[eidx[x]][eidx[y]] = ((eidx[s], n),)
                     table[eidx[y]][eidx[x]] = ((eidx[s], -n),)
         self._nconst = nall
+
+    def _build_index(self):
+        """The table as padded int64 arrays (i, k, c), its int64 headroom (see `cohom`;
+        fan_in is the most terms of one row that land on one b_k), and `max_ad_power`,
+        the largest k with ad(e_gamma)^k != 0 for some root."""
+        width = max(sum(map(len, row.values())) for row in self._table)
+        ad, fan_in = np.zeros((self.dim, 3, width), dtype=np.int64), 0
+        for j, row in enumerate(self._table):
+            terms = [(i, k, c) for i, pairs in row.items() for k, c in pairs]
+            if terms:
+                ad[j, :, :len(terms)] = np.array(terms, dtype=np.int64).T
+                fan_in = max(fan_in, *Counter(k for _, k, _ in terms).values())
+        cmax = int(max(ad[:, 2].max(), -ad[:, 2].min()))
+        if max(cmax * (P - 1) * fan_in, (P - 1) ** 2 + P - 1) >= 1 << 63:
+            raise ArithmeticError(f"int64 headroom fails: |c| <= {cmax}, fan-in {fan_in}")
+        self._ad = ad  # row j is the (i, k, c) of table row j
+        # ad(e_g)^k b != 0 needs b, [e_g, b], ... nonzero, of weights wt(b) + m g:
+        # k <= 2 through -g, k <= 1 through 0, and through another root a g-string
+        # whose bottom beta has 1 - <beta, g^vee> roots (|<., .>| is sign-blind)
+        pos = self.rs.positive_roots
+        co = np.array([self.rs.coroot_coords(g) for g in pos]) @ np.array(self.rs.cartan_matrix)
+        self.max_ad_power = max(2, int(abs(co @ np.array(pos).T).max()))
 
     def root_vector_index(self, beta) -> int:
         return self._eidx[beta]
@@ -245,6 +276,23 @@ class ChevalleyAlgebra:
     def ad_rows(self, x: list[int]) -> list[list[int]]:
         """Row j is [b_j, x] = -(column j of ad(x)), for an integer vector x."""
         return [self.bracket_vec(self.basis_vector(j), x) for j in range(self.dim)]
+
+    def bracket_residues(self, js: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Row s is [b_{js[s]}, xs[s]] mod P, for int64 rows xs in [0, P).
+
+        One gather of xs along row js[s] of the index array and one
+        scatter-add; a single row xs serves every js.
+        """
+        i, k, c = self._ad[js].transpose(1, 0, 2)
+        n = self.dim
+        out = np.zeros(len(js) * n, dtype=np.int64)
+        np.add.at(out, k + n * np.arange(len(js))[:, None], c * xs[np.arange(len(xs))[:, None], i])
+        return out.reshape(-1, n) % P
+
+    def ad_residues(self, x) -> np.ndarray:
+        """ad_rows(x) mod P as a (dim, dim) int64 array, for an integer vector x."""
+        xs = np.array([[v % P for v in x]], dtype=np.int64)
+        return self.bracket_residues(np.arange(self.dim), xs)
 
     def centralizer_dim(self, x: AlgebraElement) -> int:
         """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""
@@ -317,34 +365,6 @@ class ChevalleyAlgebra:
         return f"ChevalleyAlgebra({self.rs.cartan_type}, dim={self.dim})"
 
 
-class CompactFormBasis:
-    """Labels of the compact real form's basis {i h_j} u {e_b - e_-b, i(e_b + e_-b)}."""
-
-    def __init__(self, algebra: ChevalleyAlgebra):
-        self.algebra = algebra
-        self.labels = [("ih", j) for j in range(algebra.rank)]
-        for beta in algebra.rs.positive_roots:
-            self.labels += [("e-f", beta), ("i(e+f)", beta)]
-
-    def __len__(self):
-        return len(self.labels)
-
-    def gram_killing(self) -> list[list[int]]:
-        """Exact Killing Gram matrix of the compact basis (block structure)."""
-        a = self.algebra
-        r = a.rank
-        n = len(self.labels)
-        g = [[0] * n for _ in range(n)]
-        for i in range(r):
-            for j in range(r):
-                g[i][j] = -a.killing_h(i, j)
-        for k, beta in enumerate(a.rs.positive_roots):
-            c = a.killing_ef(beta)
-            g[r + 2 * k][r + 2 * k] = -2 * c
-            g[r + 2 * k + 1][r + 2 * k + 1] = -2 * c
-        return g
-
-
 _ALG_CACHE: dict[str, ChevalleyAlgebra] = {}
 
 
@@ -356,7 +376,3 @@ def build_algebra(rs: RootSystem | str) -> ChevalleyAlgebra:
     if key not in _ALG_CACHE:
         _ALG_CACHE[key] = ChevalleyAlgebra(rs)
     return _ALG_CACHE[key]
-
-
-def compact_form_basis(a: ChevalleyAlgebra) -> CompactFormBasis:
-    return CompactFormBasis(a)

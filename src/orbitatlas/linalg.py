@@ -12,9 +12,8 @@ point and no rational matrix anywhere in the package.  One fraction-free
   vector, so back-substitution divides exactly; every division is checked.
 * `rank_lower_bound` is the rank modulo the one prime P = 2**31 - 1 (see
   `_modp`).  Reducing mod P never raises a rank, so it is a certified lower
-  bound on the rank over Q.  The orbit samplers use it, and so do the checks
-  where a rank only has to reach a bound proven otherwise: the commutant
-  reading 1 and the acceptance of a nilpotent representative.
+  bound on the rank over Q.  The linear-rep sampler and the commutant
+  reading 1 use it on integer rows; array callers call `_modp` directly.
 """
 
 from __future__ import annotations
@@ -117,25 +116,3 @@ def solve_linear(rows: list[list[int]], ncols: int, b) -> tuple[tuple[int, ...],
         raise ValueError("dimension mismatch: len(b) != rows")
     basis, den = kernel_basis_int([list(row) + [-be] for row, be in zip(rows, b)], ncols + 1)
     return next(((v[:-1], den) for v in basis if v[-1]), None)
-
-
-def is_negative_definite(sym: list[list[int]]) -> bool:
-    """Sign test on leading principal minors of an exact symmetric matrix."""
-    n = len(sym)
-    work = [list(row) for row in sym]
-    prev = 1
-    for k in range(n):
-        pc = work[k][k]
-        if pc == 0:
-            return False
-        # after k steps the pivot equals the (k+1)-st leading principal minor
-        minor_sign = 1 if pc > 0 else -1
-        if minor_sign != (1 if (k + 1) % 2 == 0 else -1):
-            return False
-        for i in range(k + 1, n):
-            rik = work[i][k]
-            for j in range(k + 1, n):
-                work[i][j] = (pc * work[i][j] - rik * work[k][j]) // prev
-            work[i][k] = 0
-        prev = pc
-    return True

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._modp import rank_mod_p
 from .chevalley import AlgebraElement, ChevalleyAlgebra
-from .linalg import rank_lower_bound
 from .roots import CartanType, build_root_system, parse_cartan_type
 
 
@@ -327,7 +327,7 @@ def representative(
         co = [0] * a.dim
         for g, c in zip(g2roots, coeffs):
             co[a.root_vector_index(g)] = c
-        if rank_lower_bound(a.ad_rows(co), a.dim) == expected:
+        if rank_mod_p(a.ad_residues(co)) == expected:
             return AlgebraElement(co)
         if attempt % 3 == 2:
             crange *= 2

@@ -7,7 +7,7 @@ them); every comparison is exact integer/rational equality.
 import itertools
 
 from orbitatlas.branching import branch_adjoint
-from orbitatlas.chevalley import build_algebra, compact_form_basis
+from orbitatlas.chevalley import build_algebra
 from orbitatlas.classify import (
     expected_ss_c1,
     expected_ss_c2,
@@ -18,7 +18,6 @@ from orbitatlas.classify import (
 )
 from orbitatlas.cohom import SampleConfig, check_monotonicity, cohom_adjoint
 from orbitatlas.flags import flag_cohom, kostant_summands, painted, scan_ss_cohom
-from orbitatlas.linalg import is_negative_definite
 from orbitatlas.orbits import (
     Partition,
     hasse_diagram,
@@ -31,6 +30,8 @@ from orbitatlas.orbits import (
 )
 from orbitatlas.roots import build_root_system, root_centralizer_subsystem
 from orbitatlas.sl2 import complete_triple
+from test_chevalley import compact_gram_killing
+from test_linalg import is_negative_definite
 
 
 def _ok(n, msg):
@@ -161,7 +162,7 @@ def test_criterion_9_structural_invariants():
         build_algebra(t).verify_jacobi(exhaustive=False, samples=1000, seed=1)
     # Killing form negative definite on compact bases
     for t in ("A2", "B2", "C3", "G2", "F4", "D4", "E6"):
-        assert is_negative_definite(compact_form_basis(build_algebra(t)).gram_killing())
+        assert is_negative_definite(compact_gram_killing(build_algebra(t)))
     # triple relations after complete_triple
     for t, p in [("A3", (2, 2)), ("C3", (2, 2, 1, 1)), ("B4", (2, 2, 2, 2, 1))]:
         a = build_algebra(t)

@@ -2,11 +2,33 @@ import random
 from fractions import Fraction as Q
 from math import gcd
 
+import numpy as np
 import pytest
 
-from orbitatlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra, compact_form_basis
-from orbitatlas.linalg import is_negative_definite
+from orbitatlas._modp import residues
+from orbitatlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
+from orbitatlas.flags import flag_point, painted
 from orbitatlas.roots import build_root_system
+from test_linalg import is_negative_definite
+
+
+def compact_gram_killing(a) -> list[list[int]]:
+    """Exact Killing Gram matrix of the compact real form's basis.
+
+    The basis is {i h_j} u {e_b - e_-b, i(e_b + e_-b) : b > 0}, in that order;
+    the Gram matrix is block diagonal.
+    """
+    r = a.rank
+    n = r + 2 * a.rs.num_positive
+    g = [[0] * n for _ in range(n)]
+    for i in range(r):
+        for j in range(r):
+            g[i][j] = -a.killing_h(i, j)
+    for k, beta in enumerate(a.rs.positive_roots):
+        c = a.killing_ef(beta)
+        g[r + 2 * k][r + 2 * k] = -2 * c
+        g[r + 2 * k + 1][r + 2 * k + 1] = -2 * c
+    return g
 
 
 def test_sl2_relations():
@@ -75,6 +97,39 @@ def _ad(a, x):
     return [[Q(-rows[j][i], x.den) for j in range(a.dim)] for i in range(a.dim)]
 
 
+@pytest.mark.parametrize("name", ["A2", "G2", "B3", "F4", "E6", "E8"])
+def test_ad_residues_is_ad_rows_mod_p(name):
+    a = build_algebra(name)
+    rng = random.Random(8)
+    h = flag_point(a, painted(name, range(a.rank)))  # det(C) times a coweight
+    wide = [c * 3**41 - 2**64 for c in h.num]  # entries beyond +-2**63
+    dense = [rng.randint(-2**70, 2**70) for _ in range(a.dim)]
+    for x in (h.num, wide, dense):
+        assert np.array_equal(a.ad_residues(x), residues(a.ad_rows(list(x)), a.dim))
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "F4", "A2xG2"])
+def test_max_ad_power_is_the_nilpotency_of_root_vectors(name):
+    a = build_algebra(name)
+    reached = 0
+    for g in a.rs.all_roots:
+        e = a.basis_vector(a.root_vector_index(g))
+        for j in range(a.dim):
+            v, k = a.bracket_vec(e, a.basis_vector(j)), 0
+            while any(v):
+                v, k = a.bracket_vec(e, v), k + 1
+            reached = max(reached, k)
+    assert reached == a.max_ad_power
+
+
+def test_index_array_refuses_a_prime_without_int64_headroom(monkeypatch):
+    from orbitatlas import chevalley
+
+    monkeypatch.setattr(chevalley, "P", (1 << 61) - 1)  # (P - 1)**2 overflows int64
+    with pytest.raises(ArithmeticError, match="headroom"):
+        ChevalleyAlgebra(build_root_system("A2"), verify=None)
+
+
 def test_ad_of_zero():
     a = build_algebra("A2")
     m = _ad(a, a.zero())
@@ -137,14 +192,14 @@ def test_scaling_invariance_of_centralizer():
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C3", "G2"])
 def test_compact_basis_killing_negative_definite(name):
     a = build_algebra(name)
-    cb = compact_form_basis(a)
-    assert len(cb) == a.dim
-    assert is_negative_definite(cb.gram_killing())
+    g = compact_gram_killing(a)
+    assert len(g) == a.dim
+    assert is_negative_definite(g)
 
 
 def test_compact_basis_A1_gram_diagonal():
     a = build_algebra("A1")
-    g = compact_form_basis(a).gram_killing()
+    g = compact_gram_killing(a)
     assert all(g[i][j] == 0 for i in range(3) for j in range(3) if i != j)
     assert all(g[i][i] < 0 for i in range(3))
 

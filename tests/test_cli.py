@@ -205,6 +205,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("classify_mixed", ["classify", "mixed", "--n", "3"]),
     ("cohom_orbit_E7_ntm", ["cohom", "orbit", "E7", "--label", "ntm", "--seed", "0"]),
     ("cohom_flag_E6", ["cohom", "flag", "E6", "--cross", "1", "--seed", "3"]),
+    ("cohom_orbit_E8_ntm", ["cohom", "orbit", "E8", "--label", "ntm", "--seed", "0"]),
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)

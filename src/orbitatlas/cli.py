@@ -249,11 +249,11 @@ def cmd_classify(args):
     try:
         if args.what == "table1":
             types = args.types.split(",") if args.types else None
-            table = reproduce_table1(types=types, cfg=cfg, strict=False)
+            table = reproduce_table1(types=types, cfg=cfg)
             _emit(table.as_dict())
             return 0 if table.all_match else 1
         if args.what == "ss-c2":
-            table = reproduce_thm_ss_c2(max_rank=args.max_rank, cfg=cfg, strict=False)
+            table = reproduce_thm_ss_c2(max_rank=args.max_rank, cfg=cfg)
             _emit(table.as_dict())
             return 0 if table.all_match else 1
         if args.what == "tables23":

@@ -285,18 +285,18 @@ def next_to_minimal(t) -> list[OrbitLabel]:
 # ---------------------------------------------------------------------------
 # representatives
 
-def grading(rs, marks) -> dict:
-    """Dimensions of the ad(h) eigenspaces, keyed by eigenvalue, for h with these marks."""
-    dims = {0: rs.rank}
-    for k in rs.root_pairings(marks):
-        dims[k] = dims.get(k, 0) + 1
-    return dims
+def graded_basis(rs, marks) -> dict:
+    """Basis indices of each ad(h) eigenspace, ascending, keyed by eigenvalue, for h = marks."""
+    out: dict[int, list[int]] = {0: list(range(rs.rank))}
+    for k, v in enumerate(rs.root_pairings(marks)):
+        out.setdefault(v, []).append(rs.rank + k)
+    return out
 
 
 def expected_orbit_dimension(rs, w: WeightedDynkinDiagram) -> int:
     """dim g - dim g_0(h) - dim g_1(h) for h the diagram's Cartan element."""
-    dims = grading(rs, w.marks)
-    return rs.dimension - dims.get(0, 0) - dims.get(1, 0)
+    graded = graded_basis(rs, w.marks)
+    return rs.dimension - len(graded[0]) - len(graded.get(1, []))
 
 
 def representative(
@@ -314,19 +314,19 @@ def representative(
     it retries with fresh coefficients, widening the range after every third.
     """
     rs = a.rs
-    g2roots = [g for g, v in zip(rs.all_roots, rs.root_pairings(w.marks)) if v == 2]
-    if not g2roots:
+    g2 = graded_basis(rs, w.marks).get(2)
+    if not g2:
         raise ValueError(f"diagram {w} has empty degree-2 piece")
     expected = expected_orbit_dimension(rs, w)
     rng = random.Random(seed)
     crange = 3
     for attempt in range(30):
-        coeffs = [rng.randint(-crange, crange) for _ in g2roots]
+        coeffs = [rng.randint(-crange, crange) for _ in g2]
         if not any(coeffs):
             continue
         co = [0] * a.dim
-        for g, c in zip(g2roots, coeffs):
-            co[a.root_vector_index(g)] = c
+        for b, c in zip(g2, coeffs):
+            co[b] = c
         if rank_mod_p(a.ad_residues(co)) == expected:
             return AlgebraElement(co)
         if attempt % 3 == 2:

@@ -186,7 +186,6 @@ class RootSystem:
     def __init__(self, cartan_type: CartanType):
         self.cartan_type = cartan_type
         self.rank = cartan_type.rank
-        blocks = []
         offset = 0
         cm = [[0] * self.rank for _ in range(self.rank)]
         sym: list[int] = []
@@ -201,7 +200,6 @@ class RootSystem:
             for r in _positive_roots(sub):
                 pos.append(tuple([0] * offset + list(r) + [0] * (self.rank - offset - comp.rank)))
             self.component_slices.append(slice(offset, offset + comp.rank))
-            blocks.append(sub)
             offset += comp.rank
         pos.sort(key=lambda r: (sum(r), r))
         self.cartan_matrix = tuple(tuple(row) for row in cm)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .linalg import kernel_basis_int, rank_int_rows, rank_lower_bound, solve_linear
-from .orbits import WeightedDynkinDiagram
+from .orbits import WeightedDynkinDiagram, graded_basis
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,6 @@ class Sl2Triple:
     h: AlgebraElement
     marks: tuple[int, ...]  # <alpha_i, h>: h is the Cartan element with these marks
     grading: dict  # ad(h) eigenvalue -> basis indices of that eigenspace, ascending
-
-
-def _graded_basis(a: ChevalleyAlgebra, marks) -> dict:
-    """Basis indices of g grouped by the ad(h) eigenvalue, for h with these marks."""
-    out: dict[int, list[int]] = {0: list(range(a.rank))}
-    for k, v in enumerate(a.rs.root_pairings(marks)):
-        out.setdefault(v, []).append(a.rank + k)
-    return out
 
 
 def _embed(a: ChevalleyAlgebra, idx: list[int], v, den: int = 1) -> AlgebraElement:
@@ -66,7 +58,7 @@ def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, marks) -> Sl2Triple:
     h = a.coweight_vector(marks)
     if a.bracket(h, x) != x.scale(2):
         raise ValueError("[H, X] != 2X: X is not in the degree-2 piece")
-    graded = _graded_basis(a, marks)
+    graded = graded_basis(a.rs, marks)
     gm2 = graded.get(-2, [])
     g0 = graded[0]
     if not gm2:
@@ -213,8 +205,7 @@ def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
         rows = _restricted_map_rows(a, t.x.num, gk, graded.get(k + 2, []))
         vecs, s = kernel_basis_int(rows, len(gk))  # slice vectors over gk, reading s
         if k == 2:
-            # the Killing form against den(Y) Y is an integer on integer vectors
-            kappa = [int(a.killing(_embed(a, gk, v), t.y) * t.y.den) for v in vecs]
+            kappa = [a.killing(_embed(a, gk, v).num, t.y.num) for v in vecs]  # against den(Y) Y
             vecs, f = _hyperplane_basis(vecs, kappa)
             s *= f
         if len(vecs) != ak:

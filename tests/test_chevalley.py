@@ -13,22 +13,39 @@ from test_linalg import is_negative_definite
 
 
 def compact_gram_killing(a) -> list[list[int]]:
-    """Exact Killing Gram matrix of the compact real form's basis.
+    """Exact Killing Gram matrix of the compact real form's basis, from `killing`.
 
-    The basis is {i h_j} u {e_b - e_-b, i(e_b + e_-b) : b > 0}, in that order;
-    the Gram matrix is block diagonal.
+    The basis is {i h_j} u {e_b - e_-b, i(e_b + e_-b) : b > 0}, in that order.
+    Each vector is u or i u for an integer vector u, and K(i u, i v) = -K(u, v);
+    K(u, i v) must vanish, or the form would not be real on the compact form.
     """
-    r = a.rank
-    n = r + 2 * a.rs.num_positive
-    g = [[0] * n for _ in range(n)]
-    for i in range(r):
-        for j in range(r):
-            g[i][j] = -a.killing_h(i, j)
-    for k, beta in enumerate(a.rs.positive_roots):
-        c = a.killing_ef(beta)
-        g[r + 2 * k][r + 2 * k] = -2 * c
-        g[r + 2 * k + 1][r + 2 * k + 1] = -2 * c
+    r, npos = a.rank, a.rs.num_positive
+    basis = [(a.basis_vector(j), True) for j in range(r)]
+    for k in range(npos):
+        e, f = a.basis_vector(r + k), a.basis_vector(r + npos + k)
+        basis += [([p - q for p, q in zip(e, f)], False), ([p + q for p, q in zip(e, f)], True)]
+    g = [[a.killing(u, v) for v, _ in basis] for u, _ in basis]
+    for m, (_, s) in enumerate(basis):
+        for n, (_, t) in enumerate(basis):
+            assert s == t or g[m][n] == 0
+            if s and t:
+                g[m][n] = -g[m][n]
     return g
+
+
+def _n(a, x, y) -> int:
+    """N_{x,y}, read off `bracket_vec`: [e_x, e_y] = N_{x,y} e_{x+y} and nothing else."""
+    v = a.bracket_vec(a.root_vector(x).num, a.root_vector(y).num)
+    k = a.root_vector_index(tuple(p + q for p, q in zip(x, y)))
+    assert not any(c for i, c in enumerate(v) if i != k)
+    return v[k]
+
+
+def _root_pairs(a):
+    """Every ordered pair of roots whose sum is a root."""
+    idx = a.rs.root_index
+    return [(x, y) for x in a.rs.all_roots for y in a.rs.all_roots
+            if tuple(p + q for p, q in zip(x, y)) in idx]
 
 
 def test_sl2_relations():
@@ -42,13 +59,12 @@ def test_sl2_relations():
 
 def test_A2_simple_constants_are_units():
     a = build_algebra("A2")
-    assert abs(a._nconst[((1, 0), (0, 1))]) == 1
+    assert abs(_n(a, (1, 0), (0, 1))) == 1
 
 
 def test_G2_constants_reach_three():
     a = build_algebra("G2")
-    vals = {abs(v) for v in a._nconst.values()}
-    assert max(vals) == 3
+    assert max(abs(_n(a, x, y)) for x, y in _root_pairs(a)) == 3
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C3", "G2", "D4"])
@@ -56,17 +72,12 @@ def test_jacobi_exhaustive_small(name):
     build_algebra(name).verify_jacobi(exhaustive=True)
 
 
-@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
-def test_jacobi_sampled_large(name):
-    build_algebra(name).verify_jacobi(exhaustive=False, samples=1000, seed=7)
-
-
 def test_string_magnitudes():
     # |N_{a,b}| = p + 1 where p is the down-string length (checked for G2;
     # the constructor asserts it for every positive pair of every algebra)
     a = build_algebra("G2")
-    for (x, y), v in a._nconst.items():
-        assert abs(v) == a._down_string(y, x) + 1
+    for x, y in _root_pairs(a):
+        assert abs(_n(a, x, y)) == a._down_string(y, x) + 1
 
 
 def test_bracket_ef_lands_in_cartan():
@@ -127,12 +138,12 @@ def test_index_array_refuses_a_prime_without_int64_headroom(monkeypatch):
 
     monkeypatch.setattr(chevalley, "P", (1 << 61) - 1)  # (P - 1)**2 overflows int64
     with pytest.raises(ArithmeticError, match="headroom"):
-        ChevalleyAlgebra(build_root_system("A2"), verify=None)
+        ChevalleyAlgebra(build_root_system("A2"))
 
 
 def test_ad_of_zero():
     a = build_algebra("A2")
-    m = _ad(a, a.zero())
+    m = _ad(a, AlgebraElement([0] * a.dim))
     assert all(v == 0 for row in m for v in row)
 
 
@@ -166,7 +177,7 @@ def test_ad_h_diagonal():
 
 def test_centralizer_of_zero():
     a = build_algebra("B2")
-    assert a.centralizer_dim(a.zero()) == a.dim
+    assert a.centralizer_dim(AlgebraElement([0] * a.dim)) == a.dim
 
 
 def test_minimal_orbit_dims_via_centralizer():
@@ -255,9 +266,43 @@ def test_table_is_antisymmetric(name):
 
 
 def test_jacobi_check_catches_a_corrupted_table():
-    a = ChevalleyAlgebra(build_root_system("A2"), verify=None)
+    a = ChevalleyAlgebra(build_root_system("A2"))
     i, j = a.root_vector_index((1, 0)), a.root_vector_index((0, 1))
     (k, c), = a._table[i][j]
     a._table[i][j] = ((k, 2 * c),)  # [e_a1, e_a2] doubled, [e_a2, e_a1] left alone
     with pytest.raises(ArithmeticError, match="Jacobi"):
         a.verify_jacobi(exhaustive=True)
+
+
+def _corrupt_both_orders(a, i, j, change):
+    """Replace [b_i, b_j] by change([b_i, b_j]) and [b_j, b_i] to match: still antisymmetric."""
+    pairs = change(a._table[i][j])
+    a._table[i][j], a._table[j][i] = pairs, tuple((k, -c) for k, c in pairs)
+
+
+def test_generator_proof_catches_corruption_away_from_the_generators():
+    # neither bracket has a simple root vector in it, yet J(e_{+-alpha_i}, ., .) sees both
+    a = ChevalleyAlgebra(build_root_system("B3"))
+    i, j = a.root_vector_index((0, 1, 1)), a.root_vector_index((1, 1, 1))
+    _corrupt_both_orders(a, i, j, lambda pairs: tuple((k, 2 * c) for k, c in pairs))
+    with pytest.raises(ArithmeticError, match="Jacobi fails"):
+        a.verify_jacobi(exhaustive=True)
+    a = ChevalleyAlgebra(build_root_system("B3"))
+    theta = a.rs.highest_root
+    i, j = a.root_vector_index(theta), a.root_vector_index(tuple(-c for c in theta))
+    # one coroot coordinate of [e_theta, e_-theta] = h_theta moved by 1
+    _corrupt_both_orders(a, i, j, lambda pairs: ((pairs[0][0], pairs[0][1] + 1),) + pairs[1:])
+    with pytest.raises(ArithmeticError, match="Jacobi fails"):
+        a.verify_jacobi(exhaustive=True)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2", "F4", "E6", "A2xG2"])
+def test_killing_is_the_trace_of_ad_x_ad_y(name):
+    a = build_algebra(name)
+    rng = random.Random(13)
+    for _ in range(3):
+        x, y = ([rng.randint(-3, 3) for _ in range(a.dim)] for _ in range(2))
+        # row j of ad_rows(x) is minus column j of ad x; the two signs cancel in the trace
+        rx, ry = a.ad_rows(x), a.ad_rows(y)
+        trace = sum(rx[j][k] * ry[k][j] for j in range(a.dim) for k in range(a.dim))
+        assert a.killing(x, y) == trace == a.killing(y, x)

@@ -1,7 +1,6 @@
 import pytest
 
 from orbitatlas.classify import (
-    ClassificationError,
     assemble_tables_2_3,
     expected_ss_c1,
     expected_ss_c2,
@@ -68,7 +67,7 @@ def test_table1_expected_rows():
 
 
 def test_reproduce_table1_small():
-    table = reproduce_table1(types=["A2", "A3", "C2", "B3", "G2"], strict=True)
+    table = reproduce_table1(types=["A2", "A3", "C2", "B3", "G2"])
     assert table.all_match
     assert len(table.rows) == 5
 
@@ -79,9 +78,7 @@ def test_reproduce_table1_reports_diagnostics_on_mismatch(monkeypatch):
     bad = dict(C.table1_expected("A2")[0])
     bad["cohom"] = 3
     monkeypatch.setattr(C, "table1_expected", lambda t: [bad])
-    with pytest.raises(ClassificationError):
-        C.reproduce_table1(types=["A2"], strict=True)
-    table = C.reproduce_table1(types=["A2"], strict=False)
+    table = C.reproduce_table1(types=["A2"])
     assert not table.all_match
 
 
@@ -95,7 +92,7 @@ def test_expected_scan_sets():
 
 
 def test_reproduce_thm_ss_c2_rank3():
-    table = reproduce_thm_ss_c2(max_rank=3, strict=True)
+    table = reproduce_thm_ss_c2(max_rank=3)
     assert table.all_match
 
 

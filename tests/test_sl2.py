@@ -244,7 +244,7 @@ def _w_action_by_solves(a, t, kbasis):
         rows = sl2._restricted_map_rows(a, t.x.num, gk, gk2)
         vecs, s = kernel_basis_int(rows, len(gk))
         if k == 2:
-            kappa = [int(a.killing(sl2._embed(a, gk, v), t.y) * t.y.den) for v in vecs]
+            kappa = [a.killing(sl2._embed(a, gk, v).num, t.y.num) for v in vecs]
             vecs, f = sl2._hyperplane_basis(vecs, kappa)
             s *= f
         bm = [[v[i] for v in vecs] for i in range(len(gk))]

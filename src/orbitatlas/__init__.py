@@ -20,9 +20,7 @@ from .classify import (
 from .cohom import (
     CohomReport,
     SampleConfig,
-    check_monotonicity,
     cohom_adjoint,
-    cohom_linear_rep,
     real_orbit_dim,
     sample_orbit_point,
 )

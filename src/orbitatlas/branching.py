@@ -198,6 +198,13 @@ def restriction_matrix(rs: RootSystem, subsystem) -> list[tuple[int, ...]]:
     return rows
 
 
+def adjoint_weights(rs: RootSystem) -> dict:
+    """The adjoint representation's weight table: each root once, and zero `rank` times."""
+    table = {tuple(rs.pair_with_coroot(g, i) for i in range(rs.rank)): 1 for g in rs.all_roots}
+    table[(0,) * rs.rank] = rs.rank
+    return table
+
+
 @dataclass(frozen=True)
 class BranchComponent:
     subsystem_type: str | None     # None for a pure torus component
@@ -238,18 +245,7 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
     def restrict(w):
         return tuple(_dot(row, w) for row in rows)
 
-    adj_hw = tuple(rs.pair_with_coroot(rs.positive_roots[-1], i) for i in range(rs.rank)) \
-        if rs.cartan_type.is_simple else None
-    if adj_hw is not None:
-        table = weight_multiplicities(rs, adj_hw).entries
-    else:
-        # adjoint of a product: roots plus Cartan zeroes, assembled directly
-        table = {}
-        for g in rs.all_roots:
-            w = tuple(rs.pair_with_coroot(g, i) for i in range(rs.rank))
-            table[w] = table.get(w, 0) + 1
-        z = tuple([0] * rs.rank)
-        table[z] = table.get(z, 0) + rs.rank
+    table = adjoint_weights(rs)
     parent_dim = sum(table.values())
 
     remaining: dict[tuple, int] = {}

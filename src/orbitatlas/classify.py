@@ -356,30 +356,29 @@ _TABLE3_ROWS = [
 ]
 
 
-def assemble_tables_2_3(cfg: SampleConfig = SampleConfig(), verify_support: bool = True):
+def assemble_tables_2_3(cfg: SampleConfig = SampleConfig()):
     """Emit the two classification tables with provenance-tagged rows.
 
-    Machine-checkable supporting facts are re-verified at desk scale when
-    `verify_support` is set: the minimal-orbit and next-to-minimal rows this
-    assembly leans on, the T*CP(n) flag, and product additivity.
+    Machine-checkable supporting facts are re-verified at desk scale: the
+    minimal-orbit and next-to-minimal rows this assembly leans on, the
+    T*CP(n) flag, and product additivity.
     """
     shared = load_shared_orbits()
     support: dict[str, bool] = {}
-    if verify_support:
-        a2 = build_algebra("A2")
-        support["flag:A:1"] = (
-            flag_cohom(a2, painted("A2", [0])).cohomogeneity == 1
-        )
-        small = reproduce_table1(types=["A2", "C3", "B4", "G2", "F4"])
-        support["table1-desk"] = small.all_match
-        prod = product_orbit_cohom(
-            [("A1", minimal_orbit("A1")), ("A1", minimal_orbit("A1"))]
-        )
-        support["product"] = prod.additive and prod.report.cohomogeneity == 2
-        support["min-orbit"] = all(
-            cohom_adjoint(build_algebra(t), min_orbit_representative(build_algebra(t))).cohomogeneity == 1
-            for t in ("A2", "C2", "B3")
-        )
+    a2 = build_algebra("A2")
+    support["flag:A:1"] = (
+        flag_cohom(a2, painted("A2", [0])).cohomogeneity == 1
+    )
+    small = reproduce_table1(types=["A2", "C3", "B4", "G2", "F4"])
+    support["table1-desk"] = small.all_match
+    prod = product_orbit_cohom(
+        [("A1", minimal_orbit("A1")), ("A1", minimal_orbit("A1"))]
+    )
+    support["product"] = prod.additive and prod.report.cohomogeneity == 2
+    support["min-orbit"] = all(
+        cohom_adjoint(build_algebra(t), min_orbit_representative(build_algebra(t))).cohomogeneity == 1
+        for t in ("A2", "C2", "B3")
+    )
 
     def mkrow(m, g, prov, key):
         checked = {}
@@ -391,13 +390,11 @@ def assemble_tables_2_3(cfg: SampleConfig = SampleConfig(), verify_support: bool
             )
             checked["shared_pair"] = entry
             prov = prov + " [external data]"
-        if verify_support:
-            checked["support_checks"] = {
-                k: v for k, v in support.items()
-                if key in (k,) or k in ("table1-desk", "min-orbit")
-            }
-        ok = all(support.values()) if verify_support else True
-        return TableRow(f"{m} | {g}", checked, {}, ok, prov)
+        checked["support_checks"] = {
+            k: v for k, v in support.items()
+            if key in (k,) or k in ("table1-desk", "min-orbit")
+        }
+        return TableRow(f"{m} | {g}", checked, {}, all(support.values()), prov)
 
     t2 = ClassificationTable("compact quaternionic Kahler, cohomogeneity one")
     for m, g, prov, key in _TABLE2_ROWS:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction as Q
 
 from .branching import branch_adjoint
 from .chevalley import build_algebra
@@ -40,18 +39,8 @@ from .roots import build_root_system, root_centralizer_subsystem
 from .sl2 import complete_triple, isotypic_decomposition, triple_centralizer
 
 
-def _jsonable(x):
-    if isinstance(x, Q):
-        return str(x) if x.denominator != 1 else int(x)
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
-
-
 def _emit(obj):
-    print(json.dumps(_jsonable(obj), indent=2))
+    print(json.dumps(obj, indent=2))
 
 
 def _cfg(args) -> SampleConfig:

@@ -39,11 +39,9 @@ import numpy as np
 
 from ._modp import P, rank_mod_p
 from .chevalley import AlgebraElement, ChevalleyAlgebra
-from .linalg import rank_lower_bound
-from .orbits import OrbitLabel, representative, weighted_diagram
 
 
-# flow parameters are drawn from -3..3 without 0, linear-rep points from -4..4
+# flow parameters are drawn from -3..3 without 0
 COEFFICIENT_RANGE = 3
 
 
@@ -168,42 +166,3 @@ def cohom_adjoint(
         samples.append((derived_seed(cfg, i), d))
         best = max(best, d)
     return CohomReport(orbit_real - best, orbit_real, tuple(samples), _CERT)
-
-
-def cohom_linear_rep(
-    action_matrices: list[list[list[int]]], rep_dim: int, cfg: SampleConfig = SampleConfig()
-) -> CohomReport:
-    """Cohomogeneity of a linear action given a basis of integer action matrices."""
-    best = 0
-    samples = []
-    for i in range(cfg.num_samples):
-        rng = random.Random(derived_seed(cfg, i))
-        v = [rng.randint(-COEFFICIENT_RANGE - 1, COEFFICIENT_RANGE + 1) for _ in range(rep_dim)]
-        rows = [[sum(m[r][c] * v[c] for c in range(rep_dim)) for r in range(rep_dim)]
-                for m in action_matrices]
-        d = rank_lower_bound(rows, rep_dim)
-        samples.append((derived_seed(cfg, i), d))
-        best = max(best, d)
-    return CohomReport(rep_dim - best, rep_dim, tuple(samples), _CERT)
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    labels: tuple[str, ...]
-    cohomogeneities: tuple[int, ...]
-    strictly_increasing: bool
-
-
-def check_monotonicity(
-    a: ChevalleyAlgebra, labels: list[OrbitLabel], cfg: SampleConfig = SampleConfig()
-) -> MonotonicityReport:
-    """Cohomogeneities along a closure-order chain (low to high orbit)."""
-    t = a.rs.cartan_type
-    cohoms = []
-    for lab in labels:
-        x = representative(a, weighted_diagram(t, lab), seed=cfg.seed)
-        cohoms.append(cohom_adjoint(a, x, cfg).cohomogeneity)
-    ok = all(cohoms[i] < cohoms[i + 1] for i in range(len(cohoms) - 1))
-    return MonotonicityReport(
-        tuple(str(l) for l in labels), tuple(cohoms), ok
-    )

@@ -1,4 +1,4 @@
-"""Linear algebra on integer rows: exact rank, kernel and solve, plus a mod-p rank bound.
+"""Linear algebra on integer rows: exact rank, kernel and solve.
 
 A matrix is a list of integer rows and a column count; there is no floating
 point and no rational matrix anywhere in the package.  One fraction-free
@@ -10,15 +10,12 @@ point and no rational matrix anywhere in the package.  One fraction-free
   denominator, the last Bareiss pivot D (made positive).  By Cramer's rule
   D times a kernel vector that reads 1 on a free column is an integer
   vector, so back-substitution divides exactly; every division is checked.
-* `rank_lower_bound` is the rank modulo the one prime P = 2**31 - 1 (see
-  `_modp`).  Reducing mod P never raises a rank, so it is a certified lower
-  bound on the rank over Q.  The linear-rep sampler and the commutant
-  reading 1 use it on integer rows; array callers call `_modp` directly.
+
+The rank modulo the one prime P = 2**31 - 1, a certified lower bound on the
+rank over Q, is `_modp.rank_mod_p`.
 """
 
 from __future__ import annotations
-
-from ._modp import rank_mod_p, residues
 
 
 def _bareiss_echelon(rows: list[list], ncols: int | None = None):
@@ -68,11 +65,6 @@ def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
     if not rows or ncols == 0:
         return 0
     return len(_bareiss_echelon([list(row) for row in rows], ncols))
-
-
-def rank_lower_bound(rows: list[list[int]], ncols: int) -> int:
-    """Rank of an integer matrix mod 2**31 - 1: never above its rank over Q."""
-    return rank_mod_p(residues(rows, ncols))
 
 
 def kernel_basis_int(rows: list[list[int]], ncols: int) -> tuple[list[tuple[int, ...]], int]:

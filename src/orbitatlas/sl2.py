@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._modp import rank_mod_p, residues
 from .chevalley import AlgebraElement, ChevalleyAlgebra
-from .linalg import kernel_basis_int, rank_int_rows, rank_lower_bound, solve_linear
+from .linalg import kernel_basis_int, rank_int_rows, solve_linear
 from .orbits import WeightedDynkinDiagram, graded_basis
 
 
@@ -175,7 +176,7 @@ def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
         [[sum(c * m[i][j] for c, m in zip(cs, mats)) for j in range(d)] for i in range(d)]
         for cs in combos
     ]
-    if d * d - rank_lower_bound(_commutator_rows(pair, d), d * d) == 1:
+    if d * d - rank_mod_p(residues(_commutator_rows(pair, d), d * d)) == 1:
         return 1
     return d * d - rank_int_rows(_commutator_rows(mats, d), d * d)
 

@@ -4,6 +4,7 @@ import pytest
 
 from orbitatlas.branching import (
     _WeightGeometry,
+    adjoint_weights,
     branch_adjoint,
     restriction_matrix,
     weight_multiplicities,
@@ -54,6 +55,13 @@ def test_adjoint_zero_weight_is_rank(name):
     t = weight_multiplicities(rs, adjoint_hw(rs))
     assert t.entries == expected
     assert t.dimension == rs.dimension
+
+
+@pytest.mark.parametrize("name", SIMPLE_TYPES)
+def test_freudenthal_gives_the_adjoint_table_branching_reads(name):
+    # branch_adjoint takes the adjoint weights directly; Freudenthal stays checked against them
+    rs = build_root_system(name)
+    assert weight_multiplicities(rs, adjoint_hw(rs)).entries == adjoint_weights(rs)
 
 
 def test_weyl_invariance_spot_check():

@@ -7,6 +7,7 @@ import pytest
 
 from orbitatlas._modp import residues
 from orbitatlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
+from orbitatlas.classify import TABLE1_TYPES
 from orbitatlas.flags import flag_point, painted
 from orbitatlas.roots import build_root_system
 from test_linalg import is_negative_definite
@@ -69,7 +70,7 @@ def test_G2_constants_reach_three():
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C3", "G2", "D4"])
 def test_jacobi_exhaustive_small(name):
-    build_algebra(name).verify_jacobi(exhaustive=True)
+    assert build_algebra(name).verify_jacobi()
 
 
 def test_string_magnitudes():
@@ -265,35 +266,65 @@ def test_table_is_antisymmetric(name):
             assert a._table[j][i] == tuple((k, -c) for k, c in pairs)
 
 
+@pytest.mark.parametrize("name", TABLE1_TYPES + ["A2xG2"])
+def test_index_array_unpacks_to_the_table(name):
+    # the Jacobi proof reads `_ad`; `bracket_vec` reads `_table`: they must be one table
+    a = build_algebra(name)
+    for j, row in enumerate(a._table):
+        i, k, c = a._ad[j]
+        live = c != 0
+        unpacked: dict = {}
+        for p, q, r in zip(i[live].tolist(), k[live].tolist(), c[live].tolist()):
+            unpacked[p] = unpacked.get(p, ()) + ((q, r),)
+        assert unpacked == row
+
+
+def _terms(a, i, j):
+    """Slots of row i of the index array holding [b_i, b_j]."""
+    return np.flatnonzero((a._ad[i, 0] == j) & (a._ad[i, 2] != 0))
+
+
 def test_jacobi_check_catches_a_corrupted_table():
     a = ChevalleyAlgebra(build_root_system("A2"))
     i, j = a.root_vector_index((1, 0)), a.root_vector_index((0, 1))
-    (k, c), = a._table[i][j]
-    a._table[i][j] = ((k, 2 * c),)  # [e_a1, e_a2] doubled, [e_a2, e_a1] left alone
-    with pytest.raises(ArithmeticError, match="Jacobi"):
-        a.verify_jacobi(exhaustive=True)
+    a._ad[i, 2, _terms(a, i, j)] *= 2  # [e_a1, e_a2] doubled, [e_a2, e_a1] left alone
+    with pytest.raises(ArithmeticError, match="not antisymmetric"):
+        a.verify_jacobi()
 
 
 def _corrupt_both_orders(a, i, j, change):
-    """Replace [b_i, b_j] by change([b_i, b_j]) and [b_j, b_i] to match: still antisymmetric."""
-    pairs = change(a._table[i][j])
-    a._table[i][j], a._table[j][i] = pairs, tuple((k, -c) for k, c in pairs)
+    """Replace the coefficients of [b_i, b_j] in the index array by change(them), and
+    [b_j, b_i]'s to match: still antisymmetric."""
+    ij, ji = _terms(a, i, j), _terms(a, j, i)
+    new = change(a._ad[i, 2, ij])
+    a._ad[i, 2, ij], a._ad[j, 2, ji] = new, -new
 
 
 def test_generator_proof_catches_corruption_away_from_the_generators():
     # neither bracket has a simple root vector in it, yet J(e_{+-alpha_i}, ., .) sees both
     a = ChevalleyAlgebra(build_root_system("B3"))
     i, j = a.root_vector_index((0, 1, 1)), a.root_vector_index((1, 1, 1))
-    _corrupt_both_orders(a, i, j, lambda pairs: tuple((k, 2 * c) for k, c in pairs))
+    _corrupt_both_orders(a, i, j, lambda c: 2 * c)
     with pytest.raises(ArithmeticError, match="Jacobi fails"):
-        a.verify_jacobi(exhaustive=True)
+        a.verify_jacobi()
     a = ChevalleyAlgebra(build_root_system("B3"))
     theta = a.rs.highest_root
     i, j = a.root_vector_index(theta), a.root_vector_index(tuple(-c for c in theta))
     # one coroot coordinate of [e_theta, e_-theta] = h_theta moved by 1
-    _corrupt_both_orders(a, i, j, lambda pairs: ((pairs[0][0], pairs[0][1] + 1),) + pairs[1:])
+    _corrupt_both_orders(a, i, j, lambda c: c + (np.arange(len(c)) == 0))
     with pytest.raises(ArithmeticError, match="Jacobi fails"):
-        a.verify_jacobi(exhaustive=True)
+        a.verify_jacobi()
+
+
+def test_jacobi_proof_catches_an_E6_corruption_away_from_the_generators():
+    # the first two positive roots of height 2 and 3 whose sum is a root; N doubled
+    a = ChevalleyAlgebra(build_root_system("E6"))
+    x, y = next((x, y) for x in a.rs.positive_roots for y in a.rs.positive_roots
+                if (sum(x), sum(y)) == (2, 3)
+                and tuple(p + q for p, q in zip(x, y)) in a.rs.root_index)
+    _corrupt_both_orders(a, a.root_vector_index(x), a.root_vector_index(y), lambda c: 2 * c)
+    with pytest.raises(ArithmeticError, match="Jacobi fails"):
+        a.verify_jacobi()
 
 
 @pytest.mark.parametrize("name", ["A2", "B3", "G2", "F4", "E6", "A2xG2"])

@@ -104,7 +104,7 @@ def test_shared_orbit_data_loads():
 
 
 def test_tables_2_3_assembly():
-    t2, t3 = assemble_tables_2_3(verify_support=False)
+    t2, t3 = assemble_tables_2_3()
     assert len(t2.rows) == 9
     assert len(t3.rows) == 7
     for row in t2.rows + t3.rows:

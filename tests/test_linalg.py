@@ -4,10 +4,10 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbitatlas._modp import rank_mod_p, residues
 from orbitatlas.linalg import (
     kernel_basis_int,
     rank_int_rows,
-    rank_lower_bound,
     solve_linear,
 )
 
@@ -150,7 +150,7 @@ def mod_p_matrices(draw, maxn=7):
 @given(mod_p_matrices())
 @settings(max_examples=120, deadline=None)
 def test_rank_lower_bound_never_exceeds_exact_rank(rows):
-    assert rank_lower_bound(rows, len(rows[0])) <= rank_int_rows(rows, len(rows[0]))
+    assert rank_mod_p(residues(rows, len(rows[0]))) <= rank_int_rows(rows, len(rows[0]))
 
 
 @given(int_matrices(maxn=6))
@@ -159,11 +159,11 @@ def test_rank_lower_bound_exact_when_minors_are_below_p(rows):
     # Hadamard: a minor is at most the product of its rows' norms, and a
     # nonzero minor below P cannot vanish mod P
     assert prod(max(1, sum(a * a for a in row)) for row in rows) < P * P
-    assert rank_lower_bound(rows, len(rows[0])) == rank_int_rows(rows, len(rows[0]))
+    assert rank_mod_p(residues(rows, len(rows[0]))) == rank_int_rows(rows, len(rows[0]))
 
 
 def test_rank_lower_bound_strict_on_the_prime():
-    assert rank_lower_bound([[P]], 1) == 0
+    assert rank_mod_p(residues([[P]], 1)) == 0
     assert rank_int_rows([[P]], 1) == 1
 
 

@@ -9,22 +9,21 @@ constant is forced from these by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
 two exact identities relating N on a triple of roots summing to zero.  The
 construction is deterministic, so constants are reproducible across runs.
 
-Each algebra builds its structure-constant table once: row i maps every j
-with [b_i, b_j] != 0 to that bracket as (basis index, integer coefficient)
-pairs.  Every exact bracket is derived from the table by one routine,
-`ChevalleyAlgebra.bracket_vec`, on integer coordinate vectors.  An element
-is an integer vector over one positive denominator (`AlgebraElement`).  The
-table is also kept as one index array for brackets mod P = 2**31 - 1
-(`bracket_residues`): int64 (i, k, c) of shape (dim, width), row j listing
-each [b_j, b_i] = c b_k term, padded with c = 0.  The Killing form is one
-integer formula over the coroot Gram matrix G (`killing`).  Construction
-proves the table a Lie algebra (`verify_jacobi`), on every algebra.
-Algebras are immutable after construction.
+Each algebra builds its structure-constant table once, as one int64 index
+array built from arrays of terms: shape (dim, 3, width), row j listing each
+[b_j, b_i] = c b_k as (i, k, c), padded with c = 0.  Every bracket is
+derived from it: mod P = 2**31 - 1 by gathers and scatters over the array
+(`bracket_residues`), and exactly by one routine, `ChevalleyAlgebra.bracket_vec`,
+on integer coordinate vectors, which walks rows grouped off the array by j.
+An element is an integer vector over one positive denominator
+(`AlgebraElement`).  The Killing form is one integer formula over the coroot
+Gram matrix G (`killing`).  Construction proves the table a Lie algebra
+(`verify_jacobi`), on every algebra.  Algebras are immutable after
+construction.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction as Q
 from math import gcd, lcm
 
@@ -85,9 +84,7 @@ class ChevalleyAlgebra:
         self.rank = rs.rank
         self.dim = rs.dimension
         self._eidx = {r: rs.rank + k for k, r in enumerate(rs.all_roots)}
-        self._table: list[dict] = [{} for _ in range(self.dim)]
-        self._build_constants()
-        self._build_index()
+        self._build_index(self._build_constants())
         # G[i][j] = K(h_i, h_j) = 2 sum_{gamma > 0} <gamma, alpha_i^vee><gamma, alpha_j^vee>
         pairs = np.array(rs.positive_roots) @ np.array(rs.cartan_matrix).T
         self._gram = (2 * pairs.T @ pairs).tolist()
@@ -97,15 +94,10 @@ class ChevalleyAlgebra:
 
     def _down_string(self, beta, alpha) -> int:
         """Largest p with beta - p*alpha a root."""
-        idx = self.rs.root_index
         p = 0
-        cur = beta
-        while True:
-            cur = tuple(b - a for b, a in zip(cur, alpha))
-            if cur in idx:
-                p += 1
-            else:
-                return p
+        while tuple(b - (p + 1) * a for b, a in zip(beta, alpha)) in self.rs.root_index:
+            p += 1
+        return p
 
     def _build_constants(self):
         rs = self.rs
@@ -154,7 +146,6 @@ class ChevalleyAlgebra:
                 beta = tuple(g - a for g, a in zip(gamma, alpha))
                 if beta in order and order[alpha] < order[beta]:
                     pairs.append((alpha, beta))
-            pairs.sort(key=lambda ab: order[ab[0]])
             a1, b1 = pairs[0]
             n1 = self._down_string(b1, a1) + 1
             npos[(a1, b1)] = n1
@@ -173,43 +164,52 @@ class ChevalleyAlgebra:
                     )
                 npos[(alpha, beta)] = n
 
-        # the table: [h_i, e_beta], [e_beta, e_-beta] = h_beta, and
-        # [e_x, e_y] = N_{x,y} e_{x+y} for every ordered pair of roots; the
-        # second of each pair takes N_{y,x} = -N_{x,y}
-        table, eidx, r = self._table, self._eidx, self.rank
-        for beta, ib in eidx.items():
-            for i in range(r):
-                c = rs.pair_with_coroot(beta, i)
-                if c:
-                    table[i][ib] = ((ib, c),)
-                    table[ib][i] = ((ib, -c),)
-            table[ib][eidx[tuple(-c for c in beta)]] = tuple(
-                (k, c) for k, c in enumerate(rs.coroot_coords(beta)) if c
-            )
-        roots = rs.all_roots
-        for ix, x in enumerate(roots):
-            for y in roots[ix + 1:]:
-                s = tuple(a + b for a, b in zip(x, y))
-                if s in idx:
-                    n = nmixed(x, y)
-                    table[eidx[x]][eidx[y]] = ((eidx[s], n),)
-                    table[eidx[y]][eidx[x]] = ((eidx[s], -n),)
+        # the terms (j, i, k, c) of [b_j, b_i] = c b_k: [h_i, e_beta] and [e_beta, h_i],
+        # [e_beta, e_-beta] = h_beta, and [e_x, e_y] = N_{x,y} e_{x+y} with [e_y, e_x] = -it
+        rts, r = rs.all_roots, self.rank
+        roots = np.array(rts, dtype=np.int64)
+        pair = roots @ np.array(rs.cartan_matrix, dtype=np.int64).T  # <beta, alpha_i^vee>
+        b, h = np.nonzero(pair)
+        terms = [(h, b + r, b + r, pair[b, h]), (b + r, h, b + r, -pair[b, h])]
+        co = np.array([rs.coroot_coords(beta) for beta in rts], dtype=np.int64)
+        b, t = np.nonzero(co)
+        terms.append((b + r, (b + rs.num_positive) % len(rts) + r, t, co[b, t]))
+        # key(v) = sum_i v_i base^i is linear, and injective on sums of two roots: shifted by
+        # 2m (m the largest |root coordinate|), their digits lie in [0, 4m] < base; so
+        # x + y = rho iff key(x) + key(y) = key(rho).  Python ints once base**rank outgrows int64
+        base = 4 * int(abs(roots).max()) + 1
+        dt = np.int64 if base ** r < 1 << 63 else object
+        key = roots.astype(dt) @ np.array([base ** m for m in range(r)], dtype=dt)
+        by = np.argsort(key, kind="stable")
+        x, y = np.triu_indices(len(rts), 1)
+        sums = key[x] + key[y]
+        at = np.minimum(np.searchsorted(key[by], sums), len(rts) - 1)
+        hit = key[by][at] == sums
+        x, y, z = x[hit], y[hit], by[at[hit]]
+        n = np.array([nmixed(rts[p], rts[q]) for p, q in zip(x.tolist(), y.tolist())], np.int64)
+        terms += [(x + r, y + r, z + r, n), (y + r, x + r, z + r, -n)]
+        return np.concatenate([np.array(part, dtype=np.int64) for part in terms], axis=1)
 
-    def _build_index(self):
-        """The table as padded int64 arrays (i, k, c), its int64 headroom (see `cohom`;
-        fan_in is the most terms of one row that land on one b_k), and `max_ad_power`,
-        the largest k with ad(e_gamma)^k != 0 for some root."""
-        width = max(sum(map(len, row.values())) for row in self._table)
-        ad, fan_in = np.zeros((self.dim, 3, width), dtype=np.int64), 0
-        for j, row in enumerate(self._table):
-            terms = [(i, k, c) for i, pairs in row.items() for k, c in pairs]
-            if terms:
-                ad[j, :, :len(terms)] = np.array(terms, dtype=np.int64).T
-                fan_in = max(fan_in, *Counter(k for _, k, _ in terms).values())
-        cmax = int(max(ad[:, 2].max(), -ad[:, 2].min()))
+    def _build_index(self, terms):
+        """Pack the terms (j, i, k, c) into `_ad`, rows sorted by (i, k), and group them into
+        `_rows` for `bracket_vec`: row i as (j, ((k, c), ...)) with [b_i, b_j] = sum c b_k.
+        Also the int64 headroom (see `cohom`; fan_in is the most terms of one row that land
+        on one b_k), and `max_ad_power`, the largest k with ad(e_gamma)^k != 0 for a root."""
+        n = self.dim
+        j, i, k, c = terms[:, np.argsort((terms[0] * n + terms[1]) * n + terms[2], kind="stable")]
+        slot = np.arange(len(j)) - np.searchsorted(j, j)
+        self._ad = np.zeros((n, 3, slot.max() + 1), dtype=np.int64)
+        self._ad[j, :, slot] = np.stack([i, k, c], axis=1)
+        fan_in = int(np.bincount(j * n + k).max())
+        cmax = int(abs(c).max())
         if max(cmax * (P - 1) * fan_in, (P - 1) ** 2 + P - 1) >= 1 << 63:
             raise ArithmeticError(f"int64 headroom fails: |c| <= {cmax}, fan-in {fan_in}")
-        self._ad = ad  # row j is the (i, k, c) of table row j
+        # the terms as placed, in the array's row order; each run of equal (j, i) is a group
+        start = np.flatnonzero(np.diff(j * n + i, prepend=-1)).tolist()
+        j, i, kc = j.tolist(), i.tolist(), list(zip(k.tolist(), c.tolist()))
+        self._rows = [[] for _ in range(n)]
+        for s, e in zip(start, start[1:] + [len(kc)]):
+            self._rows[j[s]].append((i[s], tuple(kc[s:e])))
         # ad(e_g)^k b != 0 needs b, [e_g, b], ... nonzero, of weights wt(b) + m g:
         # k <= 2 through -g, k <= 1 through 0, and through another root a g-string
         # whose bottom beta has 1 - <beta, g^vee> roots (|<., .>| is sign-blind)
@@ -251,10 +251,10 @@ class ChevalleyAlgebra:
         sparse, a basis vector say.
         """
         out = [0] * self.dim
-        table = self._table
+        rows = self._rows
         for i, a in enumerate(x):
             if a:
-                for j, pairs in table[i].items():
+                for j, pairs in rows[i]:
                     b = y[j]
                     if b:
                         b *= a

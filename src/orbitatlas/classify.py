@@ -367,17 +367,17 @@ def assemble_tables_2_3(cfg: SampleConfig = SampleConfig()):
     support: dict[str, bool] = {}
     a2 = build_algebra("A2")
     support["flag:A:1"] = (
-        flag_cohom(a2, painted("A2", [0])).cohomogeneity == 1
+        flag_cohom(a2, painted("A2", [0]), cfg).cohomogeneity == 1
     )
-    small = reproduce_table1(types=["A2", "C3", "B4", "G2", "F4"])
+    small = reproduce_table1(types=["A2", "C3", "B4", "G2", "F4"], cfg=cfg)
     support["table1-desk"] = small.all_match
     prod = product_orbit_cohom(
-        [("A1", minimal_orbit("A1")), ("A1", minimal_orbit("A1"))]
+        [("A1", minimal_orbit("A1")), ("A1", minimal_orbit("A1"))], cfg
     )
     support["product"] = prod.additive and prod.report.cohomogeneity == 2
     support["min-orbit"] = all(
-        cohom_adjoint(build_algebra(t), min_orbit_representative(build_algebra(t))).cohomogeneity == 1
-        for t in ("A2", "C2", "B3")
+        cohom_adjoint(a, min_orbit_representative(a), cfg).cohomogeneity == 1
+        for a in map(build_algebra, ("A2", "C2", "B3"))
     )
 
     def mkrow(m, g, prov, key):

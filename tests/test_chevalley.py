@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 from math import gcd
@@ -260,23 +261,47 @@ def test_bracket_with_denominators(name):
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6", "A2xG2"])
 def test_table_is_antisymmetric(name):
     a = build_algebra(name)
-    for i, row in enumerate(a._table):
-        assert i not in row
-        for j, pairs in row.items():
-            assert a._table[j][i] == tuple((k, -c) for k, c in pairs)
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    for i, x in enumerate(basis):
+        for y in basis[i:]:
+            assert a.bracket_vec(x, y) == [-v for v in a.bracket_vec(y, x)]
 
 
 @pytest.mark.parametrize("name", TABLE1_TYPES + ["A2xG2"])
 def test_index_array_unpacks_to_the_table(name):
-    # the Jacobi proof reads `_ad`; `bracket_vec` reads `_table`: they must be one table
+    # `bracket_vec` reads rows derived from `_ad`, which the Jacobi proof reads:
+    # [b_j, b_i] must be the decode of row j of the index array
     a = build_algebra(name)
-    for j, row in enumerate(a._table):
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    for j, x in enumerate(basis):
         i, k, c = a._ad[j]
-        live = c != 0
-        unpacked: dict = {}
-        for p, q, r in zip(i[live].tolist(), k[live].tolist(), c[live].tolist()):
-            unpacked[p] = unpacked.get(p, ()) + ((q, r),)
-        assert unpacked == row
+        decoded = np.zeros((a.dim, a.dim), dtype=np.int64)
+        np.add.at(decoded, (i, k), c)  # padding adds c = 0
+        assert [a.bracket_vec(x, y) for y in basis] == decoded.tolist()
+
+
+def canonical_table_hash(names) -> str:
+    """sha256 over each algebra's name, its live terms (j, i, k, c) of `_ad` sorted
+    lexicographically as int64 bytes, the shape of `_ad` and `max_ad_power`."""
+    h = hashlib.sha256()
+    for name in names:
+        a = build_algebra(name)
+        live = a._ad[:, 2] != 0
+        terms = np.stack([np.nonzero(live)[0], *a._ad.transpose(1, 0, 2)[:, live]], axis=1)
+        terms = np.array(sorted(terms.tolist()), dtype=np.int64)
+        for part in (name.encode(), terms.tobytes(), str(a._ad.shape).encode(),
+                     str(a.max_ad_power).encode()):
+            h.update(part)
+    return h.hexdigest()
+
+
+def test_structure_constant_table_is_pinned():
+    # the canonical table of every Table 1 type and a product: a changed structure
+    # constant, row width or max_ad_power shows here; G2 and F4 (root coordinates up to
+    # 3 and 4) also pin the injectivity of the root-sum keys
+    assert canonical_table_hash(TABLE1_TYPES + ["A2xG2"]) == (
+        "89588abc9cfbfec3d1d1992dcabbc68f4b2367f0d92d832e7649bdc10f5c2798"
+    )
 
 
 def _terms(a, i, j):

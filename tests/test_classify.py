@@ -112,3 +112,23 @@ def test_tables_2_3_assembly():
     shared_rows = [r for r in t2.rows if "external data" in r.provenance]
     assert len(shared_rows) == 6
     assert all(r.computed.get("shared_pair") for r in shared_rows)
+
+
+def test_tables_2_3_pass_the_sampler_config_to_every_cohomogeneity(monkeypatch):
+    # the flag, desk-scale Table 1, product and min-orbit checks all sample orbits
+    import orbitatlas.classify as classify
+    import orbitatlas.flags as flags
+
+    seen = []
+
+    def spy(a, x0, cfg=SampleConfig(), **kw):
+        seen.append(cfg)
+        return real(a, x0, cfg, **kw)
+
+    real = classify.cohom_adjoint
+    monkeypatch.setattr(classify, "cohom_adjoint", spy)
+    monkeypatch.setattr(flags, "cohom_adjoint", spy)
+    cfg = SampleConfig(seed=5, num_samples=2, unipotent_steps=1)
+    assemble_tables_2_3(cfg)
+    assert len(seen) > 5
+    assert all(c is cfg for c in seen)

@@ -1,13 +1,23 @@
-"""Rank of an integer matrix modulo the one word-size prime P = 2**31 - 1.
+"""Ranks of integer matrices modulo the one word-size prime P = 2**31 - 1.
 
-`rank_mod_p` is a vectorized numpy elimination over GF(P).  Entries are kept
-in [0, P), so every product of two residues is below 2**62 and int64
-arithmetic never overflows.  Everything here is exact integer arithmetic: no
-floats anywhere.
+`rank_mod_p` ranks a (B, n, m) stack of matrices (tall ones transposed, so
+n <= m) in one numpy elimination over GF(P), one Python step per row index:
+at step i each matrix pivots on the first nonzero entry of its row i, if
+any, and clears that column below it.  Row i never changes afterwards, so
+each pivot row is zero in the earlier pivot columns: the pivot rows are
+independent, every other row ends at 0, and the rank is the number of
+pivots, as any other elimination over GF(P) would give.  The caller bounds
+B * n * m, and so the memory (`cohom.STACK_CELLS`).
+
+int64 headroom: row i and the multipliers are reduced into [0, P) when step
+i reads them, so each product is below 2**62.  The rows below are only folded,
+x -> (x & P) + (x >> 31), equal mod P as 2**31 = 1 mod P: an entry below 2**33
+plus a product is below 2**63 and folds back below 2**33.  No int64 value
+wraps, and no float is used anywhere.
 
 Reducing mod P never raises a rank: every r x r minor that vanishes over Q
-vanishes mod P.  The result is therefore a lower bound on the rank r over Q;
-it is r itself unless P divides every r x r minor.
+vanishes mod P.  Each result is therefore a lower bound on the rank r over
+Q; it is r itself unless P divides every r x r minor.
 """
 
 from __future__ import annotations
@@ -24,22 +34,25 @@ def residues(rows: list[list[int]], ncols: int) -> np.ndarray:
     )
 
 
-def rank_mod_p(a: np.ndarray) -> int:
-    """Rank over GF(P) of an int64 array with entries in [0, P); destroys `a`."""
-    n, m = a.shape
-    rank = 0
-    col = 0
-    while col < m and rank < n:
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            col += 1
-            continue
-        piv = rank + nz[0]
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), -1, P)
-        f = (a[rank + 1:, col] * inv) % P
-        a[rank + 1:, col:] = (a[rank + 1:, col:] - f[:, None] * a[rank, col:]) % P
-        rank += 1
-        col += 1
-    return rank
+def rank_mod_p(a: np.ndarray) -> list[int]:
+    """Ranks over GF(P) of a (B, n, m) int64 stack with entries in [0, P); may destroy `a`."""
+    if a.shape[1] > a.shape[2]:
+        a = a.transpose(0, 2, 1).copy()
+    b, n, buf = np.arange(len(a)), a.shape[1], np.empty_like(a)
+    ranks = [0] * len(a)
+    for i in range(n):
+        row = a[:, i]
+        row %= P
+        j = (row != 0).argmax(1)
+        piv = row[b, j].tolist()
+        ranks = [r + (v != 0) for r, v in zip(ranks, piv)]
+        if i + 1 < n and any(piv):
+            g = a[b, i + 1:, j] % P
+            g *= np.array([P - pow(v, -1, P) if v else 0 for v in piv], dtype=np.int64)[:, None]
+            g %= P  # -f: row k += g[k] row i clears column j below the pivot
+            rest, tmp = a[:, i + 1:], buf[:, i + 1:]
+            rest += np.multiply(g[..., None], row[:, None], out=tmp)
+            np.right_shift(rest, 31, out=tmp)  # fold
+            rest &= P
+            rest += tmp
+    return ranks

@@ -281,10 +281,17 @@ class ChevalleyAlgebra:
         np.add.at(out, k + n * np.arange(len(js))[:, None], c * xs[np.arange(len(xs))[:, None], i])
         return out.reshape(-1, n) % P
 
-    def ad_residues(self, x) -> np.ndarray:
-        """ad_rows(x) mod P as a (dim, dim) int64 array, for an integer vector x."""
-        xs = np.array([[v % P for v in x]], dtype=np.int64)
-        return self.bracket_residues(np.arange(self.dim), xs)
+    def ad_residues(self, xs: np.ndarray) -> np.ndarray:
+        """ad_rows(x) mod P for each int64 row x of xs in [0, P), as one (len(xs), dim, dim) array.
+
+        One gather of xs along the whole index array and one scatter-add.
+        """
+        i, k, c = self._ad.transpose(1, 0, 2)
+        n = self.dim
+        out = np.zeros(len(xs) * n * n, dtype=np.int64)
+        np.add.at(out, k + n * np.arange(len(xs) * n).reshape(-1, n, 1), c * xs[:, i])
+        out %= P
+        return out.reshape(-1, n, n)
 
     def centralizer_dim(self, x: AlgebraElement) -> int:
         """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""

@@ -54,6 +54,17 @@ def _cfg(args) -> SampleConfig:
     return SampleConfig(**kw)
 
 
+_LABEL_FORMS = "min, ntm, wdd:<marks> such as wdd:0001, or a partition such as 3,1,1"
+
+
+def _ints(texts, option: str, forms: str) -> list[int]:
+    """The integers `texts` spell; otherwise a ValueError naming `option`'s accepted forms."""
+    try:
+        return [int(v) for v in texts]
+    except ValueError:
+        raise ValueError(f"{option}: expected {forms}") from None
+
+
 def _parse_label(t: str, s: str) -> OrbitLabel:
     if s == "min":
         return minimal_orbit(t)
@@ -66,10 +77,10 @@ def _parse_label(t: str, s: str) -> OrbitLabel:
             raise ValueError(f"{t} has {len(ls)} next-to-minimal orbits; pass one of {wdds}")
         return ls[0]
     if s.startswith("wdd:"):
-        marks = tuple(int(c) for c in s[4:].replace(",", ""))
-        return OrbitLabel(diagram=WeightedDynkinDiagram(marks))
-    parts = tuple(int(c) for c in s.strip("()").split(","))
-    return OrbitLabel(partition=Partition(parts))
+        marks = _ints(s[4:].replace(",", ""), f"--label {s!r}", _LABEL_FORMS)
+        return OrbitLabel(diagram=WeightedDynkinDiagram(tuple(marks)))
+    parts = _ints(s.strip("()").split(","), f"--label {s!r}", _LABEL_FORMS)
+    return OrbitLabel(partition=Partition(tuple(parts)))
 
 
 def cmd_roots(args):
@@ -146,7 +157,8 @@ def cmd_cohom_orbit(args):
 
 def cmd_cohom_flag(args):
     a = build_algebra(args.type)
-    nodes = [int(v) for v in args.cross.split(",")]
+    nodes = _ints(args.cross.split(","), f"--cross {args.cross!r}",
+                  "comma-separated 1-based nodes such as 1,2")
     if len(set(nodes)) != len(nodes):
         raise ValueError(f"--cross: nodes must be distinct, got {args.cross}")
     pd = painted(args.type, [v - 1 for v in nodes])
@@ -186,10 +198,7 @@ def cmd_branch(args):
     kind, _, spec = args.sub.partition(":")
     if kind not in ("marks", "nodes"):
         raise ValueError(f"--sub must be marks:... or nodes:..., got {args.sub!r}")
-    try:
-        values = [int(v) for v in spec.split(",")]
-    except ValueError:
-        raise ValueError(f"--sub {args.sub!r}: entries must be integers") from None
+    values = _ints(spec.split(","), f"--sub {args.sub!r}", "integer entries")
     rs = build_root_system(args.type)
     if kind == "marks":
         if len(values) != rs.rank:

@@ -6,28 +6,27 @@ points stay on the orbit.  A sampled point only feeds a rank mod the prime
 P = 2**31 - 1, so the flows run on residues mod P: the 1/k! of each flow
 (k <= 3) is an inverse mod P, and the point is den(x0) times the exact image
 of x0, reduced mod P.  At each sample the dimension of the compact group's
-orbit through it is a matrix rank taken mod P of rows read off ad(x) mod P
-(`ChevalleyAlgebra.ad_residues`).  That rank never exceeds the exact rank at
-the point (den(x0) != 0 only rescales it), which never exceeds the generic
-rank, so the reported value,
+orbit through it is a matrix rank taken mod P of rows read off ad(x) mod P.
+That rank never exceeds the exact rank at the point (den(x0) != 0 only
+rescales it), which never exceeds the generic rank, so the reported value,
 the orbit's real dimension minus the largest sampled rank, is a certified
 upper bound on the cohomogeneity.  It is the cohomogeneity itself when some
 sample is generic and the prime divides none of its relevant minors; pinned
 expected values in the test suite surface any run where it is not.
 
-Sample s draws its flows from its own derived seed, and the samples are
-merged by max, so a report is deterministic for a given (seed, num_samples),
-and row s of a batch does not depend on how many rows flow beside it.  All
-samples flow together as one (num_samples, dim) int64 array: each step is a
-gather and a scatter over the algebra's index array, one per power of
-ad(e_gamma), with every row's own gamma.
+Sample s draws its flows from its own derived seed, whatever the point, and
+the samples are merged by max, so a report is deterministic for a given
+(seed, num_samples) and no row depends on the rows beside it.  All samples
+of all points of one call flow together as one int64 array, each step a
+gather and a scatter over the algebra's index array per power of
+ad(e_gamma).  Their compact-form matrices are ranked as stacks, one
+`_modp.rank_mod_p` call each; a stack holds at most STACK_CELLS entries (or
+one point), a bound set by the matrix shape alone that keeps, say,
+`--samples 1000` on E8 from allocating half a gigabyte at once.
 
-int64 headroom: every residue lies in [0, P), P < 2**31.  A scatter adds at
-most fan_in table terms c * residue into one entry, and the flow adds
-t^k / k! mod P times a residue to a residue, below (P - 1)**2 + P < 2**63.
-`ChevalleyAlgebra` checks max|c| * (P - 1) * fan_in < 2**63 (|c| <= 6 and
-fan_in <= rank) and the flow bound when it is built, and raises
-`ArithmeticError` if either fails; no numpy product can wrap.
+int64 headroom: residues lie in [0, P), P < 2**31, and `ChevalleyAlgebra`
+checks when it is built that a scatter's sum max|c| (P - 1) fan_in and the
+flow's (P - 1)**2 + P stay below 2**63 (raising `ArithmeticError`).
 """
 
 from __future__ import annotations
@@ -43,6 +42,8 @@ from .chevalley import AlgebraElement, ChevalleyAlgebra
 
 # flow parameters are drawn from -3..3 without 0
 COEFFICIENT_RANGE = 3
+# entries of one rank_mod_p stack: E7 ranks 3 points at a time, E8 one
+STACK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -89,15 +90,16 @@ def derived_seed(cfg: SampleConfig, index: int) -> int:
     return (cfg.seed * 1_000_003) ^ (index * 7_919)
 
 
-def sample_orbit_point(a: ChevalleyAlgebra, x0: AlgebraElement, cfg: SampleConfig) -> np.ndarray:
-    """Row s is den(x0) times the image of x0 under sample s's random flows, mod P.
+def sample_orbit_point(
+    a: ChevalleyAlgebra, x0s: list[AlgebraElement], cfg: SampleConfig
+) -> np.ndarray:
+    """Row (d, s) is den(x0) times x0 = x0s[d] moved by sample s's random flows, mod P.
 
-    Sample s draws each step's root gamma and parameter t from its own
-    `derived_seed(cfg, s)` generator.  All `cfg.num_samples` rows flow
-    together: a step applies exp(t ad e_gamma) = sum_k t^k (k!)^-1
-    ad(e_gamma)^k, k <= `a.max_ad_power` (at most 3), to each row, each power
-    being one `bracket_residues` call over every row's own gamma.  P divides
-    no such k!, so each row is the reduction of the exact point den(x0) * image.
+    Sample s draws each step's root gamma and parameter t once, from its own
+    `derived_seed(cfg, s)`.  A step applies exp(t ad e_gamma) = sum_k t^k
+    (k!)^-1 ad(e_gamma)^k, k <= `a.max_ad_power` (at most 3), to all rows,
+    one `bracket_residues` call per power.  P divides no such k!, so each
+    row is the reduction of the exact point den(x0) * image.
     """
     roots = a.rs.all_roots
     params = [c for c in range(-COEFFICIENT_RANGE, COEFFICIENT_RANGE + 1) if c]
@@ -107,62 +109,76 @@ def sample_orbit_point(a: ChevalleyAlgebra, x0: AlgebraElement, cfg: SampleConfi
         rng = random.Random(derived_seed(cfg, s))
         for _ in range(steps):
             draws += (a.root_vector_index(roots[rng.randrange(len(roots))]), rng.choice(params) % P)
-    gammas, t = np.array(draws, dtype=np.int64).reshape(n, steps, 2).transpose(2, 1, 0)
-    coef = [t]  # coef[k - 1][step, s] = t^k / k! mod P
+    # row d * n + s flows under sample s's draws
+    gammas, t = np.tile(np.array(draws, dtype=np.int64).reshape(n, steps, 2), (len(x0s), 1, 1)).T
+    coef = [t]  # coef[k - 1][step, row] = t^k / k! mod P
     for k in range(2, a.max_ad_power + 1):
         coef.append(coef[-1] * t % P * pow(k, -1, P) % P)
-    x = np.array([[v % P for v in x0.num]] * n, dtype=np.int64)
+    x = np.array([[v % P for v in x0.num] for x0 in x0s for _ in range(n)], dtype=np.int64)
     for step, g in enumerate(gammas):
         term = x
         for ck in coef:
             term = a.bracket_residues(g, term)  # ad(e_gamma)^k x mod P
             x = (x + ck[step, :, None] * term) % P
-    return x
+    return x.reshape(len(x0s), n, a.dim)
 
 
-def real_orbit_dim(a: ChevalleyAlgebra, x) -> int:
-    """dim_R of span{[u, x] : u in the compact form basis}, or a lower bound on it.
+def real_orbit_dim(a: ChevalleyAlgebra, xs: np.ndarray) -> list[int]:
+    """dim_R of span{[u, x] : u in the compact form basis}, or a lower bound, per row x of xs.
 
-    x is an integer coordinate vector (a row of `sample_orbit_point` will
-    do).  The rank is taken mod 2**31 - 1, which can only lower it.
-
-    For real x the compact-form rows are read off ad(x) mod P
-    (`ad_residues`): the rows i[h_j, x] are imaginary, and for each positive
-    root beta (`all_roots` puts -beta at the same offset among the negative
-    roots) the row [e_beta - e_-beta, x] is real and i[e_beta + e_-beta, x]
-    imaginary.  So the realified rank splits into two N-column ranks.
+    A row x holds residues mod P (as `sample_orbit_point` gives them); the
+    rank is taken mod 2**31 - 1, which can only lower it.  Of the rows of
+    ad(x) mod P, i[h_j, x] is imaginary, and for each positive root beta
+    (`all_roots` puts -beta at the same offset among the negative roots)
+    [e_beta - e_-beta, x] is real and i[e_beta + e_-beta, x] imaginary.  So
+    the realified rank is the sum of the ranks of a real half (zero-padded
+    to r + npos rows) and an imaginary half, two matrices of one stack.
     """
-    rows = a.ad_residues(x)
-    r, npos = a.rank, a.rs.num_positive
-    e, f = rows[r:r + npos], rows[r + npos:]
-    imag = np.concatenate([rows[:r], (e + f) % P])
-    return rank_mod_p((e - f) % P) + rank_mod_p(imag)
+    n, r, npos = a.dim, a.rank, a.rs.num_positive
+    per = max(1, STACK_CELLS // (2 * (r + npos) * n))  # points per stack
+    dims = []
+    for c in range(0, len(xs), per):
+        h, e, f = np.split(a.ad_residues(xs[c:c + per]), [r, r + npos], axis=1)
+        stack = np.zeros((len(h), 2, r + npos, n), dtype=np.int64)
+        np.subtract(e, f, out=stack[:, 0, :npos])
+        stack[:, 1, :r] = h
+        np.add(e, f, out=stack[:, 1, r:])
+        del h, e, f  # free ad(x) before the elimination
+        stack %= P
+        ranks = rank_mod_p(stack.reshape(-1, r + npos, n))
+        dims += [p + q for p, q in zip(ranks[::2], ranks[1::2])]
+    return dims
 
 
-def cohom_adjoint(
-    a: ChevalleyAlgebra, x0: AlgebraElement, cfg: SampleConfig = SampleConfig(),
-    orbit_dim: int | None = None,
-) -> CohomReport:
-    """Cohomogeneity of the G^C-orbit of x0 under the compact real form.
+def cohom_adjoints(
+    a: ChevalleyAlgebra, x0s: list[AlgebraElement], cfg: SampleConfig = SampleConfig(),
+    orbit_dims: list[int] | None = None,
+) -> list[CohomReport]:
+    """Cohomogeneity of the G^C-orbit of each x0 in x0s under the compact real form.
 
-    The value is a certified upper bound; see the module docstring.  A caller
-    that has already certified the orbit's complex dimension (as
-    `orbits.representative` does) passes it as `orbit_dim`; otherwise it is
-    computed exactly from the centralizer of x0.
+    Each value is a certified upper bound (see the module docstring), and
+    report d is the one-point report of x0s[d].  Orbit complex dimensions
+    already certified (as by `orbits.representative`) come as `orbit_dims`;
+    otherwise they are computed exactly from the centralizers.
     """
-    if orbit_dim is None:
-        orbit_dim = a.dim - a.centralizer_dim(x0)
-    orbit_real = 2 * orbit_dim
-    if orbit_real == 0:
+    if orbit_dims is None:
+        orbit_dims = [a.dim - a.centralizer_dim(x0) for x0 in x0s]
+    if 0 in orbit_dims:
         raise ValueError("x0 must be nonzero")
-    samples = []
-    best = 0
-    for i, x in enumerate(sample_orbit_point(a, x0, cfg)):
-        d = real_orbit_dim(a, x)
-        if d > orbit_real:
-            raise ArithmeticError(
-                f"sampled orbit dimension {d} exceeds the orbit's real dimension {orbit_real}"
-            )
-        samples.append((derived_seed(cfg, i), d))
-        best = max(best, d)
-    return CohomReport(orbit_real - best, orbit_real, tuple(samples), _CERT)
+    n = cfg.num_samples
+    dims = real_orbit_dim(a, sample_orbit_point(a, x0s, cfg).reshape(-1, a.dim))
+    seeds = [derived_seed(cfg, s) for s in range(n)]
+    reports = []
+    for d, orbit_dim in enumerate(orbit_dims):
+        ds, real = dims[d * n:(d + 1) * n], 2 * orbit_dim
+        if max(ds) > real:
+            raise ArithmeticError(f"sampled orbit dimension {max(ds)} exceeds the orbit's "
+                                  f"real dimension {real}")
+        reports.append(CohomReport(real - max(ds), real, tuple(zip(seeds, ds)), _CERT))
+    return reports
+
+
+def cohom_adjoint(a: ChevalleyAlgebra, x0: AlgebraElement, cfg: SampleConfig = SampleConfig(),
+                  orbit_dim: int | None = None) -> CohomReport:
+    """`cohom_adjoints` of the one point x0 (and its certified `orbit_dim`, if given)."""
+    return cohom_adjoints(a, [x0], cfg, None if orbit_dim is None else [orbit_dim])[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
-from .cohom import CohomReport, SampleConfig, cohom_adjoint
+from .cohom import CohomReport, SampleConfig, cohom_adjoint, cohom_adjoints
 from .roots import CartanType, RootSystem, build_root_system, parse_cartan_type, simple
 
 
@@ -138,21 +138,45 @@ def scan_types(max_rank: int) -> list[CartanType]:
     return out
 
 
+def prove_long_diagrams_excluded(rs: RootSystem) -> None:
+    """Raise ArithmeticError unless each Dynkin path of rs sums to a root (see `scan_ss_cohom`)."""
+    n = rs.rank
+    for i in range(n):
+        sums = {i: tuple(int(k == i) for k in range(n))}  # path sums from node i, breadth first
+        queue = [i]
+        for u in queue:
+            for v in range(n):
+                if rs.cartan_matrix[u][v] and v not in sums:
+                    sums[v] = tuple(c + (k == v) for k, c in enumerate(sums[u]))
+                    queue.append(v)
+        missing = [j for j in range(n) if sums.get(j) not in rs.root_index]
+        if missing:
+            raise ArithmeticError(f"{rs.cartan_type}: no root sums the path from node {i + 1} "
+                                  f"to node {missing[0] + 1}; length-2 diagrams are not excluded")
+
+
 def scan_ss_cohom(
     max_rank: int, cfg: SampleConfig = SampleConfig()
 ) -> list[tuple[PaintedDiagram, int]]:
     """(diagram, flag_cohom) for every length-1 painted diagram up to max_rank.
 
-    One diagram per node up to diagram automorphism, on `scan_types(max_rank)`.
-    Length >= 2 diagrams are left out: every tested one has cohomogeneity >= 3
-    (kostant_summands >= 3 forces it), so they cannot reach a target <= 2.
+    One node per diagram-automorphism class on `scan_types(max_rank)`, and one
+    `cohom_adjoints` call per type.  Longer diagrams are left out by a lemma
+    that `prove_long_diagrams_excluded` checks: if the simple roots on the
+    Dynkin path from i to j sum to a root gamma, a diagram crossing i != j has
+    >= 3 Kostant summands, as a summand's roots differ by k-roots and so grade
+    alike on the crossed nodes, while alpha_i, alpha_j and gamma do not.  Each
+    summand carries an invariant norm, so the cohomogeneity is >= 3.
     """
     out = []
     for t in scan_types(max_rank):
-        a = build_algebra(build_root_system(t))
-        for node in nodes_up_to_automorphism(t):
-            pd = PaintedDiagram(t, frozenset([node]))
-            out.append((pd, flag_cohom(a, pd, cfg).cohomogeneity))
+        rs = build_root_system(t)
+        prove_long_diagrams_excluded(rs)
+        a = build_algebra(rs)
+        pds = [PaintedDiagram(t, frozenset([node])) for node in nodes_up_to_automorphism(t)]
+        reports = cohom_adjoints(a, [flag_point(a, pd) for pd in pds], cfg,
+                                 [len(isotropy_roots(a.rs, pd)) for pd in pds])
+        out += [(pd, rep.cohomogeneity) for pd, rep in zip(pds, reports)]
     return out
 
 

@@ -12,7 +12,7 @@ point and no rational matrix anywhere in the package.  One fraction-free
   vector, so back-substitution divides exactly; every division is checked.
 
 The rank modulo the one prime P = 2**31 - 1, a certified lower bound on the
-rank over Q, is `_modp.rank_mod_p`.
+rank over Q, is `_modp.rank_mod_p`; one call ranks a whole stack of matrices.
 """
 
 from __future__ import annotations

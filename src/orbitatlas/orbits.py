@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._modp import rank_mod_p
+from ._modp import rank_mod_p, residues
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .roots import CartanType, build_root_system, parse_cartan_type
 
@@ -327,7 +327,7 @@ def representative(
         co = [0] * a.dim
         for b, c in zip(g2, coeffs):
             co[b] = c
-        if rank_mod_p(a.ad_residues(co)) == expected:
+        if rank_mod_p(a.ad_residues(residues([co], a.dim)))[0] == expected:
             return AlgebraElement(co)
         if attempt % 3 == 2:
             crange *= 2

@@ -176,7 +176,7 @@ def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
         [[sum(c * m[i][j] for c, m in zip(cs, mats)) for j in range(d)] for i in range(d)]
         for cs in combos
     ]
-    if d * d - rank_mod_p(residues(_commutator_rows(pair, d), d * d)) == 1:
+    if d * d - rank_mod_p(residues(_commutator_rows(pair, d), d * d)[None])[0] == 1:
         return 1
     return d * d - rank_int_rows(_commutator_rows(mats, d), d * d)
 

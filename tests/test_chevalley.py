@@ -118,7 +118,11 @@ def test_ad_residues_is_ad_rows_mod_p(name):
     wide = [c * 3**41 - 2**64 for c in h.num]  # entries beyond +-2**63
     dense = [rng.randint(-2**70, 2**70) for _ in range(a.dim)]
     for x in (h.num, wide, dense):
-        assert np.array_equal(a.ad_residues(x), residues(a.ad_rows(list(x)), a.dim))
+        assert np.array_equal(a.ad_residues(residues([x], a.dim))[0],
+                              residues(a.ad_rows(list(x)), a.dim))
+    # several points in one call: each matrix is its point's alone
+    xs = residues([h.num, wide, dense], a.dim)
+    assert np.array_equal(a.ad_residues(xs), np.concatenate([a.ad_residues(x[None]) for x in xs]))
 
 
 @pytest.mark.parametrize("name", ["A2", "B3", "G2", "F4", "A2xG2"])

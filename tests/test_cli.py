@@ -222,3 +222,21 @@ def test_failed_exactness_check_still_propagates(monkeypatch):
     monkeypatch.setattr(cli, "build_root_system", broken)
     with pytest.raises(ArithmeticError):
         main(["roots", "A2"])
+
+
+@pytest.mark.parametrize("argv, forms", [
+    (["cohom", "orbit", "E6", "--label", "foo"], ["min", "ntm", "wdd:", "3,1,1"]),
+    (["cohom", "orbit", "A3", "--label", "2,x"], ["min", "ntm", "wdd:", "3,1,1"]),
+    (["cohom", "orbit", "A3", "--label", "wdd:1x1"], ["min", "ntm", "wdd:", "3,1,1"]),
+    (["decomp", "A2", "--label", "q"], ["min", "ntm", "wdd:", "3,1,1"]),
+    (["cohom", "flag", "A3", "--cross", "x"], ["comma-separated 1-based nodes"]),
+    (["cohom", "flag", "A3", "--cross", "1,"], ["comma-separated 1-based nodes"]),
+])
+def test_unparseable_labels_and_nodes_name_the_accepted_forms(capsys, argv, forms):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "invalid literal" not in err
+    assert all(f in err for f in forms)

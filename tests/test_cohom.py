@@ -4,13 +4,17 @@ from math import factorial
 
 import pytest
 
+import numpy as np
+
 from orbitatlas import cohom
 from orbitatlas.chevalley import AlgebraElement, build_algebra
 from orbitatlas._modp import P, rank_mod_p, residues
 from orbitatlas.cohom import (
     COEFFICIENT_RANGE,
+    STACK_CELLS,
     SampleConfig,
     cohom_adjoint,
+    cohom_adjoints,
     derived_seed,
     real_orbit_dim,
     sample_orbit_point,
@@ -32,7 +36,7 @@ def test_zero_steps_returns_x0():
     a = build_algebra("A2")
     x0 = a.root_vector(a.rs.highest_root)
     cfg = SampleConfig(seed=5, unipotent_steps=0)
-    assert sample_orbit_point(a, x0, cfg).tolist() == [[v % P for v in x0.num]] * cfg.num_samples
+    assert sample_orbit_point(a, [x0], cfg).tolist() == [[[v % P for v in x0.num]] * cfg.num_samples]
 
 
 def test_single_step_sl2():
@@ -48,15 +52,15 @@ def test_sampling_preserves_centralizer_dim():
     a = build_algebra("C2")
     x0 = min_orbit_representative(a)
     orbit_dim = a.dim - a.centralizer_dim(x0)
-    for x in sample_orbit_point(a, x0, SampleConfig(seed=11, num_samples=4)):
-        assert rank_mod_p(residues(a.ad_rows(x.tolist()), a.dim)) == orbit_dim
+    points = sample_orbit_point(a, [x0], SampleConfig(seed=11, num_samples=4))[0]
+    stack = np.stack([residues(a.ad_rows(x.tolist()), a.dim) for x in points])
+    assert rank_mod_p(stack) == [orbit_dim] * len(points)
 
 
 def test_real_orbit_dims_A1():
     a = build_algebra("A1")
-    assert real_orbit_dim(a, [0] * a.dim) == 0
-    assert real_orbit_dim(a, a.root_vector((1,)).num) == 3
-    assert real_orbit_dim(a, a.coweight_vector([2]).num) == 2
+    xs = np.array([[0] * a.dim, a.root_vector((1,)).num, a.coweight_vector([2]).num]) % P
+    assert real_orbit_dim(a, xs) == [0, 3, 2]
 
 
 def _exact_orbit_point(a, x0, cfg, index):
@@ -92,30 +96,39 @@ def test_sampled_rank_mod_p_equals_exact_rank(name):
     # x0 / 2 is on the same nilpotent orbit, and its denominator must show in the residues
     x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0])).scale(Fraction(1, 2))
     cfg = SampleConfig(seed=0)
-    points = sample_orbit_point(a, x0, cfg)
+    points = sample_orbit_point(a, [x0], cfg)[0]
     assert len(points) == cfg.num_samples
+    exact = []
     for i, x in enumerate(points):
         y = _exact_orbit_point(a, x0, cfg, index=i)
         unit = x0.den * pow(y.den, -1, P)
         assert x.tolist() == [v * unit % P for v in y.num]
-        assert real_orbit_dim(a, x) == _exact_real_orbit_dim(a, y)
+        exact.append(_exact_real_orbit_dim(a, y))
+    assert real_orbit_dim(a, points) == exact
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "F4"])
 def test_sample_rows_do_not_depend_on_the_batch(name):
     a = build_algebra(name)
     x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0]))
-    batches = [sample_orbit_point(a, x0, SampleConfig(seed=4, num_samples=n)) for n in range(1, 6)]
+    batches = [sample_orbit_point(a, [x0], SampleConfig(seed=4, num_samples=n))[0]
+               for n in range(1, 6)]
     for i in range(5):
         rows = [b[i].tolist() for b in batches[i:]]
         assert rows == [rows[0]] * len(rows)
+    # row (d, s) does not depend on the points that flow beside it either
+    others = [min_orbit_representative(a), x0.scale(3), x0]
+    cfg = SampleConfig(seed=4, num_samples=5)
+    together = sample_orbit_point(a, others, cfg)
+    for d, x in enumerate(others):
+        assert together[d].tolist() == sample_orbit_point(a, [x], cfg)[0].tolist()
 
 
 def test_sampled_dimension_above_orbit_dimension_raises(monkeypatch):
     a = build_algebra("A2")
     x0 = a.root_vector(a.rs.highest_root)
     orbit_real = 2 * (a.dim - a.centralizer_dim(x0))
-    monkeypatch.setattr(cohom, "real_orbit_dim", lambda a, x: orbit_real + 1)
+    monkeypatch.setattr(cohom, "real_orbit_dim", lambda a, xs: [orbit_real + 1] * len(xs))
     with pytest.raises(ArithmeticError, match="exceeds"):
         cohom_adjoint(a, x0)
 
@@ -211,3 +224,23 @@ def test_certified_orbit_dim_gives_the_same_report(tname):
     cfg = SampleConfig(num_samples=2)
     given = cohom_adjoint(a, x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
     assert given == cohom_adjoint(a, x, cfg)
+
+
+def test_points_over_several_stacks_rank_as_one_point_at_a_time():
+    a = build_algebra("E6")
+    x0 = representative(a, weighted_diagram("E6", next_to_minimal("E6")[0]))
+    cfg = SampleConfig(seed=2, num_samples=12)
+    per_stack = STACK_CELLS // (2 * (a.rank + a.rs.num_positive) * a.dim)
+    assert 1 <= per_stack < cfg.num_samples  # the points take at least two stacks
+    points = sample_orbit_point(a, [x0, min_orbit_representative(a)], cfg).reshape(-1, a.dim)
+    assert real_orbit_dim(a, points) == [real_orbit_dim(a, x[None])[0] for x in points]
+
+
+def test_cohom_adjoints_is_the_one_point_report_per_point():
+    a = build_algebra("B3")
+    xs = [min_orbit_representative(a)]
+    xs += [representative(a, weighted_diagram("B3", lab)) for lab in next_to_minimal("B3")]
+    cfg = SampleConfig(seed=7, num_samples=3)
+    assert cohom_adjoints(a, xs, cfg) == [cohom_adjoint(a, x, cfg) for x in xs]
+    with pytest.raises(ValueError):
+        cohom_adjoints(a, xs + [AlgebraElement([0] * a.dim)], cfg)

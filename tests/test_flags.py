@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from orbitatlas.chevalley import build_algebra
-from orbitatlas.cohom import SampleConfig
+from orbitatlas.cohom import SampleConfig, cohom_adjoints
 from orbitatlas.flags import (
     PaintedDiagram,
     classify_ss_low_cohom,
@@ -13,6 +13,8 @@ from orbitatlas.flags import (
     kostant_summands,
     nodes_up_to_automorphism,
     painted,
+    prove_long_diagrams_excluded,
+    scan_ss_cohom,
     scan_types,
 )
 from orbitatlas.roots import build_root_system, parse_cartan_type
@@ -119,6 +121,36 @@ def test_length_two_at_least_three():
             pd = painted(t, crossed)
             assert kostant_summands(rs, pd).num_summands >= 3
             assert flag_cohom(a, pd).cohomogeneity >= 3
+
+
+@pytest.mark.parametrize("t", ["A1", "A4", "B4", "C3", "D4", "G2", "F4", "E6", "E8"])
+def test_path_sums_are_roots(t):
+    prove_long_diagrams_excluded(build_root_system(t))
+
+
+def test_missing_path_root_is_an_error(monkeypatch):
+    rs = build_root_system("A3")
+    index = dict(rs.root_index)
+    del index[(0, 1, 1)]  # alpha_2 + alpha_3, the path from node 2 to node 3
+    monkeypatch.setattr(rs, "root_index", index)
+    with pytest.raises(ArithmeticError, match="node 2 to node 3"):
+        prove_long_diagrams_excluded(rs)
+    with pytest.raises(ArithmeticError, match="A3"):
+        scan_ss_cohom(3)
+
+
+def test_scan_batches_give_the_one_point_reports():
+    cfg = SampleConfig(seed=3, num_samples=2)
+    scanned = dict(scan_ss_cohom(4, cfg))
+    for t in scan_types(4):
+        a = build_algebra(str(t))
+        pds = [painted(t, [node]) for node in nodes_up_to_automorphism(t)]
+        batch = cohom_adjoints(a, [flag_point(a, pd) for pd in pds], cfg,
+                               [len(isotropy_roots(a.rs, pd)) for pd in pds])
+        for pd, rep in zip(pds, batch):
+            one = flag_cohom(a, pd, cfg)
+            assert (rep.cohomogeneity, rep.samples) == (one.cohomogeneity, one.samples), pd
+            assert scanned[pd] == one.cohomogeneity
 
 
 def test_fibration_monotonicity_rank2():

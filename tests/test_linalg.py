@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 from math import prod
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from orbitatlas._modp import rank_mod_p, residues
@@ -89,9 +90,9 @@ def test_solve_dimension_mismatch():
 
 
 @st.composite
-def int_matrices(draw, maxn=7):
+def int_matrices(draw, maxn=7, ncols=None):
     n = draw(st.integers(1, maxn))
-    m = draw(st.integers(1, maxn))
+    m = ncols or draw(st.integers(1, maxn))
     rows = draw(
         st.lists(
             st.lists(st.integers(-9, 9), min_size=m, max_size=m),
@@ -136,9 +137,9 @@ _mod_p_entries = st.one_of(
 
 
 @st.composite
-def mod_p_matrices(draw, maxn=7):
+def mod_p_matrices(draw, maxn=7, ncols=None):
     n = draw(st.integers(1, maxn))
-    m = draw(st.integers(1, maxn))
+    m = ncols or draw(st.integers(1, maxn))
     rows = draw(st.lists(st.lists(_mod_p_entries, min_size=m, max_size=m), min_size=n, max_size=n))
     # a row combination keeps some inputs rank deficient over Q
     if n >= 2 and draw(st.booleans()):
@@ -147,24 +148,65 @@ def mod_p_matrices(draw, maxn=7):
     return rows
 
 
-@given(mod_p_matrices())
-@settings(max_examples=120, deadline=None)
-def test_rank_lower_bound_never_exceeds_exact_rank(rows):
-    assert rank_mod_p(residues(rows, len(rows[0]))) <= rank_int_rows(rows, len(rows[0]))
+@st.composite
+def stacks(draw, matrices, maxn=7):
+    """1 to 6 matrices with one column count and mixed row counts."""
+    m = draw(st.integers(1, maxn))
+    return draw(st.lists(matrices(maxn=maxn, ncols=m), min_size=1, max_size=6))
 
 
-@given(int_matrices(maxn=6))
+def stack_residues(mats):
+    """The matrices reduced mod P and zero-padded to one (B, n, m) stack."""
+    n, m = max(len(rows) for rows in mats), len(mats[0][0])
+    return np.stack([residues(rows + [[0] * m] * (n - len(rows)), m) for rows in mats])
+
+
+@given(stacks(mod_p_matrices))
 @settings(max_examples=120, deadline=None)
-def test_rank_lower_bound_exact_when_minors_are_below_p(rows):
+def test_rank_lower_bound_never_exceeds_exact_rank(mats):
+    ranks = rank_mod_p(stack_residues(mats))
+    assert len(ranks) == len(mats)
+    assert all(r <= rank_int_rows(rows, len(rows[0])) for r, rows in zip(ranks, mats))
+
+
+@given(stacks(int_matrices, maxn=6))
+@settings(max_examples=120, deadline=None)
+def test_rank_lower_bound_exact_when_minors_are_below_p(mats):
     # Hadamard: a minor is at most the product of its rows' norms, and a
     # nonzero minor below P cannot vanish mod P
-    assert prod(max(1, sum(a * a for a in row)) for row in rows) < P * P
-    assert rank_mod_p(residues(rows, len(rows[0]))) == rank_int_rows(rows, len(rows[0]))
+    for rows in mats:
+        assert prod(max(1, sum(a * a for a in row)) for row in rows) < P * P
+    assert rank_mod_p(stack_residues(mats)) == [rank_int_rows(rows, len(rows[0])) for rows in mats]
 
 
 def test_rank_lower_bound_strict_on_the_prime():
-    assert rank_mod_p(residues([[P]], 1)) == 0
+    assert rank_mod_p(residues([[P]], 1)[None]) == [0]
     assert rank_int_rows([[P]], 1) == 1
+    # a column of P's, and of its multiples, is 0 mod P
+    assert rank_mod_p(residues([[P], [2 * P], [-P]], 1)[None]) == [0]
+
+
+def test_stacked_rank_edge_cases():
+    assert rank_mod_p(np.zeros((2, 3, 0), dtype=np.int64)) == [0, 0]
+    assert rank_mod_p(np.zeros((2, 0, 3), dtype=np.int64)) == [0, 0]
+    assert rank_mod_p(np.zeros((0, 3, 3), dtype=np.int64)) == []
+    assert rank_mod_p(residues([[1, 2], [2, 4]], 2)[None]) == [1]
+    assert rank_mod_p(residues([[1], [2], [0], [5], [3]], 1)[None]) == [1]  # tall
+    # square 5 x 5 (no transpose): full rank reached at different rows, zero
+    # rows first and between, pivots out of column order, and a dependent row
+    # after full rank
+    mats = [
+        [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [1, 1, 1, 1, 0]],
+        [[0, 0, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 0, 0, 0], [2, 2, 0, 0, 0], [0, 0, 0, 1, 0]],
+        [[0, 0, 0, 1, 0], [0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+        [[1, 2, 3, 4, 0], [2, 3, 4, 5, 0], [3, 4, 5, 7, 0], [3, 5, 7, 9, 0], [P - 1, 0, 0, P - 1, 0]],
+        [[0, 0, 0, 0, 0]] * 5,
+    ]
+    expected = [rank_int_rows([[v % P for v in row] for row in rows], 5) for rows in mats]
+    assert expected == [4, 2, 4, 4, 0]
+    assert rank_mod_p(stack_residues(mats)) == expected
+    for rows, r in zip(mats, expected):
+        assert rank_mod_p(residues(rows, 5)[None]) == [r]
 
 
 @given(int_matrices())

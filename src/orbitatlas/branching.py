@@ -3,11 +3,27 @@
 Weights live in fundamental-weight coordinates.  Multiplicities come from
 Freudenthal's recursion, run in integers: the invariant form is scaled by
 det_cartan, and the recursion is a quotient of two sums homogeneous of
-degree 1 in the form, so the scale cancels.  Decomposition under a root
-subsystem is restricted-weight bookkeeping: repeatedly extract the highest
-remaining dominant weight and subtract that component's full weight table.
-Centralizer subsystems are reductive, so each component carries a rational
-torus-charge vector alongside its semi-simple highest weight.
+degree 1 in the form, so the scale cancels.  Centralizer subsystems are
+reductive, so each branching component carries a rational torus-charge
+vector alongside its semi-simple highest weight.
+
+Branching the adjoint representation under a subsystem with simple roots
+beta_j needs no multiplicities; it reads the highest-weight vectors off the
+root vectors (Humphreys, Introduction to Lie Algebras and Representation
+Theory, sections 6 and 20-24):
+
+* (restrict, charge) is injective on the weight lattice: a weight orthogonal
+  to every beta_j lies in the span of the torus functionals, and pairs to 0
+  with them only if it is 0.  So every nonzero weight space of g is one root
+  space, and the zero weight space is h.
+* In a Chevalley basis [e_alpha, e_beta] != 0 exactly when alpha + beta is a
+  root or 0.  So the vectors killed by every e_{beta_j} are the e_beta with no
+  beta + beta_j a root or 0, plus the common kernel of the beta_j on h, of
+  dimension rank - #beta_j because `restriction_matrix` checks that the
+  beta_j are independent.
+* By complete reducibility each highest-weight line spans one irreducible
+  summand, of Weyl dimension.  The conservation check (sum of multiplicity
+  times dimension equals dim g) raises ArithmeticError if they do not exhaust g.
 """
 
 from __future__ import annotations
@@ -198,16 +214,9 @@ def restriction_matrix(rs: RootSystem, subsystem) -> list[tuple[int, ...]]:
     return rows
 
 
-def adjoint_weights(rs: RootSystem) -> dict:
-    """The adjoint representation's weight table: each root once, and zero `rank` times."""
-    table = {tuple(rs.pair_with_coroot(g, i) for i in range(rs.rank)): 1 for g in rs.all_roots}
-    table[(0,) * rs.rank] = rs.rank
-    return table
-
-
 @dataclass(frozen=True)
 class BranchComponent:
-    subsystem_type: str | None     # None for a pure torus component
+    subsystem_type: str
     highest_weight: tuple
     torus_charge: tuple
     multiplicity: int
@@ -229,54 +238,43 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
 
     `subsystem` is a list of simple roots (simple-root coordinates in rs) of a
     regular subalgebra; the centralizer torus contributes rational charges.
+    Components are read off the highest-weight root vectors (module docstring).
     """
     subsystem = [tuple(b) for b in subsystem]
     ctype, ordered = identify_subsystem(rs, subsystem)
-    sub_rs = build_root_system(ctype)
     rows = restriction_matrix(rs, ordered)
 
     # torus charge functionals: kernel of h -> <beta_j, h>
     pair_rows = [[rs.pair_with_coroot(b, i) for i in range(rs.rank)] for b in ordered]
-    torus, tden = kernel_basis_int(pair_rows, rs.rank) if ordered else ([], 1)
+    torus, tden = kernel_basis_int(pair_rows, rs.rank)
 
     def charge(w):
-        return tuple(Q(sum(t[i] * w[i] for i in range(rs.rank)), tden) for t in torus)
+        return tuple(Q(_dot(t, w), tden) for t in torus)
 
     def restrict(w):
         return tuple(_dot(row, w) for row in rows)
 
-    table = adjoint_weights(rs)
-    parent_dim = sum(table.values())
-
-    remaining: dict[tuple, int] = {}
-    for w, m in table.items():
-        key = (restrict(w), charge(w))
-        remaining[key] = remaining.get(key, 0) + m
-
-    sub_geo = _geometry(sub_rs)
-    components = []
-    sub_tables: dict[tuple, WeightMultiplicityTable] = {}
-    while True:
-        live = [(k, m) for k, m in remaining.items() if m != 0]
-        if not live:
-            break
-        key = max(live, key=lambda km: (sub_geo.height(km[0][0]), km[0]))[0]
-        hw, ch = key
-        mult = remaining[key]
-        if mult < 0 or any(c < 0 for c in hw):
-            raise RuntimeError(f"branching bookkeeping failure at {key} -> {mult}")
-        if hw not in sub_tables:
-            sub_tables[hw] = weight_multiplicities(sub_rs, hw)
-        tbl = sub_tables[hw]
-        for w, m in tbl.entries.items():
-            k2 = (w, ch)
-            newm = remaining.get(k2, 0) - mult * m
-            if newm < 0:
-                raise RuntimeError(f"branching bookkeeping failure at {k2}")
-            remaining[k2] = newm
-        components.append(BranchComponent(str(ctype), hw, ch, mult, tbl.dimension))
-    result = BranchingResult(tuple(components), parent_dim)
-    if result.total_dimension != parent_dim:
+    sub_geo = _geometry(build_root_system(ctype))
+    keys = []
+    for beta in rs.all_roots:
+        # e_beta is killed by every e_alpha iff no beta + alpha is a root or 0
+        if all(
+            any(s) and s not in rs.root_index
+            for s in (tuple(x + y for x, y in zip(beta, a)) for a in ordered)
+        ):
+            w = tuple(rs.pair_with_coroot(beta, i) for i in range(rs.rank))
+            keys.append((restrict(w), charge(w), 1))
+    if rs.rank > len(ordered):
+        # the highest-weight vectors in h: the common kernel of the beta_j
+        keys.append(((0,) * len(ordered), charge((0,) * rs.rank), rs.rank - len(ordered)))
+    # highest first, the component order of the stable JSON
+    keys.sort(key=lambda k: (sub_geo.height(k[0]), k[:2]), reverse=True)
+    result = BranchingResult(
+        tuple(BranchComponent(str(ctype), hw, ch, m, sub_geo.weyl_dimension(hw))
+              for hw, ch, m in keys),
+        rs.dimension,
+    )
+    if result.total_dimension != rs.dimension:
         raise ArithmeticError(f"dimension conservation failed: {result.total_dimension}"
-                              f" != {parent_dim}")
+                              f" != {rs.dimension}")
     return result

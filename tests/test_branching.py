@@ -3,17 +3,27 @@ from fractions import Fraction
 import pytest
 
 from orbitatlas.branching import (
+    BranchComponent,
+    BranchingResult,
+    _geometry,
     _WeightGeometry,
-    adjoint_weights,
     branch_adjoint,
     restriction_matrix,
     weight_multiplicities,
 )
-from orbitatlas.roots import build_root_system, root_centralizer_subsystem
+from orbitatlas.linalg import kernel_basis_int
+from orbitatlas.roots import build_root_system, identify_subsystem, root_centralizer_subsystem
 
 
 def adjoint_hw(rs):
     return tuple(rs.pair_with_coroot(rs.highest_root, i) for i in range(rs.rank))
+
+
+def adjoint_table(rs):
+    """The adjoint representation's weight table: each root once, and zero `rank` times."""
+    table = {tuple(rs.pair_with_coroot(g, i) for i in range(rs.rank)): 1 for g in rs.all_roots}
+    table[(0,) * rs.rank] = rs.rank
+    return table
 
 
 def test_A1_adjoint_weights():
@@ -59,9 +69,9 @@ def test_adjoint_zero_weight_is_rank(name):
 
 @pytest.mark.parametrize("name", SIMPLE_TYPES)
 def test_freudenthal_gives_the_adjoint_table_branching_reads(name):
-    # branch_adjoint takes the adjoint weights directly; Freudenthal stays checked against them
+    # the oracle peel below starts from the adjoint table; Freudenthal stays checked against it
     rs = build_root_system(name)
-    assert weight_multiplicities(rs, adjoint_hw(rs)).entries == adjoint_weights(rs)
+    assert weight_multiplicities(rs, adjoint_hw(rs)).entries == adjoint_table(rs)
 
 
 def test_weyl_invariance_spot_check():
@@ -133,6 +143,7 @@ def test_branch_G2_to_long_A2():
     dims = sorted(c.dimension * c.multiplicity for c in br.components)
     assert dims == [3, 3, 8]
     assert br.total_dimension == 14
+    assert br == peel(rs, simples)
 
 
 def test_branch_A2_to_A1_plus_torus():
@@ -199,3 +210,67 @@ def test_dimension_check_raises(monkeypatch):
     monkeypatch.setattr(_WeightGeometry, "weyl_dimension", lambda self, hw: 9)
     with pytest.raises(ArithmeticError, match="dimension check failed"):
         weight_multiplicities(build_root_system("A2"), (1, 1))
+
+
+def test_branch_conservation_check_raises(monkeypatch):
+    # a raise, not an assert, so that it also runs under python -O
+    monkeypatch.setattr(_WeightGeometry, "weyl_dimension", lambda self, hw: 1)
+    with pytest.raises(ArithmeticError, match="dimension conservation failed"):
+        branch_adjoint(build_root_system("A2"), [(1, 0)])
+
+
+_TABLES = {}
+
+
+def peel(rs, subsystem):
+    """Branching by restricted-weight bookkeeping, the oracle for branch_adjoint.
+
+    Restrict the adjoint table, then repeatedly take the highest remaining key
+    and subtract its component's Freudenthal weight table.
+    """
+    ctype, ordered = identify_subsystem(rs, [tuple(b) for b in subsystem])
+    sub_rs = build_root_system(ctype)
+    rows = restriction_matrix(rs, ordered)
+    pair_rows = [[rs.pair_with_coroot(b, i) for i in range(rs.rank)] for b in ordered]
+    torus, tden = kernel_basis_int(pair_rows, rs.rank)
+    remaining = {}
+    for w, m in adjoint_table(rs).items():
+        key = (
+            tuple(sum(a * b for a, b in zip(row, w)) for row in rows),
+            tuple(Fraction(sum(a * b for a, b in zip(t, w)), tden) for t in torus),
+        )
+        remaining[key] = remaining.get(key, 0) + m
+    sub_geo = _geometry(sub_rs)
+    components = []
+    while any(remaining.values()):
+        hw, ch = max((k for k, m in remaining.items() if m),
+                     key=lambda k: (sub_geo.height(k[0]), k))
+        mult = remaining[hw, ch]
+        assert mult > 0 and min(hw) >= 0
+        if (str(ctype), hw) not in _TABLES:
+            _TABLES[str(ctype), hw] = weight_multiplicities(sub_rs, hw)
+        tbl = _TABLES[str(ctype), hw]
+        for w, m in tbl.entries.items():
+            remaining[w, ch] -= mult * m
+            assert remaining[w, ch] >= 0
+        components.append(BranchComponent(str(ctype), hw, ch, mult, tbl.dimension))
+    return BranchingResult(tuple(components), rs.dimension)
+
+
+ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2", "F4",
+                "E6", "A2xG2"]
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_branch_matches_the_freudenthal_peel(name):
+    # every node subset S, given as nodes and as the {0,1}-marks centralizer
+    # with zeros on S (the all-ones marks centralize no root), in component order
+    rs = build_root_system(name)
+    n = rs.rank
+    for bits in range(1, 2 ** n):
+        nodes = [tuple(int(j == i) for j in range(n)) for i in range(n) if bits >> i & 1]
+        marks = [0 if bits >> i & 1 else 1 for i in range(n)]
+        # the two orders of the same simple roots may identify a chain reversed
+        for simples in (nodes, root_centralizer_subsystem(rs, marks).simple_roots):
+            assert branch_adjoint(rs, simples) == peel(rs, simples)
+

@@ -196,6 +196,10 @@ def test_classify_ss_c2_rank_one(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _marks(n, i):
+    return "marks:" + ",".join("1" if j == i else "0" for j in range(1, n + 1))
+
+
 @pytest.mark.parametrize("name, argv", [
     ("classify_table1", ["classify", "table1", "--types", "A2,B3,C2,G2,F4", "--seed", "0"]),
     ("classify_ss_c2", ["classify", "ss-c2", "--max-rank", "3", "--seed", "0"]),
@@ -206,6 +210,12 @@ GOLDEN = Path(__file__).parent / "golden"
     ("cohom_orbit_E7_ntm", ["cohom", "orbit", "E7", "--label", "ntm", "--seed", "0"]),
     ("cohom_flag_E6", ["cohom", "flag", "E6", "--cross", "1", "--seed", "3"]),
     ("cohom_orbit_E8_ntm", ["cohom", "orbit", "E8", "--label", "ntm", "--seed", "0"]),
+    ("branch_G2_nodes_2", ["branch", "G2", "--sub", "nodes:2"]),
+    ("branch_E8_marks_e1", ["branch", "E8", "--sub", _marks(8, 1)]),
+] + [
+    # each maximal Levi of E6 and E7 (E6 node 4 is `branch_E6` above)
+    (f"branch_{t}_marks_e{i}", ["branch", t, "--sub", _marks(n, i)])
+    for t, n in (("E6", 6), ("E7", 7)) for i in range(1, n + 1) if (t, i) != ("E6", 4)
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)

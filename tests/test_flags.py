@@ -175,6 +175,23 @@ def test_automorphism_classes():
     assert nodes_up_to_automorphism(parse_cartan_type("F4")) == [0, 1, 2, 3]
 
 
+def _automorphism_table(t):
+    # the hand-written table that preceded the Cartan-matrix matcher
+    fam, n = t.family, t.rank
+    if fam == "A":
+        return list(range((n + 1) // 2))
+    if fam == "D":
+        return [0, 1] if n == 4 else list(range(n - 1))
+    if fam == "E" and n == 6:
+        return [0, 1, 2, 3]
+    return list(range(n))
+
+
+def test_automorphism_classes_match_the_table():
+    for t in scan_types(8):
+        assert nodes_up_to_automorphism(t) == _automorphism_table(t), t
+
+
 def test_scan_types_skips_D3():
     names = {str(t) for t in scan_types(4)}
     assert "D3" not in names

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -236,3 +237,29 @@ def test_extended_diagram_is_not_a_dynkin_diagram():
     simples = [r for r in rs.positive_roots if sum(r) == 1]
     with pytest.raises(ValueError, match="not a Dynkin diagram"):
         identify_subsystem(rs, simples + [tuple(-c for c in rs.highest_root)])
+
+
+IDENTIFY_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
+                  "D4", "D5", "D6", "G2", "F4", "E6", "E7", "E8", "A2xG2"]
+# sha256 of the sweep below, recorded from the hand-written component
+# classifier that preceded the Cartan-matrix matcher
+IDENTIFY_SHA256 = "acc7993738f2576ad23b60a7b8ab5e67d3dd407e16aa9447f0f3eb97848e4f12"
+
+
+def test_identification_sweep_matches_the_pinned_hash():
+    # every node subset, in ascending and descending order, and every
+    # {0,1}-marks centralizer: the type and the ordered simple roots
+    lines = []
+    for name in IDENTIFY_TYPES:
+        rs = build_root_system(name)
+        n = rs.rank
+        for bits in range(1, 2 ** n):
+            nodes = [tuple(int(j == i) for j in range(n)) for i in range(n) if bits >> i & 1]
+            for simples in (nodes, nodes[::-1]):
+                ctype, ordered = identify_subsystem(rs, simples)
+                lines.append(f"{name} {simples} {ctype} {list(ordered)}")
+            marks = [0 if bits >> i & 1 else 1 for i in range(n)]
+            sub = root_centralizer_subsystem(rs, marks)
+            lines.append(f"{name} {marks} {sub.cartan_type} {list(sub.simple_roots)} {sub.torus_dim}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (2268, IDENTIFY_SHA256)

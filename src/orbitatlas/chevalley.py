@@ -14,7 +14,7 @@ array built from arrays of terms: shape (dim, 3, width), row j listing each
 [b_j, b_i] = c b_k as (i, k, c), padded with c = 0.  Every bracket is
 derived from it: mod P = 2**31 - 1 by gathers and scatters over the array
 (`bracket_residues`), and exactly by one routine, `ChevalleyAlgebra.bracket_vec`,
-on integer coordinate vectors, which walks rows grouped off the array by j.
+on integer coordinate vectors, which walks the array's rows as flat lists of terms.
 An element is an integer vector over one positive denominator
 (`AlgebraElement`).  The Killing form is one integer formula over the coroot
 Gram matrix G (`killing`).  Construction proves the table a Lie algebra
@@ -31,7 +31,7 @@ import numpy as np
 
 from ._modp import P
 from .linalg import rank_int_rows
-from .roots import RootSystem, build_root_system
+from .roots import CartanType, RootSystem, build_root_system
 
 
 class AlgebraElement:
@@ -191,8 +191,8 @@ class ChevalleyAlgebra:
         return np.concatenate([np.array(part, dtype=np.int64) for part in terms], axis=1)
 
     def _build_index(self, terms):
-        """Pack the terms (j, i, k, c) into `_ad`, rows sorted by (i, k), and group them into
-        `_rows` for `bracket_vec`: row i as (j, ((k, c), ...)) with [b_i, b_j] = sum c b_k.
+        """Pack the terms (j, i, k, c) into `_ad`, rows sorted by (i, k), and slice them into
+        `_rows` for `bracket_vec`: row i as one (j, k, c) per term of [b_i, b_j] = sum c b_k.
         Also the int64 headroom (see `cohom`; fan_in is the most terms of one row that land
         on one b_k), and `max_ad_power`, the largest k with ad(e_gamma)^k != 0 for a root."""
         n = self.dim
@@ -204,12 +204,10 @@ class ChevalleyAlgebra:
         cmax = int(abs(c).max())
         if max(cmax * (P - 1) * fan_in, (P - 1) ** 2 + P - 1) >= 1 << 63:
             raise ArithmeticError(f"int64 headroom fails: |c| <= {cmax}, fan-in {fan_in}")
-        # the terms as placed, in the array's row order; each run of equal (j, i) is a group
-        start = np.flatnonzero(np.diff(j * n + i, prepend=-1)).tolist()
-        j, i, kc = j.tolist(), i.tolist(), list(zip(k.tolist(), c.tolist()))
-        self._rows = [[] for _ in range(n)]
-        for s, e in zip(start, start[1:] + [len(kc)]):
-            self._rows[j[s]].append((i[s], tuple(kc[s:e])))
+        # the terms as placed, in the array's row order, sliced at each row's start
+        start = np.searchsorted(j, np.arange(n + 1)).tolist()
+        ikc = list(zip(i.tolist(), k.tolist(), c.tolist()))
+        self._rows = [ikc[s:e] for s, e in zip(start, start[1:])]
         # ad(e_g)^k b != 0 needs b, [e_g, b], ... nonzero, of weights wt(b) + m g:
         # k <= 2 through -g, k <= 1 through 0, and through another root a g-string
         # whose bottom beta has 1 - <beta, g^vee> roots (|<., .>| is sign-blind)
@@ -254,12 +252,10 @@ class ChevalleyAlgebra:
         rows = self._rows
         for i, a in enumerate(x):
             if a:
-                for j, pairs in rows[i]:
+                for j, k, c in rows[i]:
                     b = y[j]
                     if b:
-                        b *= a
-                        for k, c in pairs:
-                            out[k] += b * c
+                        out[k] += a * b * c
         return out
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -384,9 +380,9 @@ class ChevalleyAlgebra:
 _ALG_CACHE: dict[str, ChevalleyAlgebra] = {}
 
 
-def build_algebra(rs: RootSystem | str) -> ChevalleyAlgebra:
-    """Construct (and cache) the Chevalley algebra of a root system."""
-    if isinstance(rs, str):
+def build_algebra(rs: RootSystem | CartanType | str) -> ChevalleyAlgebra:
+    """Construct (and cache) the Chevalley algebra of a root system or Cartan type."""
+    if not isinstance(rs, RootSystem):
         rs = build_root_system(rs)
     key = str(rs.cartan_type)
     if key not in _ALG_CACHE:

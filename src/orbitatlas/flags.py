@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from .cohom import CohomReport, SampleConfig, cohom_adjoint, cohom_adjoints
-from .roots import CartanType, RootSystem, build_root_system, parse_cartan_type, simple
+from .roots import (
+    CartanType,
+    RootSystem,
+    build_root_system,
+    cartan_matches,
+    parse_cartan_type,
+    simple,
+)
 
 
 @dataclass(frozen=True)
@@ -106,17 +113,14 @@ def flag_cohom(a, pd: PaintedDiagram, cfg: SampleConfig = SampleConfig()) -> Coh
 
 
 def nodes_up_to_automorphism(t: CartanType) -> list[int]:
-    """One node per diagram-automorphism class of a simple type (0-based)."""
-    fam, n = t.family, t.rank
-    if fam == "A":
-        return list(range((n + 1) // 2))
-    if fam == "D":
-        if n == 4:
-            return [0, 1]  # {1,3,4} fold to node 1 under triality
-        return list(range(n - 1))  # spinor nodes n-1, n identified
-    if fam == "E" and n == 6:
-        return [0, 1, 2, 3]  # 1~6, 3~5
-    return list(range(n))
+    """The least node of each diagram-automorphism orbit (0-based).
+
+    The automorphisms are the Cartan matrix's matches onto itself
+    (`roots.cartan_matches`), enumerated once per type.
+    """
+    c = build_root_system(t).cartan_matrix
+    autos = list(cartan_matches(c, c))
+    return [i for i in range(t.rank) if all(o[i] >= i for o in autos)]
 
 
 def scan_types(max_rank: int) -> list[CartanType]:

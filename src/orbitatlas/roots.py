@@ -11,6 +11,11 @@ Conventions, fixed for the whole package:
   computed through the Cartan matrix, so no irrational geometry appears.
 * Symmetrizers ``d_i = (alpha_i, alpha_i)/2`` are normalized so short roots
   have squared length 2 (d in {1,2,3}).
+
+`_simple_cartan_matrix` is the only Dynkin-diagram data: `identify_subsystem`
+names a diagram by the orders of its nodes that turn its Cartan matrix into a
+standard one (`cartan_matches`), and a type's diagram automorphisms are its
+Cartan matrix's matches onto itself.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ def parse_cartan_type(s: str) -> CartanType:
     comps = []
     for tok in s.replace("+", "x").split("x"):
         tok = tok.strip()
-        if len(tok) < 2 or tok[0].upper() not in _RANK_MIN:
+        if len(tok) < 2 or tok[0].upper() not in _RANK_MIN or not tok[1:].isdecimal():
             raise ValueError(f"cannot parse Cartan type {s!r}")
         comps.append(SimpleType(tok[0].upper(), int(tok[1:])))
     return CartanType(tuple(comps))
@@ -345,12 +350,39 @@ def root_centralizer_subsystem(rs: RootSystem, marks) -> Subsystem:
     return Subsystem(tuple(zero), tuple(ordered), ctype, rs.rank - len(simples))
 
 
+def cartan_matches(m, std):
+    """Every tuple o of distinct indices of m with m[o[p]][o[q]] == std[p][q] for all p, q.
+
+    A depth-first search that places std's nodes in turn, trying m's indices
+    in ascending order, so the matches come out lexicographically.  With
+    m == std the matches are the diagram automorphisms.
+    """
+    o: list[int] = []
+
+    def place():
+        p = len(o)
+        if p == len(std):
+            yield tuple(o)
+            return
+        for v in range(len(m)):
+            if v not in o and m[v][v] == std[p][p] and all(
+                m[o[q]][v] == std[q][p] and m[v][o[q]] == std[p][q] for q in range(p)
+            ):
+                o.append(v)
+                yield from place()
+                o.pop()
+
+    yield from place()
+
+
 def identify_subsystem(rs: RootSystem, simples) -> tuple[CartanType, tuple]:
     """Cartan type of a set of simple roots, with roots reordered to match it.
 
     The returned ordering makes the pairing matrix of the roots equal to the
     standard Cartan matrix of the named type (per component, components sorted
-    by family/rank then concatenated).
+    by family/rank then concatenated).  Each connected component, its roots in
+    the order a search from its lowest index reaches them, takes the first
+    family A to G that `cartan_matches` it, else raises ValueError.
     """
     n = len(simples)
     pair = [[0] * n for _ in range(n)]
@@ -361,119 +393,44 @@ def identify_subsystem(rs: RootSystem, simples) -> tuple[CartanType, tuple]:
             if num % d:
                 raise ArithmeticError(f"pairing of {bi} with {bj} is not an integer")
             pair[i][j] = num // d
-    # connected components
-    seen = [False] * n
-    comps = []
+    identified = []
+    seen: set[int] = set()
     for s in range(n):
-        if seen[s]:
+        if s in seen:
             continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
+        comp, stack = [s], [s]  # the connected component of s, in the order reached
+        seen.add(s)
         while stack:
             u = stack.pop()
-            for v in range(n):
-                if not seen[v] and pair[u][v] != 0:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(comp)
-
-    identified = []
-    for comp in comps:
-        fam, order = _identify_component(pair, comp, [rs.root_d(simples[i]) for i in comp])
-        identified.append((fam, len(comp), [comp[i] for i in order]))
-    identified.sort(key=lambda t: (t[0], t[1]))
-    ordered = []
-    comps_types = []
-    for fam, k, idxs in identified:
-        comps_types.append(SimpleType(fam, k))
-        ordered.extend(simples[i] for i in idxs)
-    ctype = CartanType(tuple(comps_types))
+            new = [v for v in range(n) if v not in seen and pair[u][v]]
+            seen.update(new)
+            comp += new
+            stack += new
+        k = len(comp)
+        m = [[pair[a][b] for b in comp] for a in comp]
+        rows = sorted(map(sorted, m))
+        for fam in "ABCDEFG":
+            if not _RANK_MIN[fam] <= k <= _RANK_MAX.get(fam, k):
+                continue
+            std = _simple_cartan_matrix(fam, k)
+            # equal sorted rows are necessary for a match and cheap to compare
+            if sorted(map(sorted, std)) == rows:
+                order = next(cartan_matches(m, std), None)
+                if order is not None:
+                    break
+        else:
+            raise ValueError("not a Dynkin diagram")
+        if (fam, k) in (("D", 4), ("E", 6)):
+            # the matches differ by triality or E6's flip; the package's convention
+            # fills nodes 3 and 4 (D4), or node 3 (E6), with the earliest reached roots
+            order = min(cartan_matches(m, std), key=lambda o: (o[2], o[3]))
+        identified.append((fam, k, [comp[i] for i in order]))
+    identified.sort(key=lambda t: t[:2])
+    ctype = CartanType(tuple(SimpleType(fam, k) for fam, k, _ in identified))
+    idxs = [i for _, _, order in identified for i in order]
     # hard check: pairing matrix of the ordered roots equals the standard one
     std = build_root_system(ctype).cartan_matrix
-    for i, bi in enumerate(ordered):
-        d = rs.root_d(bi)
-        for j, bj in enumerate(ordered):
-            if rs.bilinear(bi, bj) // d != std[i][j]:
-                raise ArithmeticError("subsystem identification failed")
-    return ctype, tuple(ordered)
+    if tuple(tuple(pair[i][j] for j in idxs) for i in idxs) != std:
+        raise ArithmeticError("subsystem identification failed")
+    return ctype, tuple(simples[i] for i in idxs)
 
-
-def _identify_component(pair, comp, ds) -> tuple[str, list[int]]:
-    """Classify one connected component; returns family and a local ordering."""
-    k = len(comp)
-    loc = {g: i for i, g in enumerate(comp)}
-    adj = [[] for _ in range(k)]
-    mult = {}
-    for a in range(k):
-        for b in range(k):
-            if a != b and pair[comp[a]][comp[b]] != 0:
-                adj[a].append(b)
-                mult[(a, b)] = pair[comp[a]][comp[b]] * pair[comp[b]][comp[a]]
-    if k == 1:
-        return "A", [0]
-    dmin = min(ds)
-    short = [i for i in range(k) if ds[i] == dmin]
-    is_short = [ds[i] == dmin for i in range(k)]
-    maxmult = max(mult.values())
-
-    def path_from(start):
-        order = [start]
-        prev = -1
-        cur = start
-        while len(order) < k:
-            nxt = next(v for v in adj[cur] if v != prev)
-            order.append(nxt)
-            prev, cur = cur, nxt
-        return order
-
-    if maxmult == 3:
-        s = short[0]
-        return "G", [s, adj[s][0]]
-    if maxmult == 2:
-        nshort = len(short)
-        if k == 2:
-            lng = next(i for i in range(k) if not is_short[i])
-            return "B", [lng, short[0]]  # canonical B2
-        if nshort == 2 and k == 4:
-            lng_leaf = next(i for i in range(k) if not is_short[i] and len(adj[i]) == 1)
-            return "F", path_from(lng_leaf)
-        if nshort == 1:
-            # B_k: unique short root sits at one end of the chain
-            start = next(i for i in range(k) if len(adj[i]) == 1 and not is_short[i])
-            return "B", path_from(start)
-        # C_k: unique long root at one end
-        start = next(i for i in range(k) if len(adj[i]) == 1 and is_short[i])
-        return "C", path_from(start)
-    # simply laced
-    deg = [len(a) for a in adj]
-    if max(deg) <= 2:
-        start = next(i for i in range(k) if deg[i] == 1)
-        return "A", path_from(start)
-    branch = deg.index(3)
-    arms = []
-    for v in adj[branch]:
-        arm = [v]
-        prev = branch
-        cur = v
-        while True:
-            ext = [w for w in adj[cur] if w != prev]
-            if not ext:
-                break
-            prev, cur = cur, ext[0]
-            arm.append(cur)
-        arms.append(arm)
-    arms.sort(key=len)
-    la, lb, lc = (len(a) for a in arms)
-    if la == 1 and lb == 1:
-        # D_{k}: long arm read inward, then branch, then the two tails
-        spine = list(reversed(arms[2])) + [branch]
-        return "D", spine + [arms[0][0], arms[1][0]]
-    if (la, lb) != (1, 2):
-        raise ValueError("not a Dynkin diagram")
-    # E_k: Bourbaki order 1,3 from a length-2 arm, 2 the short arm, 4 branch
-    two_arm = arms[1]
-    long_arm = arms[2]
-    order = [two_arm[1], arms[0][0], two_arm[0], branch] + long_arm
-    return "E", order

@@ -195,14 +195,11 @@ def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
     integer, which leaves the commutant unchanged.
     """
     graded = t.grading
-    n = {k: len(v) for k, v in graded.items()}
     blocks = []
-    kmax = max(n)
-    for k in range(2, kmax + 1):
-        ak = n.get(k, 0) - n.get(k + 2, 0) - (1 if k == 2 else 0)
-        if ak <= 0:
+    for k, ak in isotypic_decomposition(a, t).multiplicities.items():
+        if k < 2:
             continue
-        gk = graded.get(k, [])
+        gk = graded[k]
         rows = _restricted_map_rows(a, t.x.num, gk, graded.get(k + 2, []))
         vecs, s = kernel_basis_int(rows, len(gk))  # slice vectors over gk, reading s
         if k == 2:

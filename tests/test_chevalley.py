@@ -10,7 +10,7 @@ from orbitatlas._modp import residues
 from orbitatlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from orbitatlas.classify import TABLE1_TYPES
 from orbitatlas.flags import flag_point, painted
-from orbitatlas.roots import build_root_system
+from orbitatlas.roots import build_root_system, parse_cartan_type, simple
 from test_linalg import is_negative_definite
 
 
@@ -57,6 +57,13 @@ def test_sl2_relations():
     assert h.den == 1 and h.num[0] == 1 and all(c == 0 for c in h.num[1:])
     assert a.bracket(h, e) == e.scale(2)
     assert a.bracket(h, f) == f.scale(-2)
+
+
+def test_build_algebra_accepts_every_form_of_a_type():
+    a = build_algebra("A2")
+    assert build_algebra(simple("A", 2)) is a
+    assert build_algebra(build_root_system("A2")) is a
+    assert build_algebra(parse_cartan_type("A1xG2")).dim == 17
 
 
 def test_A2_simple_constants_are_units():

@@ -161,6 +161,13 @@ def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     assert captured.err.startswith(f"{prog}: error: ")
 
 
+def test_unparsable_rank_names_the_type(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "Ay"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "atlas roots: error: cannot parse Cartan type 'Ay'\n"
+
+
 @pytest.mark.parametrize("label, names", [
     ("wdd:20", ["diagram 20"]),  # not a weighted Dynkin diagram of G2
     ("ntm", ["wdd:2000", "wdd:0001"]),  # B4 has two next-to-minimal orbits

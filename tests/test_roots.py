@@ -206,6 +206,9 @@ def test_parse_cartan_type():
     assert str(parse_cartan_type("B3+G2")) == "B3xG2"
     with pytest.raises(ValueError):
         parse_cartan_type("H4")
+    for bad in ("Ay", "A", "A1xBz", "E²"):
+        with pytest.raises(ValueError, match="cannot parse Cartan type"):
+            parse_cartan_type(bad)
 
 
 def test_dominant_marks_conjugation():
@@ -243,23 +246,24 @@ IDENTIFY_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C
                   "D4", "D5", "D6", "G2", "F4", "E6", "E7", "E8", "A2xG2"]
 # sha256 of the sweep below, recorded from the hand-written component
 # classifier that preceded the Cartan-matrix matcher
-IDENTIFY_SHA256 = "acc7993738f2576ad23b60a7b8ab5e67d3dd407e16aa9447f0f3eb97848e4f12"
+IDENTIFY_SHA256 = "6a7549605697e41c87c1cc7ba3e0b8766ebaaa15f6c5e9d731691bcaf25fca45"
 
 
 def test_identification_sweep_matches_the_pinned_hash():
-    # every node subset, in ascending and descending order, and every
-    # {0,1}-marks centralizer: the type and the ordered simple roots
+    # every node subset, in ascending, descending and rotated order (the last
+    # fixes E6's flip), and every {0,1}-marks centralizer: the type and the
+    # ordered simple roots
     lines = []
     for name in IDENTIFY_TYPES:
         rs = build_root_system(name)
         n = rs.rank
         for bits in range(1, 2 ** n):
             nodes = [tuple(int(j == i) for j in range(n)) for i in range(n) if bits >> i & 1]
-            for simples in (nodes, nodes[::-1]):
+            for simples in (nodes, nodes[::-1], nodes[1:] + nodes[:1]):
                 ctype, ordered = identify_subsystem(rs, simples)
                 lines.append(f"{name} {simples} {ctype} {list(ordered)}")
             marks = [0 if bits >> i & 1 else 1 for i in range(n)]
             sub = root_centralizer_subsystem(rs, marks)
             lines.append(f"{name} {marks} {sub.cartan_type} {list(sub.simple_roots)} {sub.torus_dim}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert (len(lines), digest) == (2268, IDENTIFY_SHA256)
+    assert (len(lines), digest) == (3024, IDENTIFY_SHA256)

@@ -4,10 +4,12 @@
 computes cohomogeneity, the triple centralizer dimension, and the bundle
 fibre dimension, and compares them with the expected classification row.
 `reproduce_thm_ss_c2` checks the exhaustive cohomogeneity-two scan of
-semi-simple orbits against the five known families.  The quaternionic-Kahler
-and 3-Sasakian tables are assembly artifacts: geometric rows are emitted with
-provenance flags and backed, where possible, by the machine-checked orbit
-facts; shared-orbit cover data is a checked-in external table.
+semi-simple orbits against the five known families: every length-1 diagram
+is decided, by the trivial bound 2 dim O - dim g > 2 or by sampling.  The
+quaternionic-Kahler and 3-Sasakian tables are assembly artifacts: geometric
+rows are emitted with provenance flags and backed, where possible, by the
+machine-checked orbit facts; shared-orbit cover data is a checked-in
+external table.
 """
 
 from __future__ import annotations
@@ -230,7 +232,7 @@ def reproduce_thm_ss_c2(max_rank: int = 6,
     if max_rank < 1:
         raise ValueError(f"max rank must be at least 1, got {max_rank}")
     table = ClassificationTable("semi-simple orbits of cohomogeneity two")
-    scan = scan_ss_cohom(max_rank, cfg)
+    scan = scan_ss_cohom(max_rank, cfg, max_cohom=2)
     found2 = {str(p) for p, c in scan if c == 2}
     found1 = {str(p) for p, c in scan if c == 1}
     exp2 = expected_ss_c2(max_rank)

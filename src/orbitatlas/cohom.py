@@ -86,6 +86,16 @@ _CERT = (
 )
 
 
+def trivial_lower_bound(g_dim: int, orbit_dim: int) -> int:
+    """2 orbit_dim - g_dim, an exact lower bound on the cohomogeneity of an orbit.
+
+    The compact group K has real dimension dim_C g, so no K-orbit in the
+    orbit O (real dimension 2 dim_C O) is larger; the cohomogeneity, the
+    codimension of a generic K-orbit, is >= 2 dim_C O - dim_C g.
+    """
+    return 2 * orbit_dim - g_dim
+
+
 def derived_seed(cfg: SampleConfig, index: int) -> int:
     return (cfg.seed * 1_000_003) ^ (index * 7_919)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
-from .cohom import CohomReport, SampleConfig, cohom_adjoint, cohom_adjoints
+from .cohom import CohomReport, SampleConfig, cohom_adjoint, cohom_adjoints, trivial_lower_bound
 from .roots import (
     CartanType,
     RootSystem,
@@ -160,7 +160,7 @@ def prove_long_diagrams_excluded(rs: RootSystem) -> None:
 
 
 def scan_ss_cohom(
-    max_rank: int, cfg: SampleConfig = SampleConfig()
+    max_rank: int, cfg: SampleConfig = SampleConfig(), max_cohom: int | None = None
 ) -> list[tuple[PaintedDiagram, int]]:
     """(diagram, flag_cohom) for every length-1 painted diagram up to max_rank.
 
@@ -171,16 +171,27 @@ def scan_ss_cohom(
     >= 3 Kostant summands, as a summand's roots differ by k-roots and so grade
     alike on the crossed nodes, while alpha_i, alpha_j and gamma do not.  Each
     summand carries an invariant norm, so the cohomogeneity is >= 3.
+
+    With `max_cohom` set, a diagram whose `trivial_lower_bound` exceeds it is
+    decided without sampling and left out: its cohomogeneity, and so its
+    sampled upper bound, is > max_cohom.  Every length-1 diagram is thus
+    decided, by the bound or by sampling, and a type with no diagram left
+    builds no algebra.  Samples draw from their own seeds, so the rows kept
+    read as in the full scan.
     """
     out = []
     for t in scan_types(max_rank):
         rs = build_root_system(t)
         prove_long_diagrams_excluded(rs)
-        a = build_algebra(rs)
         pds = [PaintedDiagram(t, frozenset([node])) for node in nodes_up_to_automorphism(t)]
-        reports = cohom_adjoints(a, [flag_point(a, pd) for pd in pds], cfg,
-                                 [len(isotropy_roots(a.rs, pd)) for pd in pds])
-        out += [(pd, rep.cohomogeneity) for pd, rep in zip(pds, reports)]
+        dims = {pd: len(isotropy_roots(rs, pd)) for pd in pds}  # exact, see `flag_cohom`
+        if max_cohom is not None:
+            pds = [pd for pd in pds if trivial_lower_bound(rs.dimension, dims[pd]) <= max_cohom]
+        if pds:
+            a = build_algebra(rs)
+            reports = cohom_adjoints(a, [flag_point(a, pd) for pd in pds], cfg,
+                                     [dims[pd] for pd in pds])
+            out += [(pd, rep.cohomogeneity) for pd, rep in zip(pds, reports)]
     return out
 
 
@@ -190,4 +201,4 @@ def classify_ss_low_cohom(
     """Painted diagrams of `scan_ss_cohom` whose flag_cohom equals target (1 or 2)."""
     if target not in (1, 2):
         raise ValueError("target must be 1 or 2")
-    return [pd for pd, c in scan_ss_cohom(max_rank, cfg) if c == target]
+    return [pd for pd, c in scan_ss_cohom(max_rank, cfg, max_cohom=target) if c == target]

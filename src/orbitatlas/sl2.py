@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ._modp import rank_mod_p, residues
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .linalg import kernel_basis_int, rank_int_rows, solve_linear
-from .orbits import WeightedDynkinDiagram, graded_basis
+from .orbits import graded_basis
 
 
 @dataclass(frozen=True)
@@ -124,15 +124,6 @@ def isotypic_decomposition(a: ChevalleyAlgebra, t: Sl2Triple) -> IsotypicDecompo
         raise ArithmeticError("asymmetric ad(H) spectrum")
     w_dim = sum(ak * (k - 1) for k, ak in mult.items() if k >= 2)
     return IsotypicDecomposition(k_dim, mult, w_dim, n)
-
-
-def sl2_data_for_diagram(a: ChevalleyAlgebra, w: WeightedDynkinDiagram, seed=0):
-    """representative -> triple -> decomposition, in one call."""
-    from .orbits import representative
-
-    x = representative(a, w, seed=seed)
-    t = complete_triple(a, x, w.marks)
-    return t, isotypic_decomposition(a, t)
 
 
 # ---------------------------------------------------------------------------

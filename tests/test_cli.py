@@ -227,6 +227,9 @@ def _marks(n, i):
     # the two outputs with a D4 component, whose ordering fixes the triality convention
     ("branch_E6_nodes_2_3_4_5", ["branch", "E6", "--sub", "nodes:2,3,4,5"]),
     ("branch_D5_marks_e1", ["branch", "D5", "--sub", _marks(5, 1)]),
+] + [
+    # the first rank whose cohomogeneity-two set holds both D5[x4] and E6[x1]
+    ("classify_ss_c2_r6_s3", ["classify", "ss-c2", "--max-rank", "6", "--seed", "3"]),
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from orbitatlas.chevalley import build_algebra
-from orbitatlas.cohom import SampleConfig, cohom_adjoints
+from orbitatlas.cohom import SampleConfig, cohom_adjoints, trivial_lower_bound
 from orbitatlas.flags import (
     PaintedDiagram,
     classify_ss_low_cohom,
@@ -211,3 +211,29 @@ def test_scan_G2_target2_empty():
     a = build_algebra("G2")
     for node in (0, 1):
         assert flag_cohom(a, painted("G2", [node])).cohomogeneity >= 3
+
+
+def test_trivial_lower_bound():
+    a = build_algebra("A1")
+    pd = painted("A1", [0])
+    assert trivial_lower_bound(a.dim, len(isotropy_roots(a.rs, pd))) == 1
+    assert flag_cohom(a, pd).cohomogeneity == 1  # CP^1's tangent bundle: the bound is sharp
+    rs = build_root_system("G2")
+    assert trivial_lower_bound(rs.dimension, len(isotropy_roots(rs, painted("G2", [0])))) == 6
+
+
+def test_trivial_prune_keeps_the_low_cohomogeneity_rows():
+    cfg = SampleConfig(num_samples=2)  # the claims hold for any config; 2 samples keep it quick
+    full = dict(scan_ss_cohom(6, cfg))
+    pruned = dict(scan_ss_cohom(6, cfg, max_cohom=2))
+    assert (len(pruned), len(full)) == (33, 73)
+    assert pruned == {pd: full[pd] for pd in pruned}
+    for c in (1, 2):
+        assert {pd for pd, v in pruned.items() if v == c} == {pd for pd, v in full.items() if v == c}
+    for pd, c in full.items():
+        rs = build_root_system(pd.cartan_type)
+        bound = trivial_lower_bound(rs.dimension, len(isotropy_roots(rs, pd)))
+        assert c >= bound, pd  # else the sampler or the bound is broken
+        assert (pd in pruned) == (bound <= 2), pd
+        if pd not in pruned:
+            assert c >= 3, pd

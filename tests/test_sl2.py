@@ -17,10 +17,16 @@ from orbitatlas.sl2 import (
     commutant_dim,
     complete_triple,
     isotypic_decomposition,
-    sl2_data_for_diagram,
     triple_centralizer,
     w_isotypic_action,
 )
+
+
+def sl2_data_for_diagram(a, w, seed=0):
+    """representative -> triple -> decomposition, in one call."""
+    x = representative(a, w, seed=seed)
+    t = complete_triple(a, x, w.marks)
+    return t, isotypic_decomposition(a, t)
 
 
 def test_complete_triple_sl2():

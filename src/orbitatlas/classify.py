@@ -15,7 +15,7 @@ external table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from math import lcm
 
@@ -53,15 +53,6 @@ class TableRow:
     match: bool
     provenance: str
 
-    def as_dict(self):
-        return {
-            "label": self.label,
-            "computed": self.computed,
-            "expected": self.expected,
-            "match": self.match,
-            "provenance": self.provenance,
-        }
-
 
 @dataclass
 class ClassificationTable:
@@ -76,7 +67,7 @@ class ClassificationTable:
         return {
             "title": self.title,
             "all_match": self.all_match,
-            "rows": [r.as_dict() for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
         }
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .branching import branch_adjoint
 from .chevalley import build_algebra
@@ -151,7 +152,7 @@ def cmd_cohom_orbit(args):
     w = weighted_diagram(t, lab)
     x = representative(a, w, seed=args.seed or 0)
     rep = cohom_adjoint(a, x, _cfg(args), orbit_dim=expected_orbit_dimension(a.rs, w))
-    _emit({"type": t, "label": str(lab), "weighted_diagram": str(w), **rep.as_dict()})
+    _emit({"type": t, "label": str(lab), "weighted_diagram": str(w), **asdict(rep)})
     return 0
 
 
@@ -163,12 +164,11 @@ def cmd_cohom_flag(args):
         raise ValueError(f"--cross: nodes must be distinct, got {args.cross}")
     pd = painted(args.type, [v - 1 for v in nodes])
     rep = flag_cohom(a, pd, _cfg(args))
-    summ = kostant_summands(a.rs, pd)
     _emit({
         "type": args.type,
         "crossed_nodes": sorted(nodes),
-        "num_kostant_summands": summ.num_summands,
-        **rep.as_dict(),
+        "num_kostant_summands": kostant_summands(a.rs, pd),
+        **asdict(rep),
     })
     return 0
 
@@ -259,7 +259,7 @@ def cmd_classify(args):
             _emit({"table2": t2.as_dict(), "table3": t3.as_dict()})
             return 0 if (t2.all_match and t3.all_match) else 1
         rep = mixed_orbit_cohom(args.n, cfg)  # "mixed", the last of the parser's choices
-        _emit(rep.as_dict())
+        _emit(asdict(rep))
         return 0
     except ClassificationError as e:
         print(f"classification mismatch: {e}", file=sys.stderr)

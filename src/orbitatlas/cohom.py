@@ -71,14 +71,6 @@ class CohomReport:
     samples: tuple[tuple[int, int], ...]  # (sample seed, real orbit dimension)
     certification: str
 
-    def as_dict(self):
-        return {
-            "cohomogeneity": self.cohomogeneity,
-            "orbit_real_dim": self.orbit_real_dim,
-            "samples": [list(s) for s in self.samples],
-            "certification": self.certification,
-        }
-
 
 _CERT = (
     "upper bound: orbit real dimension minus the largest sampled orbit dimension; "

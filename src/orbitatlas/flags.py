@@ -2,11 +2,12 @@
 
 A painted diagram crosses a subset of the simple roots; the corresponding
 flag manifold G/K has isotropy module m spanned by the root spaces with a
-nonzero coefficient on a crossed node.  Kostant's criterion groups the
-positive m-roots into irreducible-summand classes (two roots lie in the same
-K-submodule iff they differ by a sum of k-roots), and the cohomogeneity of
-the semi-simple orbit T(G/K) is computed by sampling the orbit of the
-coweight element dual to the crossed set.
+nonzero coefficient on a crossed node.  The irreducible K-summands of m are
+its t-roots: two positive m-roots span root spaces of one summand iff they
+have the same coefficients on the crossed nodes (Alekseevsky and Perelomov,
+Funct. Anal. Appl. 20, 1986).  The cohomogeneity of the semi-simple orbit
+T(G/K) is computed by sampling the orbit of the coweight element dual to the
+crossed set.
 """
 
 from __future__ import annotations
@@ -55,38 +56,10 @@ def isotropy_roots(rs: RootSystem, pd: PaintedDiagram) -> list[tuple[int, ...]]:
     return [g for g in rs.all_roots if any(g[i] for i in pd.crossed)]
 
 
-@dataclass(frozen=True)
-class IsotropySummary:
-    m_roots: tuple
-    kostant_classes: tuple[tuple, ...]  # classes of positive m-roots
-    num_summands: int
-
-
-def kostant_summands(rs: RootSystem, pd: PaintedDiagram) -> IsotropySummary:
-    """Kostant-criterion partition of the positive m-roots."""
-    mroots = isotropy_roots(rs, pd)
-    pos = [g for g in mroots if sum(g) > 0]
-    kroots = {g for g in rs.all_roots if not any(g[i] for i in pd.crossed)}
-    parent = list(range(len(pos)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            diff = tuple(a - b for a, b in zip(pos[i], pos[j]))
-            if diff in kroots:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    classes: dict[int, list] = {}
-    for i in range(len(pos)):
-        classes.setdefault(find(i), []).append(pos[i])
-    cls = tuple(tuple(sorted(v)) for v in classes.values())
-    return IsotropySummary(tuple(mroots), cls, len(cls))
+def kostant_summands(rs: RootSystem, pd: PaintedDiagram) -> int:
+    """Number of irreducible K-summands of m (its t-roots; see the module docstring)."""
+    crossed = sorted(pd.crossed)
+    return len({tuple(g[i] for i in crossed) for g in rs.positive_roots} - {(0,) * len(crossed)})
 
 
 def flag_point(a: ChevalleyAlgebra, pd: PaintedDiagram) -> AlgebraElement:
@@ -168,8 +141,8 @@ def scan_ss_cohom(
     `cohom_adjoints` call per type.  Longer diagrams are left out by a lemma
     that `prove_long_diagrams_excluded` checks: if the simple roots on the
     Dynkin path from i to j sum to a root gamma, a diagram crossing i != j has
-    >= 3 Kostant summands, as a summand's roots differ by k-roots and so grade
-    alike on the crossed nodes, while alpha_i, alpha_j and gamma do not.  Each
+    >= 3 Kostant summands, as a summand's roots share their crossed
+    coefficients, while alpha_i, alpha_j and gamma do not.  Each
     summand carries an invariant norm, so the cohomogeneity is >= 3.
 
     With `max_cohom` set, a diagram whose `trivial_lower_bound` exceeds it is

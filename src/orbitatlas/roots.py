@@ -133,37 +133,27 @@ def _simple_symmetrizers(family: str, n: int) -> list[int]:
 
 
 def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
-    """All positive roots by closure under root addition (string condition)."""
+    """All positive roots, raised from the simple roots by simple reflections.
+
+    A root b with c = <b, alpha_i^vee> < 0 is not alpha_i, which pairs to 2,
+    so s_i(b) = b - c alpha_i is again positive (Humphreys, Lemma 10.2B).
+    Every positive beta that is not simple pairs positively with some alpha_i,
+    as (beta, beta) > 0, and s_i(beta) is then a lower positive root pairing
+    negatively with alpha_i, whose reflection is beta; by induction on height
+    every positive root is reached.  Sorted by (height, coordinates).
+    """
     n = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    allroots = set(simples) | {tuple(-c for c in s) for s in simples}
-    frontier = list(simples)
-    positive = list(simples)
-    while frontier:
-        new = []
-        for gamma in frontier:
-            for i in range(n):
-                cand = tuple(c + (1 if j == i else 0) for j, c in enumerate(gamma))
-                if cand in allroots:
-                    continue
-                # down-string length p of gamma through alpha_i
-                p = 0
-                cur = list(gamma)
-                while True:
-                    cur[i] -= 1
-                    if tuple(cur) in allroots:
-                        p += 1
-                    else:
-                        break
-                pair = sum(cartan[i][j] * gamma[j] for j in range(n))
-                if p - pair >= 1:
-                    allroots.add(cand)
-                    allroots.add(tuple(-c for c in cand))
-                    new.append(cand)
-        positive.extend(sorted(new))
-        frontier = new
-    positive.sort(key=lambda r: (sum(r), r))
-    return positive
+    queue = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    found = set(queue)
+    for b in queue:
+        for i, row in enumerate(cartan):
+            c = sum(a * x for a, x in zip(row, b))
+            if c < 0:
+                r = b[:i] + (b[i] - c,) + b[i + 1:]
+                if r not in found:
+                    found.add(r)
+                    queue.append(r)
+    return sorted(found, key=lambda r: (sum(r), r))
 
 
 def _det_and_scaled_inverse(a: list[list[int]]):
@@ -194,7 +184,6 @@ class RootSystem:
         offset = 0
         cm = [[0] * self.rank for _ in range(self.rank)]
         sym: list[int] = []
-        pos: list[tuple[int, ...]] = []
         self.component_slices = []
         for comp in cartan_type.components:
             sub = _simple_cartan_matrix(comp.family, comp.rank)
@@ -202,14 +191,11 @@ class RootSystem:
                 for j in range(comp.rank):
                     cm[offset + i][offset + j] = sub[i][j]
             sym.extend(_simple_symmetrizers(comp.family, comp.rank))
-            for r in _positive_roots(sub):
-                pos.append(tuple([0] * offset + list(r) + [0] * (self.rank - offset - comp.rank)))
             self.component_slices.append(slice(offset, offset + comp.rank))
             offset += comp.rank
-        pos.sort(key=lambda r: (sum(r), r))
         self.cartan_matrix = tuple(tuple(row) for row in cm)
         self.symmetrizers = tuple(sym)
-        self.positive_roots = tuple(pos)
+        self.positive_roots = tuple(_positive_roots(cm))
         self.det_cartan, inv = _det_and_scaled_inverse(cm)
         self.inv_cartan_times_det = tuple(tuple(row) for row in inv)
         self.all_roots = self.positive_roots + tuple(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -51,17 +52,17 @@ def test_flag_orbit_dim_is_the_number_of_m_roots():
 
 def test_kostant_A2_single_class():
     rs = build_root_system("A2")
-    assert kostant_summands(rs, painted("A2", [0])).num_summands == 1
+    assert kostant_summands(rs, painted("A2", [0])) == 1
 
 
 def test_kostant_C2_two_classes():
     rs = build_root_system("C2")
-    assert kostant_summands(rs, painted("C2", [0])).num_summands == 2
+    assert kostant_summands(rs, painted("C2", [0])) == 2
 
 
 def test_kostant_B2_full_flag():
     rs = build_root_system("B2")
-    assert kostant_summands(rs, painted("B2", [0, 1])).num_summands >= 3
+    assert kostant_summands(rs, painted("B2", [0, 1])) >= 3
 
 
 def test_painted_validation():
@@ -108,7 +109,7 @@ def test_lower_bound_by_summand_count():
         for r in range(1, rs.rank + 1):
             for crossed in itertools.combinations(range(rs.rank), r):
                 pd = painted(t, crossed)
-                s = kostant_summands(rs, pd).num_summands
+                s = kostant_summands(rs, pd)
                 assert flag_cohom(a, pd).cohomogeneity >= s
 
 
@@ -119,7 +120,7 @@ def test_length_two_at_least_three():
         a = build_algebra(t)
         for crossed in itertools.combinations(range(rs.rank), 2):
             pd = painted(t, crossed)
-            assert kostant_summands(rs, pd).num_summands >= 3
+            assert kostant_summands(rs, pd) >= 3
             assert flag_cohom(a, pd).cohomogeneity >= 3
 
 
@@ -237,3 +238,21 @@ def test_trivial_prune_keeps_the_low_cohomogeneity_rows():
         assert (pd in pruned) == (bound <= 2), pd
         if pd not in pruned:
             assert c >= 3, pd
+
+
+# sha256 of the summand count of every painted diagram, of every length, on
+# scan_types(6), recorded from the union-find over k-root steps that preceded
+# the crossed-coefficient count
+KOSTANT_SHA256 = "ad63e5bee4cc211c70dbb91c38af00a6da434e61ad2dc6cd810e1f2337d9f842"
+
+
+def test_kostant_summands_match_the_pinned_hash():
+    lines = []
+    for t in scan_types(6):
+        rs = build_root_system(t)
+        for size in range(1, t.rank + 1):
+            for nodes in itertools.combinations(range(t.rank), size):
+                pd = PaintedDiagram(t, frozenset(nodes))
+                lines.append(f"{pd} {kostant_summands(rs, pd)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (548, KOSTANT_SHA256)

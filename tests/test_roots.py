@@ -4,6 +4,7 @@ import random
 import pytest
 
 from orbitatlas.chevalley import AlgebraElement, build_algebra
+from orbitatlas.flags import scan_types
 from orbitatlas.roots import (
     build_root_system,
     identify_subsystem,
@@ -51,8 +52,8 @@ def test_closure_under_root_addition(name):
     for a in pos:
         for b in pos:
             s = tuple(x + y for x, y in zip(a, b))
-            # closure is tautological for the generated set; check geometry:
-            # a+b is a root iff the string condition says so
+            # the reflection closure forms no sums; check that a sum of two
+            # positive roots which is a root is a positive root
             if s in roots:
                 assert s in pos
 
@@ -267,3 +268,16 @@ def test_identification_sweep_matches_the_pinned_hash():
             lines.append(f"{name} {marks} {sub.cartan_type} {list(sub.simple_roots)} {sub.torus_dim}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (3024, IDENTIFY_SHA256)
+
+
+POSITIVE_ROOTS_TYPES = [str(t) for t in scan_types(8)] + ["A2xG2", "B3xC2", "A1xA1xA1"]
+# sha256 of every type's positive roots in order, recorded from the root-string
+# closure that preceded the reflection closure
+POSITIVE_ROOTS_SHA256 = "5ae07d5d4d49b5f995729a86628ed31d7ce94330275b94d7a94b7db53446bbfb"
+
+
+def test_positive_roots_match_the_pinned_hash():
+    lines = [f"{name} {list(build_root_system(name).positive_roots)}" for name in POSITIVE_ROOTS_TYPES]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    total = sum(build_root_system(name).num_positive for name in POSITIVE_ROOTS_TYPES)
+    assert (len(lines), total, digest) == (35, 960, POSITIVE_ROOTS_SHA256)

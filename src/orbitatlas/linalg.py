@@ -18,18 +18,17 @@ rank over Q, is `_modp.rank_mod_p`; one call ranks a whole stack of matrices.
 from __future__ import annotations
 
 
-def _bareiss_echelon(rows: list[list], ncols: int | None = None):
+def _bareiss_echelon(rows: list[list], ncols: int):
     """In-place fraction-free row echelon of an integer matrix; returns pivot column list.
 
     After it, row i's pivot is the (i+1)-st leading minor on the pivot
     columns of the row-permuted matrix, so the last pivot is that whole minor.
     """
     n = len(rows)
-    m = ncols if ncols is not None else (len(rows[0]) if n else 0)
     prev = 1
     pivots = []
     r = 0
-    for col in range(m):
+    for col in range(ncols):
         if r >= n:
             break
         piv = -1
@@ -47,12 +46,12 @@ def _bareiss_echelon(rows: list[list], ncols: int | None = None):
             ri = rows[i]
             ric = ri[col]
             if ric:
-                for j in range(col + 1, m):
+                for j in range(col + 1, ncols):
                     ri[j] = (pc * ri[j] - ric * prow[j]) // prev
                 ri[col] = 0
             else:
                 # standard one-step update degenerates to an exact rescale
-                for j in range(col + 1, m):
+                for j in range(col + 1, ncols):
                     ri[j] = (pc * ri[j]) // prev
         prev = pc
         pivots.append(col)

@@ -1,12 +1,13 @@
 """Nilpotent orbit catalog: partitions, closure order, weighted diagrams.
 
 Classical nilpotent orbits are labeled by Jordan partitions subject to the
-usual parity rules; the closure order is dominance order computed inside the
-valid-partition poset.  Very even D-partitions label two orbits and are
-stored once with a flag.  Exceptional minimal/next-to-minimal orbits are
-labeled by weighted Dynkin diagrams constructed from explicit representatives
-(highest-root vector; highest-short-root vector for G2/F4; a sum over a
-strongly orthogonal pair of long roots for E6/E7/E8).
+usual parity rules, a very even D-partition stored once with a flag for its
+two orbits.  The closure order is dominance on the valid partitions; the
+minimal orbit is the one cover of the zero orbit, and the next-to-minimal
+orbits are the covers of the minimal one.  Exceptional minimal and
+next-to-minimal orbits are labeled by the weighted Dynkin diagrams of explicit
+representatives (highest-root vector; highest-short-root vector for G2/F4; a
+sum over a strongly orthogonal pair of long roots for E6/E7/E8).
 """
 
 from __future__ import annotations
@@ -159,26 +160,29 @@ def dominates(p: Partition, q: Partition) -> bool:
     return True
 
 
+def _covers(labels: list[OrbitLabel], lo: OrbitLabel) -> list[OrbitLabel]:
+    """The labels covering `lo` in dominance order, in `labels` order.
+
+    `labels` is in decreasing lexicographic order, which extends dominance,
+    so a backward scan from `lo` meets each label above it after every label
+    between the two.  A label hi above `lo` covers it iff no cover
+    already found lies below hi: if hi covers `lo`, no label lies strictly
+    between them; if not, a minimal label strictly between covers `lo` and
+    lies below hi, so the scan met it first and kept it.
+    """
+    found: list[OrbitLabel] = []
+    for hi in reversed(labels[: labels.index(lo)]):
+        if dominates(hi.partition, lo.partition) and not any(
+            dominates(hi.partition, c.partition) for c in found
+        ):
+            found.append(hi)
+    return found[::-1]
+
+
 def hasse_diagram(t) -> list[tuple[OrbitLabel, OrbitLabel]]:
     """Covering relations (lower, upper) of the valid-partition closure order."""
     labels = valid_partitions(t)
-    edges = []
-    for lo in labels:
-        for hi in labels:
-            if lo.partition == hi.partition:
-                continue
-            if not dominates(hi.partition, lo.partition):
-                continue
-            between = any(
-                mid.partition != lo.partition
-                and mid.partition != hi.partition
-                and dominates(hi.partition, mid.partition)
-                and dominates(mid.partition, lo.partition)
-                for mid in labels
-            )
-            if not between:
-                edges.append((lo, hi))
-    return edges
+    return [(lo, hi) for lo in labels for hi in _covers(labels, lo)]
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +233,10 @@ def weighted_diagram(t, label: OrbitLabel | Partition) -> WeightedDynkinDiagram:
 def minimal_orbit(t) -> OrbitLabel:
     """Label of the minimal nonzero nilpotent orbit."""
     t = _ctype(t)
-    fam = t.family
-    n = t.components[0].rank
-    if fam == "A":
-        return OrbitLabel(partition=Partition((2,) + (1,) * (n - 1)))
-    if fam == "B":
-        return OrbitLabel(partition=Partition((2, 2) + (1,) * (2 * n - 3)))
-    if fam == "C":
-        return OrbitLabel(partition=Partition((2,) + (1,) * (2 * n - 2)))
-    if fam == "D":
-        return OrbitLabel(partition=Partition((2, 2) + (1,) * (2 * n - 4)))
+    if t.family in "ABCD":
+        labels = valid_partitions(t)
+        (label,) = _covers(labels, labels[-1])  # the one cover of the zero orbit
+        return label
     rs = build_root_system(t)
     marks = rs.coroot_marks(rs.highest_root)
     return OrbitLabel(diagram=WeightedDynkinDiagram(marks), name="minimal")
@@ -248,26 +246,8 @@ def next_to_minimal(t) -> list[OrbitLabel]:
     """Labels of the orbits covering the minimal one in the closure order."""
     t = _ctype(t)
     fam = t.family
-    n = t.components[0].rank
-    if fam == "A":
-        if n == 1:
-            return []
-        if n == 2:
-            return [OrbitLabel(partition=Partition((3,)))]
-        return [OrbitLabel(partition=Partition((2, 2) + (1,) * (n - 3)))]
-    if fam == "B":
-        out = [OrbitLabel(partition=Partition((3,) + (1,) * (2 * n - 2)))]
-        if 2 * n - 7 >= 0:
-            out.append(OrbitLabel(partition=Partition((2,) * 4 + (1,) * (2 * n - 7))))
-        return out
-    if fam == "C":
-        return [OrbitLabel(partition=Partition((2, 2) + (1,) * (2 * n - 4)))]
-    if fam == "D":
-        out = [OrbitLabel(partition=Partition((3,) + (1,) * (2 * n - 3)))]
-        if 2 * n - 8 >= 0:
-            p = Partition((2,) * 4 + (1,) * (2 * n - 8))
-            out.append(OrbitLabel(partition=p, very_even=(2 * n - 8 == 0)))
-        return out
+    if fam in "ABCD":
+        return _covers(valid_partitions(t), minimal_orbit(t))
     # exceptional: construct the representative's semi-simple element directly
     rs = build_root_system(t)
     if fam in ("G", "F"):

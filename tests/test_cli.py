@@ -230,6 +230,10 @@ def _marks(n, i):
 ] + [
     # the first rank whose cohomogeneity-two set holds both D5[x4] and E6[x1]
     ("classify_ss_c2_r6_s3", ["classify", "ss-c2", "--max-rank", "6", "--seed", "3"]),
+] + [
+    # the closure order with very even [I/II] labels, and a classical orbit list
+    ("orbits_hasse_D6", ["orbits", "hasse", "D6"]),
+    ("orbits_list_B5", ["orbits", "list", "B5"]),
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from orbitatlas.chevalley import build_algebra
@@ -250,3 +252,30 @@ def test_representative_rejects_a_non_diagram():
     a = build_algebra("G2")
     with pytest.raises(ValueError, match="diagram 20"):
         representative(a, WeightedDynkinDiagram((2, 0)))
+
+
+CLASSICAL_TYPES = [
+    f"{fam}{n}"
+    for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for n in range(lo, 11)
+]
+# sha256 of the minimal and next-to-minimal labels of CLASSICAL_TYPES and of
+# the ordered Hasse edges through rank 7, recorded from the per-family
+# partition formulas and the triple-loop cover test that preceded the
+# backward cover scan
+MIN_NTM_SHA256 = "1e84b2ee2747e5ef0b07fe1d01c189b0ad5b5a051913423283de3dd0a5718c1b"
+HASSE_SHA256 = "5c4b14d86bee2f5ad7041d7267460fa6e136dc2096a5a9055695e3a5bd665a50"
+
+
+def test_classical_min_ntm_and_hasse_match_the_pinned_hash():
+    lines = [
+        f"{t} {minimal_orbit(t)} {[(str(l), l.very_even) for l in next_to_minimal(t)]}"
+        for t in CLASSICAL_TYPES
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (36, MIN_NTM_SHA256)
+    hasse_types = [t for t in CLASSICAL_TYPES if int(t[1:]) <= 7]
+    edges = [hasse_diagram(t) for t in hasse_types]
+    lines = [f"{t} {[f'{lo} < {hi}' for lo, hi in e]}" for t, e in zip(hasse_types, edges)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), sum(map(len, edges)), digest) == (24, 622, HASSE_SHA256)

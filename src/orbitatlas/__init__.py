@@ -1,11 +1,11 @@
 """orbitatlas: exact cohomogeneity computations for adjoint orbits.
 
-The package computes, in exact rational arithmetic (no floating point
-anywhere), the cohomogeneity of adjoint orbits of complex semi-simple Lie
-algebras under their compact real forms; catalogs nilpotent orbits, their
-dimensions and closure order; decomposes algebras under sl2-triples; and
-assembles the resulting classification tables.  The `atlas` command line
-exposes the same drivers.
+The package computes, with exact integers plus residues mod 2**31 - 1 (no
+floating point anywhere), the cohomogeneity of adjoint orbits of complex
+semi-simple Lie algebras under their compact real forms; catalogs nilpotent
+orbits, their dimensions and closure order; decomposes algebras under
+sl2-triples; and assembles the resulting classification tables.  The `atlas`
+command line exposes the same drivers.
 """
 
 from .branching import branch_adjoint, restriction_matrix, weight_multiplicities

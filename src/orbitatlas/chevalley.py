@@ -1,13 +1,15 @@
 """Chevalley-basis realization of the complex semi-simple Lie algebras.
 
 Basis order: coroots h_1..h_r, then e_beta for beta running through the
-positive roots (height order) followed by the negative roots.  Structure
-constant signs are fixed by the extraspecial-pair convention: for each
-non-simple positive root gamma the extraspecial pair (a, b), a + b = gamma
-with a minimal in the height-lex order, gets N_{a,b} = p + 1 > 0; every other
-constant is forced from these by antisymmetry, N_{-a,-b} = -N_{a,b}, and the
-two exact identities relating N on a triple of roots summing to zero.  The
-construction is deterministic, so constants are reproducible across runs.
+positive roots (height order) followed by the negative roots.  Only this
+module maps a root to its basis position (`root_vector_index`) and reads the
+ad(h) gradings off that order (`graded_basis`).  Structure constant signs are
+fixed by the extraspecial-pair convention: for each non-simple positive root
+gamma the extraspecial pair (a, b), a + b = gamma with a minimal in the
+height-lex order, gets N_{a,b} = p + 1 > 0; every other constant is forced
+from these by antisymmetry, N_{-a,-b} = -N_{a,b}, and the two exact
+identities relating N on a triple of roots summing to zero.  The construction
+is deterministic, so constants are reproducible across runs.
 
 Each algebra builds its structure-constant table once, as one int64 index
 array built from arrays of terms: shape (dim, 3, width), row j listing each
@@ -83,7 +85,6 @@ class ChevalleyAlgebra:
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.dimension
-        self._eidx = {r: rs.rank + k for k, r in enumerate(rs.all_roots)}
         self._build_index(self._build_constants())
         # G[i][j] = K(h_i, h_j) = 2 sum_{gamma > 0} <gamma, alpha_i^vee><gamma, alpha_j^vee>
         pairs = np.array(rs.positive_roots) @ np.array(rs.cartan_matrix).T
@@ -216,7 +217,14 @@ class ChevalleyAlgebra:
         self.max_ad_power = max(2, int(abs(co @ np.array(pos).T).max()))
 
     def root_vector_index(self, beta) -> int:
-        return self._eidx[beta]
+        return self.rank + self.rs.root_index[beta]
+
+    def graded_basis(self, marks) -> dict:
+        """Basis indices of each ad(h) eigenspace, ascending, keyed by eigenvalue, for h = marks."""
+        out: dict[int, list[int]] = {0: list(range(self.rank))}
+        for k, v in enumerate(self.rs.root_pairings(marks)):
+            out.setdefault(v, []).append(self.rank + k)
+        return out
 
     # -- element construction ----------------------------------------------------
 
@@ -227,7 +235,7 @@ class ChevalleyAlgebra:
         return v
 
     def root_vector(self, beta) -> AlgebraElement:
-        return AlgebraElement(self.basis_vector(self._eidx[beta]))
+        return AlgebraElement(self.basis_vector(self.root_vector_index(beta)))
 
     def coweight_vector(self, marks) -> AlgebraElement:
         """The Cartan element h with <alpha_i, h> = marks_i, over the coroots.
@@ -349,7 +357,7 @@ class ChevalleyAlgebra:
             t = o1[bad[0]]
             raise ArithmeticError(f"Jacobi: table not antisymmetric at {(int(j[t]), int(i[t]))}")
         del j, i, rev, o1, o2  # freed before the per-generator arrays, to keep the peak low
-        for g in (self._eidx[r] for r in self.rs.all_roots if abs(sum(r)) == 1):  # e_{+-alpha_i}
+        for g in (self.root_vector_index(r) for r in self.rs.all_roots if abs(sum(r)) == 1):
             src, dst, dc = ad[g][:, live[g]]  # D b_src has coefficient dc on b_dst
             by = np.argsort(src, kind="stable")
             src, dst, dc = src[by], dst[by], dc[by]

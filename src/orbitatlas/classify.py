@@ -17,13 +17,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from math import lcm
+from itertools import accumulate
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from .cohom import CohomReport, SampleConfig, cohom_adjoint
 from .flags import PaintedDiagram, flag_cohom, flag_point, painted, scan_ss_cohom
 from .orbits import (
     OrbitLabel,
+    WeightedDynkinDiagram,
     expected_orbit_dimension,
     min_orbit_representative,
     minimal_orbit,
@@ -249,12 +250,11 @@ def mixed_orbit_cohom(n: int, cfg: SampleConfig = SampleConfig()) -> CohomReport
     if n < 3:
         raise ValueError("need n >= 3")
     a = build_algebra(f"A{n}")
-    h = a.coweight_vector([0] * (n - 1) + [n + 1])
+    h = flag_point(a, painted(f"A{n}", [n - 1]))
     e = a.root_vector(tuple([1] + [0] * (n - 1)))
     if any(a.bracket(h, e).num):
         raise ArithmeticError("[h, e_alpha1] != 0: the nilpotent step does not commute")
-    x = h + e
-    return cohom_adjoint(a, x, cfg)
+    return cohom_adjoint(a, h + e, cfg)
 
 
 @dataclass(frozen=True)
@@ -267,16 +267,14 @@ class ProductCohomReport:
         return self.report.cohomogeneity == sum(self.component_cohoms)
 
 
-def _component_x0(a: ChevalleyAlgebra, spec) -> AlgebraElement:
-    """Representative of a component orbit inside the component's own algebra."""
+def _component_x0(a: ChevalleyAlgebra, t: str, spec, first: int = 0) -> AlgebraElement:
+    """A point of `spec`, an orbit of type t, on the nodes first, first + 1, ... of a."""
     if isinstance(spec, PaintedDiagram):
-        return flag_point(a, spec)
+        return flag_point(a, painted(a.rs.cartan_type, [first + i for i in spec.crossed]))
     if isinstance(spec, OrbitLabel):
-        if spec.partition is not None and spec.partition == minimal_orbit(
-            str(a.rs.cartan_type)
-        ).partition:
-            return min_orbit_representative(a)
-        return representative(a, weighted_diagram(a.rs.cartan_type, spec))
+        marks = weighted_diagram(t, spec).marks
+        pad = (0,) * (a.rank - first - len(marks))
+        return representative(a, WeightedDynkinDiagram((0,) * first + marks + pad))
     raise TypeError(f"cannot interpret component orbit {spec!r}")
 
 
@@ -284,29 +282,20 @@ def product_orbit_cohom(components, cfg: SampleConfig = SampleConfig()) -> Produ
     """Cohomogeneity of a product orbit, cross-checked against additivity.
 
     `components` is a list of (type string, OrbitLabel or PaintedDiagram).
+    The product point sums the component points, each on its own nodes; flows
+    and ad(x) act on each block apart, so no component's scale moves a sampled rank.
     """
     if len(components) < 1:
         raise ValueError("need at least one component")
     comp_algebras = [build_algebra(t) for t, _ in components]
-    comp_x0 = [_component_x0(a, s) for a, (_, s) in zip(comp_algebras, components)]
     comp_cohoms = tuple(
-        cohom_adjoint(a, x, cfg).cohomogeneity for a, x in zip(comp_algebras, comp_x0)
+        cohom_adjoint(a, _component_x0(a, t, s), cfg).cohomogeneity
+        for a, (t, s) in zip(comp_algebras, components)
     )
-    prod_type = "x".join(t for t, _ in components)
-    ap = build_algebra(prod_type)
-    # embed: coordinates concatenate per component (cartan block then roots)
-    den = lcm(*(x.den for x in comp_x0))
-    co = [0] * ap.dim
-    for ci, (a, x) in enumerate(zip(comp_algebras, comp_x0)):
-        sl = ap.rs.component_slices[ci]
-        num = [v * (den // x.den) for v in x.num]
-        co[sl.start:sl.stop] = num[:a.rank]
-        for k, g in enumerate(a.rs.all_roots):
-            if num[a.rank + k]:
-                gg = tuple([0] * sl.start + list(g) + [0] * (ap.rs.rank - sl.stop))
-                co[ap.root_vector_index(gg)] = num[a.rank + k]
-    x0 = AlgebraElement(co, den)
-    report = cohom_adjoint(ap, x0, cfg)
+    ap = build_algebra("x".join(t for t, _ in components))
+    firsts = accumulate((a.rank for a in comp_algebras), initial=0)
+    points = [_component_x0(ap, t, s, f) for (t, s), f in zip(components, firsts)]
+    report = cohom_adjoint(ap, sum(points[1:], points[0]), cfg)
     return ProductCohomReport(report, comp_cohoms)
 
 

@@ -104,8 +104,8 @@ def cmd_orbits_list(args):
     mini = minimal_orbit(t)
     ntm = {str(l) for l in next_to_minimal(t)}
     rows = []
-    fam = build_root_system(t).cartan_type.family
-    if fam in "ABCD":
+    rs = build_root_system(t)
+    if rs.cartan_type.family in "ABCD":
         for lab in valid_partitions(t):
             rows.append({
                 "label": str(lab),
@@ -116,7 +116,6 @@ def cmd_orbits_list(args):
                 "next_to_minimal": str(lab) in ntm,
             })
     else:
-        rs = build_root_system(t)
         for lab in [mini] + next_to_minimal(t):
             rows.append({
                 "label": str(lab),

@@ -37,10 +37,6 @@ class PaintedDiagram:
         if any(i < 0 or i >= self.cartan_type.rank for i in self.crossed):
             raise ValueError("crossed node out of range")
 
-    @property
-    def length(self):
-        return len(self.crossed)
-
     def __str__(self):
         nodes = ",".join(str(i + 1) for i in sorted(self.crossed))
         return f"{self.cartan_type}[x{nodes}]"

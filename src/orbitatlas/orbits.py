@@ -2,18 +2,21 @@
 
 Classical nilpotent orbits are labeled by Jordan partitions subject to the
 usual parity rules, a very even D-partition stored once with a flag for its
-two orbits.  The closure order is dominance on the valid partitions; the
-minimal orbit is the one cover of the zero orbit, and the next-to-minimal
-orbits are the covers of the minimal one.  Exceptional minimal and
-next-to-minimal orbits are labeled by the weighted Dynkin diagrams of explicit
-representatives (highest-root vector; highest-short-root vector for G2/F4; a
-sum over a strongly orthogonal pair of long roots for E6/E7/E8).
+two orbits; a type's labels are built once per process.  The closure order is
+dominance on the valid partitions; the minimal orbit is the one cover of the
+zero orbit, and the next-to-minimal orbits are the covers of the minimal one.
+Exceptional minimal and next-to-minimal orbits are labeled by the weighted
+Dynkin diagrams of explicit representatives (highest-root vector;
+highest-short-root vector for G2/F4; a sum over a strongly orthogonal pair of
+long roots for E6/E7/E8).  A representative is a random point of the degree-2
+piece of its diagram's grading, `ChevalleyAlgebra.graded_basis`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from ._modp import rank_mod_p, residues
 from .chevalley import AlgebraElement, ChevalleyAlgebra
@@ -116,7 +119,12 @@ def partition_valid(t, p: Partition) -> bool:
 
 def valid_partitions(t) -> list[OrbitLabel]:
     """All nilpotent orbit labels of a classical type (very even flagged once)."""
-    t = _ctype(t)
+    return list(_labels(_ctype(t)))
+
+
+@cache
+def _labels(t: CartanType) -> tuple[OrbitLabel, ...]:
+    """`valid_partitions` of t, built once per type and process."""
     fam, n, size = _classical_data(t)
     out = []
     for parts in _partitions_of(size):
@@ -124,7 +132,7 @@ def valid_partitions(t) -> list[OrbitLabel]:
         if partition_valid(t, p):
             very = fam == "D" and all(a % 2 == 0 for a in parts)
             out.append(OrbitLabel(partition=p, very_even=very))
-    return out
+    return tuple(out)
 
 
 def orbit_dimension(t, p: Partition | OrbitLabel) -> int:
@@ -160,7 +168,7 @@ def dominates(p: Partition, q: Partition) -> bool:
     return True
 
 
-def _covers(labels: list[OrbitLabel], lo: OrbitLabel) -> list[OrbitLabel]:
+def _covers(labels: tuple[OrbitLabel, ...], lo: OrbitLabel) -> list[OrbitLabel]:
     """The labels covering `lo` in dominance order, in `labels` order.
 
     `labels` is in decreasing lexicographic order, which extends dominance,
@@ -181,7 +189,7 @@ def _covers(labels: list[OrbitLabel], lo: OrbitLabel) -> list[OrbitLabel]:
 
 def hasse_diagram(t) -> list[tuple[OrbitLabel, OrbitLabel]]:
     """Covering relations (lower, upper) of the valid-partition closure order."""
-    labels = valid_partitions(t)
+    labels = _labels(_ctype(t))
     return [(lo, hi) for lo in labels for hi in _covers(labels, lo)]
 
 
@@ -234,7 +242,7 @@ def minimal_orbit(t) -> OrbitLabel:
     """Label of the minimal nonzero nilpotent orbit."""
     t = _ctype(t)
     if t.family in "ABCD":
-        labels = valid_partitions(t)
+        labels = _labels(t)
         (label,) = _covers(labels, labels[-1])  # the one cover of the zero orbit
         return label
     rs = build_root_system(t)
@@ -247,7 +255,7 @@ def next_to_minimal(t) -> list[OrbitLabel]:
     t = _ctype(t)
     fam = t.family
     if fam in "ABCD":
-        return _covers(valid_partitions(t), minimal_orbit(t))
+        return _covers(_labels(t), minimal_orbit(t))
     # exceptional: construct the representative's semi-simple element directly
     rs = build_root_system(t)
     if fam in ("G", "F"):
@@ -265,18 +273,15 @@ def next_to_minimal(t) -> list[OrbitLabel]:
 # ---------------------------------------------------------------------------
 # representatives
 
-def graded_basis(rs, marks) -> dict:
-    """Basis indices of each ad(h) eigenspace, ascending, keyed by eigenvalue, for h = marks."""
-    out: dict[int, list[int]] = {0: list(range(rs.rank))}
-    for k, v in enumerate(rs.root_pairings(marks)):
-        out.setdefault(v, []).append(rs.rank + k)
-    return out
-
-
 def expected_orbit_dimension(rs, w: WeightedDynkinDiagram) -> int:
-    """dim g - dim g_0(h) - dim g_1(h) for h the diagram's Cartan element."""
-    graded = graded_basis(rs, w.marks)
-    return rs.dimension - len(graded[0]) - len(graded.get(1, []))
+    """dim g - dim g_0(h) - dim g_1(h) for h the diagram's Cartan element.
+
+    That is dim g - rank - 2 #{beta > 0 : <beta, h> = 0} - #{beta > 0 : <beta, h> = 1}:
+    g_0 is the Cartan plus the root spaces of +-beta with <beta, h> = 0, and
+    the marks are >= 0, so g_1 holds positive roots only.
+    """
+    pos = rs.root_pairings(w.marks)[: rs.num_positive]
+    return rs.dimension - rs.rank - 2 * pos.count(0) - pos.count(1)
 
 
 def representative(
@@ -293,11 +298,10 @@ def representative(
     raises a rank, so rank_p = expected forces rank_Q = expected.  On failure
     it retries with fresh coefficients, widening the range after every third.
     """
-    rs = a.rs
-    g2 = graded_basis(rs, w.marks).get(2)
+    g2 = a.graded_basis(w.marks).get(2)
     if not g2:
         raise ValueError(f"diagram {w} has empty degree-2 piece")
-    expected = expected_orbit_dimension(rs, w)
+    expected = expected_orbit_dimension(a.rs, w)
     rng = random.Random(seed)
     crange = 3
     for attempt in range(30):
@@ -313,7 +317,7 @@ def representative(
             crange *= 2
     raise ValueError(
         f"no representative found for diagram {w} in 30 tries: "
-        f"it is likely not a weighted Dynkin diagram of {rs.cartan_type}"
+        f"it is likely not a weighted Dynkin diagram of {a.rs.cartan_type}"
     )
 
 

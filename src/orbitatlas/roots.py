@@ -184,14 +184,12 @@ class RootSystem:
         offset = 0
         cm = [[0] * self.rank for _ in range(self.rank)]
         sym: list[int] = []
-        self.component_slices = []
         for comp in cartan_type.components:
             sub = _simple_cartan_matrix(comp.family, comp.rank)
             for i in range(comp.rank):
                 for j in range(comp.rank):
                     cm[offset + i][offset + j] = sub[i][j]
             sym.extend(_simple_symmetrizers(comp.family, comp.rank))
-            self.component_slices.append(slice(offset, offset + comp.rank))
             offset += comp.rank
         self.cartan_matrix = tuple(tuple(row) for row in cm)
         self.symmetrizers = tuple(sym)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from ._modp import rank_mod_p, residues
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .linalg import kernel_basis_int, rank_int_rows, solve_linear
-from .orbits import graded_basis
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, marks) -> Sl2Triple:
     h = a.coweight_vector(marks)
     if a.bracket(h, x) != x.scale(2):
         raise ValueError("[H, X] != 2X: X is not in the degree-2 piece")
-    graded = graded_basis(a.rs, marks)
+    graded = a.graded_basis(marks)
     gm2 = graded.get(-2, [])
     g0 = graded[0]
     if not gm2:

@@ -132,3 +132,27 @@ def test_tables_2_3_pass_the_sampler_config_to_every_cohomogeneity(monkeypatch):
     assemble_tables_2_3(cfg)
     assert len(seen) > 5
     assert all(c is cfg for c in seen)
+
+
+def test_product_of_a_nilpotent_and_a_flag_orbit_adds():
+    # A3 (2,2) takes `representative`'s path; the values were pinned before the
+    # product point was built from the package's constructors
+    from orbitatlas.orbits import OrbitLabel, Partition
+
+    p = product_orbit_cohom(
+        [("A3", OrbitLabel(partition=Partition((2, 2)))), ("A2", painted("A2", [0]))]
+    )
+    assert p.component_cohoms == (2, 1)
+    assert p.report.cohomogeneity == 3
+    assert p.report.orbit_real_dim == 24
+    assert [d for _, d in p.report.samples] == [21] * 5
+    assert p.additive
+
+
+def test_product_of_an_exceptional_minimal_and_a_flag_orbit_adds():
+    p = product_orbit_cohom([("G2", minimal_orbit("G2")), ("A1", painted("A1", [0]))])
+    assert p.component_cohoms == (1, 1)
+    assert p.report.cohomogeneity == 2
+    assert p.report.orbit_real_dim == 16
+    assert [d for _, d in p.report.samples] == [14, 14, 13, 14, 14]
+    assert p.additive

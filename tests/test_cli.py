@@ -234,6 +234,9 @@ def _marks(n, i):
     # the closure order with very even [I/II] labels, and a classical orbit list
     ("orbits_hasse_D6", ["orbits", "hasse", "D6"]),
     ("orbits_list_B5", ["orbits", "list", "B5"]),
+] + [
+    # the only golden run of the product-orbit cohomogeneity
+    ("classify_tables23", ["classify", "tables23"]),
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -268,3 +271,37 @@ def test_unparseable_labels_and_nodes_name_the_accepted_forms(capsys, argv, form
     assert len(err.splitlines()) == 1
     assert "invalid literal" not in err
     assert all(f in err for f in forms)
+
+
+def test_cohom_orbit_passes_steps_and_samples_to_the_sampler(capsys, monkeypatch):
+    from dataclasses import asdict
+
+    from orbitatlas import cli
+    from orbitatlas.chevalley import build_algebra
+    from orbitatlas.cohom import SampleConfig
+    from orbitatlas.orbits import (
+        WeightedDynkinDiagram,
+        expected_orbit_dimension,
+        minimal_orbit,
+        representative,
+    )
+
+    seen = []
+
+    def spy(a, x0, cfg, **kw):
+        seen.append(cfg)
+        return real(a, x0, cfg, **kw)
+
+    real = cli.cohom_adjoint
+    monkeypatch.setattr(cli, "cohom_adjoint", spy)
+    code, out = run(capsys, "cohom", "orbit", "A2", "--label", "min", "--steps", "0",
+                    "--samples", "2")
+    assert code == 0
+    cfg = SampleConfig(num_samples=2, unipotent_steps=0)
+    assert seen == [cfg]
+    a = build_algebra("A2")
+    w = WeightedDynkinDiagram((1, 1))
+    assert str(minimal_orbit("A2")) == "(2,1)"
+    rep = real(a, representative(a, w), cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
+    expected = {"type": "A2", "label": "(2,1)", "weighted_diagram": "11", **asdict(rep)}
+    assert json.loads(out) == json.loads(json.dumps(expected))

@@ -14,9 +14,10 @@ is deterministic, so constants are reproducible across runs.
 Each algebra builds its structure-constant table once, as one int64 index
 array built from arrays of terms: shape (dim, 3, width), row j listing each
 [b_j, b_i] = c b_k as (i, k, c), padded with c = 0.  Every bracket is
-derived from it: mod P = 2**31 - 1 by gathers and scatters over the array
-(`bracket_residues`), and exactly by one routine, `ChevalleyAlgebra.bracket_vec`,
-on integer coordinate vectors, which walks the array's rows as flat lists of terms.
+derived from it: blocks of ad(x) by gathers and scatters over the array, exactly
+in int64 (`ad_ints`, its headroom checked on each call) or mod P = 2**31 - 1
+(`ad_residues`, `bracket_residues`), and brackets of elements of any size exactly
+by `ChevalleyAlgebra.bracket_vec`, which walks the array's rows as lists of terms.
 An element is an integer vector over one positive denominator
 (`AlgebraElement`).  The Killing form is one integer formula over the coroot
 Gram matrix G (`killing`).  Construction proves the table a Lie algebra
@@ -76,6 +77,18 @@ class AlgebraElement:
     def __repr__(self):
         nnz = sum(1 for a in self.num if a)
         return f"AlgebraElement(nnz={nnz}, den={self.den})"
+
+
+def int64_array(rows, scale: int = 1) -> tuple[np.ndarray, int]:
+    """Integer rows, or an int64 array, as int64, and their largest |entry| m as an int.
+
+    ArithmeticError unless m and m * scale are below 2**63, compared as Python ints: no wrap.
+    """
+    a = rows if getattr(rows, "dtype", None) == np.int64 else np.array(rows, dtype=object)
+    top = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    if max(top, top * scale) >= 1 << 63:
+        raise ArithmeticError(f"int64 headroom fails: max|entry| = {top}, scale {scale}")
+    return a.astype(np.int64, copy=False), top
 
 
 class ChevalleyAlgebra:
@@ -203,7 +216,8 @@ class ChevalleyAlgebra:
         self._ad[j, :, slot] = np.stack([i, k, c], axis=1)
         fan_in = int(np.bincount(j * n + k).max())
         cmax = int(abs(c).max())
-        if max(cmax * (P - 1) * fan_in, (P - 1) ** 2 + P - 1) >= 1 << 63:
+        self._headroom = cmax * fan_in  # an entry of ad(x) is below max|x| times this
+        if max(self._headroom * (P - 1), (P - 1) ** 2 + P - 1) >= 1 << 63:
             raise ArithmeticError(f"int64 headroom fails: |c| <= {cmax}, fan-in {fan_in}")
         # the terms as placed, in the array's row order, sliced at each row's start
         start = np.searchsorted(j, np.arange(n + 1)).tolist()
@@ -285,17 +299,21 @@ class ChevalleyAlgebra:
         np.add.at(out, k + n * np.arange(len(js))[:, None], c * xs[np.arange(len(xs))[:, None], i])
         return out.reshape(-1, n) % P
 
-    def ad_residues(self, xs: np.ndarray) -> np.ndarray:
-        """ad_rows(x) mod P for each int64 row x of xs in [0, P), as one (len(xs), dim, dim) array.
+    def ad_ints(self, xs, js=None) -> np.ndarray:
+        """Rows js (default all) of `ad_rows(x)` for each integer row x of xs, exactly, as one
+        (len(xs), len(js), dim) int64 array: one gather of xs along those rows of the index
+        array and one scatter-add.  An entry sums at most fan_in terms c x_i, so it needs
+        max|x| * max|c| * fan_in < 2**63, or ArithmeticError."""
+        xs = int64_array(xs, self._headroom)[0]
+        i, k, c = (self._ad if js is None else self._ad[js]).transpose(1, 0, 2)
+        n, m = self.dim, len(i)
+        out = np.zeros(len(xs) * m * n, dtype=np.int64)
+        np.add.at(out, k + n * np.arange(len(xs) * m).reshape(-1, m, 1), c * xs[:, i])
+        return out.reshape(-1, m, n)
 
-        One gather of xs along the whole index array and one scatter-add.
-        """
-        i, k, c = self._ad.transpose(1, 0, 2)
-        n = self.dim
-        out = np.zeros(len(xs) * n * n, dtype=np.int64)
-        np.add.at(out, k + n * np.arange(len(xs) * n).reshape(-1, n, 1), c * xs[:, i])
-        out %= P
-        return out.reshape(-1, n, n)
+    def ad_residues(self, xs: np.ndarray) -> np.ndarray:
+        """`ad_ints(xs)` mod P: ad_rows(x) mod P for each int64 row x of xs in [0, P)."""
+        return self.ad_ints(xs) % P
 
     def centralizer_dim(self, x: AlgebraElement) -> int:
         """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""

@@ -225,20 +225,12 @@ def reproduce_thm_ss_c2(max_rank: int = 6,
         raise ValueError(f"max rank must be at least 1, got {max_rank}")
     table = ClassificationTable("semi-simple orbits of cohomogeneity two")
     scan = scan_ss_cohom(max_rank, cfg, max_cohom=2)
-    found2 = {str(p) for p, c in scan if c == 2}
-    found1 = {str(p) for p, c in scan if c == 1}
-    exp2 = expected_ss_c2(max_rank)
-    exp1 = expected_ss_c1(max_rank)
-    table.rows.append(TableRow(
-        "cohomogeneity 2 scan",
-        {"found": sorted(found2)}, {"expected": sorted(exp2)},
-        found2 == exp2, "computed: exhaustive length-1 scan",
-    ))
-    table.rows.append(TableRow(
-        "cohomogeneity 1 scan",
-        {"found": sorted(found1)}, {"expected": sorted(exp1)},
-        found1 == exp1, "computed: exhaustive length-1 scan",
-    ))
+    for c, exp in ((2, expected_ss_c2(max_rank)), (1, expected_ss_c1(max_rank))):
+        found = {str(p) for p, k in scan if k == c}
+        table.rows.append(TableRow(
+            f"cohomogeneity {c} scan", {"found": sorted(found)}, {"expected": sorted(exp)},
+            found == exp, "computed: exhaustive length-1 scan",
+        ))
     return table
 
 

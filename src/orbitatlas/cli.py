@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from .branching import branch_adjoint
 from .chevalley import build_algebra
@@ -271,7 +272,8 @@ def _add_sampler_args(p):
     p.add_argument("--steps", type=int, default=None)
 
 
-def main(argv=None):
+@cache  # built once per process: parsing leaves it unchanged
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="atlas",
         description="Exact cohomogeneity computations for adjoint orbits",
@@ -325,8 +327,11 @@ def main(argv=None):
     p.add_argument("--n", type=int, default=3, help="rank for the mixed orbit")
     _add_sampler_args(p)
     p.set_defaults(fn=cmd_classify, parser=p)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as e:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 from ._modp import rank_mod_p, residues
 from .chevalley import AlgebraElement, ChevalleyAlgebra
@@ -155,17 +156,16 @@ def orbit_dimension(t, p: Partition | OrbitLabel) -> int:
 
 
 def dominates(p: Partition, q: Partition) -> bool:
-    """Dominance order: every partial sum of p is >= that of q (equal totals)."""
+    """Dominance order: every partial sum of p is >= that of q (equal totals n).
+
+    Only the first min(len p, len q) partial sums are compared.  Past the end of the
+    shorter partition its partial sum is n, and no partial sum exceeds n: if p is the
+    shorter, the later comparisons hold; if q is, p's partial sum at q's last part is
+    below n (positive parts of p follow), so the comparison there already fails.
+    """
     if p.total != q.total:
         raise ValueError("dominance needs equal totals")
-    sp = sq = 0
-    n = max(len(p.parts), len(q.parts))
-    for i in range(n):
-        sp += p.parts[i] if i < len(p.parts) else 0
-        sq += q.parts[i] if i < len(q.parts) else 0
-        if sp < sq:
-            return False
-    return True
+    return all(a >= b for a, b in zip(accumulate(p.parts), accumulate(q.parts)))
 
 
 def _covers(labels: tuple[OrbitLabel, ...], lo: OrbitLabel) -> list[OrbitLabel]:

@@ -6,15 +6,19 @@ piece.  The centralizer k of the triple is the kernel of ad(X) on the
 degree-0 piece; the isotypic multiplicities A_k come from the eigenvalue
 dimensions n_k of ad(H): A_k = n_k - n_{k+2} (minus the triple's own adjoint
 copy at k = 2), and the bundle fibre W = sum_{k>=2} A_k S^{k-2} has
-dimension sum A_k (k-1).
+dimension sum A_k (k-1).  Every map is exact integer arithmetic on blocks of
+ad(x) from `ChevalleyAlgebra.ad_ints` and int64 products through `_dot`,
+each of which checks its headroom and raises ArithmeticError past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._modp import rank_mod_p, residues
-from .chevalley import AlgebraElement, ChevalleyAlgebra
+import numpy as np
+
+from ._modp import P, rank_mod_p
+from .chevalley import AlgebraElement, ChevalleyAlgebra, int64_array
 from .linalg import kernel_basis_int, rank_int_rows, solve_linear
 
 
@@ -35,18 +39,19 @@ def _embed(a: ChevalleyAlgebra, idx: list[int], v, den: int = 1) -> AlgebraEleme
     return AlgebraElement(co, den)
 
 
+def _dot(x, y) -> np.ndarray:
+    """x @ y for integer arrays or rows, exactly in int64: each entry sums len(y) products,
+    so it needs max|x| * max|y| * len(y) < 2**63, or ArithmeticError."""
+    y, top = int64_array(y)
+    return int64_array(x, top * len(y))[0] @ y
+
+
 def _restricted_map_rows(a, x, src: list[int], dst: list[int]) -> list[list[int]]:
     """Rows (indexed by dst) of ad(x) restricted to the span of src; x is an int vector."""
-    rows = [[0] * len(src) for _ in dst]
-    dpos = {b: i for i, b in enumerate(dst)}
-    for cj, j in enumerate(src):
-        # [b_j, x] = -[x, b_j]
-        for b, v in enumerate(a.bracket_vec(a.basis_vector(j), x)):
-            if v:
-                if b not in dpos:
-                    raise ArithmeticError("image leaves the expected graded piece")
-                rows[dpos[b]][cj] = -v
-    return rows
+    m = a.ad_ints([x], src)[0]  # row j is [b_j, x] = -[x, b_j]
+    if np.delete(m, dst, axis=1).any():
+        raise ArithmeticError("image leaves the expected graded piece")
+    return (-m[:, dst]).T.tolist()
 
 
 def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, marks) -> Sl2Triple:
@@ -82,13 +87,12 @@ def triple_centralizer(a: ChevalleyAlgebra, t: Sl2Triple):
     g0 = t.grading[0]
     g2 = t.grading.get(2, [])
     rows = _restricted_map_rows(a, t.x.num, g0, g2)
-    basis = []
     vecs, den = kernel_basis_int(rows, len(g0))
-    for v in vecs:
-        u = _embed(a, g0, v, den)
-        if any(a.bracket(u, t.y).num):
-            raise ArithmeticError("centralizer misses Y")
-        basis.append(u)
+    # D [u, Y] = sum_j v_j [b_j, Y] for u = v / D: the rows g0 of ad(Y), nonzero columns
+    ad_y = a.ad_ints([t.y.num], g0)[0]
+    if vecs and _dot(vecs, ad_y[:, ad_y.any(axis=0)]).any():
+        raise ArithmeticError("centralizer misses Y")
+    basis = [_embed(a, g0, v, den) for v in vecs]
     if len(basis) != len(g0) - len(g2):
         raise ArithmeticError("spectral count mismatch")
     return basis, len(basis)
@@ -128,20 +132,15 @@ def isotypic_decomposition(a: ChevalleyAlgebra, t: Sl2Triple) -> IsotypicDecompo
 # ---------------------------------------------------------------------------
 # commutants and the W-module realization
 
-def _commutator_rows(mats, d: int) -> list[list[int]]:
-    """Nonzero rows of B -> [M, B] for each integer d x d matrix M, on B flattened."""
-    rows = []
-    for m in mats:
-        # constraint on B: sum_k M[i][k] B[k][j] - B[i][k] M[k][j] = 0
-        for i in range(d):
-            for j in range(d):
-                row = [0] * (d * d)
-                for k in range(d):
-                    row[k * d + j] += m[i][k]
-                    row[i * d + k] -= m[k][j]
-                if any(row):
-                    rows.append(row)
-    return rows
+def _commutator_rows(mats: np.ndarray) -> np.ndarray:
+    """Nonzero rows of B -> [M, B] for each d x d matrix M of an int64 stack, on B flattened.
+
+    That is M (x) I - I (x) M^T: entry (i d + j, k d + l) is M_ik [j = l] - [i = k] M_lj."""
+    eye = np.eye(mats.shape[1], dtype=np.int64)
+    rows = np.concatenate([
+        _dot(np.stack([np.kron(m, eye), np.kron(eye, m.T)], axis=-1), [1, -1]) for m in mats
+    ])
+    return rows[rows.any(axis=1)]
 
 
 def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
@@ -157,18 +156,15 @@ def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
     """
     if not action_matrices:
         raise ValueError("need at least one matrix")
-    mats = action_matrices
-    d = len(mats[0])
-    if any(len(m) != d or any(len(row) != d for row in m) for m in mats):
+    d = len(action_matrices[0])
+    if any(len(m) != d or any(len(row) != d for row in m) for m in action_matrices):
         raise ValueError("matrices must act on a common space")
-    combos = (range(1, len(mats) + 1), [(-1) ** i * (i * i % 7 + 1) for i in range(len(mats))])
-    pair = [
-        [[sum(c * m[i][j] for c, m in zip(cs, mats)) for j in range(d)] for i in range(d)]
-        for cs in combos
-    ]
-    if d * d - rank_mod_p(residues(_commutator_rows(pair, d), d * d)[None])[0] == 1:
+    mats = int64_array(action_matrices)[0].reshape(-1, d, d)
+    cs = [range(1, len(mats) + 1), [(-1) ** i * (i * i % 7 + 1) for i in range(len(mats))]]
+    pair = _dot(cs, mats.reshape(len(mats), d * d)).reshape(2, d, d)
+    if d * d - rank_mod_p(_commutator_rows(pair)[None] % P)[0] == 1:
         return 1
-    return d * d - rank_int_rows(_commutator_rows(mats, d), d * d)
+    return d * d - rank_int_rows(_commutator_rows(mats).tolist(), d * d)
 
 
 def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
@@ -185,6 +181,8 @@ def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
     integer, which leaves the commutant unchanged.
     """
     graded = t.grading
+    g0 = graded[0]
+    us = int64_array([[u.num[b] for b in g0] for u in kbasis])[0].reshape(len(kbasis), len(g0))
     blocks = []
     for k, ak in isotypic_decomposition(a, t).multiplicities.items():
         if k < 2:
@@ -200,21 +198,19 @@ def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
             raise ArithmeticError(f"W-block dimension mismatch at k={k}: {len(vecs)} != {ak}")
         at = [[v[r] for v in vecs] for r in range(len(gk))]
         unit = [at.index([s * (i == j) for j in range(ak)]) for i in range(ak)]
-        elems = [_embed(a, gk, v).num for v in vecs]
-        inside = set(gk)
-        mats = []
-        for u in kbasis:
-            cols = []
-            for e in elems:
-                img = a.bracket_vec(u.num, e)  # den(u) [u, v]
-                if any(c for b, c in enumerate(img) if b not in inside):
-                    raise ArithmeticError("bracket left the graded piece")
-                coords = [img[gk[r]] for r in unit]
-                for r, b in enumerate(gk):
-                    if img[b] * s != sum(c * w[r] for c, w in zip(coords, vecs)):
-                        raise ArithmeticError("k-action leaves the W slice")
-                cols.append(coords)
-            mats.append([list(r) for r in zip(*cols)])
+        vs, cols = int64_array(vecs)[0], []
+        for v in vecs:
+            ad_v = a.ad_ints([_embed(a, gk, v).num], g0)[0]  # row j is [b_j, v]
+            if np.delete(ad_v, gk, axis=1).any():
+                raise ArithmeticError("bracket left the graded piece")
+            img = _dot(us, ad_v[:, gk])  # row u is den(u) [u, v] = sum_j u.num_j [b_j, v]
+            coords = img[:, unit]
+            # img is s^-1 coords . vecs if it lies in the slice: an exact division, no product
+            lhs = _dot(coords, vs)
+            if (lhs % s).any() or (lhs // s != img).any():
+                raise ArithmeticError("k-action leaves the W slice")
+            cols.append(coords)
+        mats = np.stack(cols, axis=-1).tolist()  # column c of u's matrix is u's coords of vecs[c]
         blocks.append((k, mats, len(vecs)))
     return blocks
 

@@ -132,6 +132,36 @@ def test_ad_residues_is_ad_rows_mod_p(name):
     assert np.array_equal(a.ad_residues(xs), np.concatenate([a.ad_residues(x[None]) for x in xs]))
 
 
+@pytest.mark.parametrize("name", ["A2", "G2", "F4", "E6"])
+def test_ad_ints_is_ad_rows(name):
+    a = build_algebra(name)
+    rng = random.Random(27)
+    h = flag_point(a, painted(name, range(a.rank))).num
+    dense = [rng.randint(-2**20, 2**20) for _ in range(a.dim)]
+    js = sorted(rng.sample(range(a.dim), a.dim // 3))
+    for x in (h, dense):
+        rows = a.ad_rows(list(x))
+        assert a.ad_ints([x]).tolist() == [rows]
+        assert a.ad_ints(np.array([x], dtype=np.int64), js).tolist() == [[rows[j] for j in js]]
+    # several points in one call: each block is its point's alone
+    both = a.ad_ints([h, dense], js).tolist()
+    assert both == [a.ad_ints([x], js)[0].tolist() for x in (h, dense)]
+
+
+@pytest.mark.parametrize("entry", [2**62, -2**62, 2**70])
+def test_ad_ints_raises_past_the_int64_headroom(entry):
+    # 2**62 fits int64, but times max|c| * fan_in >= 2 an entry of ad(x) would not;
+    # 2**70 does not fit int64 at all.  Both are ArithmeticError, an explicit raise
+    a = build_algebra("A2")
+    x = [0] * a.dim
+    x[a.rank] = entry
+    with pytest.raises(ArithmeticError, match="int64 headroom"):
+        a.ad_ints([x])
+    if abs(entry) < 1 << 63:
+        with pytest.raises(ArithmeticError, match="int64 headroom"):
+            a.ad_ints(np.array([x], dtype=np.int64), [0])
+
+
 @pytest.mark.parametrize("name", ["A2", "B3", "G2", "F4", "A2xG2"])
 def test_max_ad_power_is_the_nilpotency_of_root_vectors(name):
     a = build_algebra(name)

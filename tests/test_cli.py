@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from orbitatlas.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -242,6 +247,21 @@ def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_the_parser_built_once_serves_a_good_call_after_a_bad_one(capsys):
+    fresh = subprocess.run(
+        [sys.executable, "-m", "orbitatlas.cli", "roots", "A2xG2"], capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    ).stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "A2xG2", "--bogus"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "A2", "--sub", "marks:1,1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "roots", "A2xG2") == (0, fresh)
 
 
 def test_failed_exactness_check_still_propagates(monkeypatch):

@@ -81,6 +81,28 @@ def test_dominates():
         dominates(Partition((2,)), Partition((1, 1, 1)))
 
 
+def _partitions(n, most=None):
+    """Every partition of n with parts at most `most`, as tuples."""
+    most = n if most is None else most
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, most), 0, -1) for rest in _partitions(n - k, k)]
+
+
+def test_dominates_is_the_definition_on_all_partitions_up_to_8():
+    def by_definition(p, q):
+        # every partial sum of p, padded with zero parts, is >= that of q
+        m = max(len(p), len(q))
+        p, q = p + (0,) * (m - len(p)), q + (0,) * (m - len(q))
+        return all(sum(p[:i]) >= sum(q[:i]) for i in range(1, m + 1))
+
+    for n in range(1, 9):
+        parts = _partitions(n)
+        for p in parts:
+            for q in parts:
+                assert dominates(Partition(p), Partition(q)) == by_definition(p, q), (p, q)
+
+
 def test_hasse_C2_chain():
     edges = {(str(a), str(b)) for a, b in hasse_diagram("C2")}
     assert edges == {

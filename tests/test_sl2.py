@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
@@ -277,11 +278,39 @@ def test_w_action_equals_the_solves(tname):
 def test_bracket_leaving_the_slice_raises(monkeypatch):
     a, t, kb = _ntm_triple("B3")
     assert [k for k, _, _ in w_isotypic_action(a, t, kb)] == [2]
-    # X spans the line the k = 2 slice drops, so adding it leaves the slice
-    target, good = kb[0].num, a.bracket_vec
-    monkeypatch.setattr(
-        a, "bracket_vec",
-        lambda x, y: [p + q for p, q in zip(good(x, y), t.x.num)] if x is target else good(x, y),
-    )
+    # X spans the line the k = 2 slice drops, so adding a nonzero multiple of it leaves the
+    # slice.  The image of u is sum_j u_j [b_j, v] over the rows g0 of ad(v); on its own free
+    # column of the kernel kb[0] reads c != 0 and every other basis vector 0, so X added to
+    # that row of ad(v) adds c X to the image of kb[0] alone (c = 2 here)
+    g0, good = t.grading[0], a.ad_ints
+    j = next(p for p, b in enumerate(g0) if kb[0].num[b] and not any(u.num[b] for u in kb[1:]))
+
+    def faulty(xs, js=None):
+        out = good(xs, js)
+        if js is g0:
+            out[:, j] += t.x.num
+        return out
+
+    monkeypatch.setattr(a, "ad_ints", faulty)
     with pytest.raises(ArithmeticError, match="leaves the W slice"):
         w_isotypic_action(a, t, kb)
+
+
+# the sha256 of every Table 1 row's W-block matrices and commutants through E7, at seed 0;
+# pinned when each bracket of the action was an exact `bracket_vec` over Python ints
+SL2_BLOCKS_SHA256 = "488c81f2a8df1570ebace60b5bea923fc68dc382021e865533bc10e87b5ae972"
+
+
+def test_w_blocks_and_commutants_match_the_pinned_hash():
+    from orbitatlas.classify import TABLE1_TYPES
+
+    h = hashlib.sha256()
+    for tname in TABLE1_TYPES[: TABLE1_TYPES.index("E7") + 1]:
+        a = build_algebra(tname)
+        for lab in next_to_minimal(tname):
+            t, _ = sl2_data_for_diagram(a, weighted_diagram(tname, lab))
+            kb, _ = triple_centralizer(a, t)
+            blocks = [(k, mats, d, commutant_dim(mats) if mats else d * d)
+                      for k, mats, d in w_isotypic_action(a, t, kb)]
+            h.update(repr((tname, str(lab), blocks)).encode())
+    assert h.hexdigest() == SL2_BLOCKS_SHA256

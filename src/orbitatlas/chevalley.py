@@ -6,10 +6,10 @@ module maps a root to its basis position (`root_vector_index`) and reads the
 ad(h) gradings off that order (`graded_basis`).  Structure constant signs are
 fixed by the extraspecial-pair convention: for each non-simple positive root
 gamma the extraspecial pair (a, b), a + b = gamma with a minimal in the
-height-lex order, gets N_{a,b} = p + 1 > 0; every other constant is forced
-from these by antisymmetry, N_{-a,-b} = -N_{a,b}, and the two exact
-identities relating N on a triple of roots summing to zero.  The construction
-is deterministic, so constants are reproducible across runs.
+height-lex order, gets N_{a,b} = p + 1 > 0.  Carter's loop forces N on the other
+positive pairs from these, and every other N follows by the zero-sum-triple
+rule: N_{a,b} / d(c) is the same for each rotation of a + b + c = 0, and
+N_{-a,-b} = -N_{a,b}.  Constants are deterministic, reproducible across runs.
 
 Each algebra builds its structure-constant table once, as one int64 index
 array built from arrays of terms: shape (dim, 3, width), row j listing each
@@ -98,10 +98,21 @@ class ChevalleyAlgebra:
         self.rs = rs
         self.rank = rs.rank
         self.dim = rs.dimension
-        self._build_index(self._build_constants())
+        npos = rs.num_positive
+        roots = np.array(rs.all_roots, dtype=np.int64)
+        pair = roots @ np.array(rs.cartan_matrix, dtype=np.int64).T  # <beta, alpha_i^vee>
+        co = np.array([rs.coroot_coords(b) for b in rs.all_roots], dtype=np.int64)
+        d = [rs.root_d(b) for b in rs.all_roots]  # half squared lengths
+        self._build_index(self._build_constants(roots, pair, co, d))
         # G[i][j] = K(h_i, h_j) = 2 sum_{gamma > 0} <gamma, alpha_i^vee><gamma, alpha_j^vee>
-        pairs = np.array(rs.positive_roots) @ np.array(rs.cartan_matrix).T
-        self._gram = (2 * pairs.T @ pairs).tolist()
+        self._gram = (2 * pair[:npos].T @ pair[:npos]).tolist()
+        # m[gamma, beta] = <gamma, beta^vee> for gamma > 0: c_beta^T G c_beta / 2 sums its
+        # squares over gamma.  ad(e_g)^k b != 0 needs b, [e_g, b], ... nonzero, of weights
+        # wt(b) + m g: k <= 2 through -g, k <= 1 through 0, and through another root a
+        # g-string whose bottom beta has 1 - <beta, g^vee> roots (|<., .>| is sign-blind)
+        m = pair[:npos] @ co.T
+        self._killing = (m[:, :npos] ** 2).sum(axis=0).tolist()
+        self.max_ad_power = max(2, int(abs(m).max()))
         self.verify_jacobi()
 
     # -- construction --------------------------------------------------------
@@ -113,13 +124,29 @@ class ChevalleyAlgebra:
             p += 1
         return p
 
-    def _build_constants(self):
-        rs = self.rs
-        idx = rs.root_index
-        pos = rs.positive_roots
-        order = {r: k for k, r in enumerate(pos)}
-        npos: dict = {}
-        dd = {r: rs.root_d(r) for r in rs.all_roots}
+    def _build_constants(self, roots, pair, co, d):
+        """The terms (j, i, k, c) of every bracket [b_j, b_i] = c b_k, from the roots, their
+        pairings <beta, alpha_i^vee>, coroots and half squared lengths d, all in
+        `all_roots` order; a root is its index there, and t + npos (mod 2 npos) is -t."""
+        rs, r, npos = self.rs, self.rank, self.rs.num_positive
+        rts, m = rs.all_roots, len(rs.all_roots)
+        opp = list(range(npos, m)) + list(range(npos))
+        # key(v) = sum_i v_i base^i is linear, and injective on sums of two roots: shifted by
+        # 2M (M the largest |root coordinate|), their digits lie in [0, 4M] < base; so
+        # x + y = rho iff key(x) + key(y) = key(rho).  Python ints once base**rank outgrows int64
+        base = 4 * int(abs(roots).max()) + 1
+        dt = np.int64 if base ** r < 1 << 63 else object
+        key = roots.astype(dt) @ np.array([base ** i for i in range(r)], dtype=dt)
+        by = np.argsort(key, kind="stable")
+        x, y = np.triu_indices(m, 1)
+        sums = key[x] + key[y]
+        at = np.minimum(np.searchsorted(key[by], sums), m - 1)
+        hit = key[by][at] == sums
+        x, y, z = x[hit], y[hit], by[at[hit]]
+        add = [[-1] * m for _ in range(m)]  # add[p][q] = p + q, or -1 if that is no root
+        for p, q, t in zip(x.tolist(), y.tolist(), z.tolist()):
+            add[p][q] = add[q][p] = t
+        N = [[0] * npos for _ in range(npos)]  # N_{p,q} on positive pairs, both orders
 
         def exact(num, den):
             # root-length ratios times integer constants must divide exactly
@@ -128,87 +155,51 @@ class ChevalleyAlgebra:
                 raise ArithmeticError(f"inexact structure constant {num}/{den}")
             return q
 
-        def nlookup(a, b):
-            if (a, b) in npos:
-                return npos[(a, b)]
-            return -npos[(b, a)]
+        def n(p, q):
+            # N_{p,q} from the triple (p, q, -(p+q)), negated (N_{-a,-b} = -N_{a,b}) unless two
+            # of its roots are positive, then rotated to (a, b, c) with c < 0: N_{a,b} / d(c)
+            # is the same for every rotation (Carter, Simple Groups of Lie Type, ch. 4).  So c is
+            # the root whose sign differs from the other two; a root u is +-(u % npos) > 0
+            t = (p, q, opp[add[p][q]])
+            neg = [u >= npos for u in t]
+            k = neg.index(sum(neg) == 1)
+            v = exact(d[t[2]] * N[t[k - 2] % npos][t[k - 1] % npos], d[t[k]])
+            return v if neg[k] else -v
 
-        def nmixed(x, y):
-            # x, y arbitrary roots with x + y a root; reduces to npos
-            xp = x in order
-            yp = y in order
-            if xp and yp:
-                return nlookup(x, y)
-            if not xp and not yp:
-                return -nmixed(tuple(-c for c in x), tuple(-c for c in y))
-            if not xp:
-                return -nmixed(y, x)
-            u = tuple(-c for c in y)
-            s = tuple(a - b for a, b in zip(x, u))
-            if s in order:  # x - u positive
-                return -exact(dd[s] * nlookup(u, s), dd[x])
-            sp = tuple(-c for c in s)
-            return exact(dd[sp] * nlookup(sp, x), dd[u])
-
-        for gamma in pos:
-            if sum(gamma) == 1:
-                continue
-            pairs = []
-            for alpha in pos:
-                if order[alpha] >= order[gamma]:
-                    break
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                if beta in order and order[alpha] < order[beta]:
-                    pairs.append((alpha, beta))
-            a1, b1 = pairs[0]
-            n1 = self._down_string(b1, a1) + 1
-            npos[(a1, b1)] = n1
-            for alpha, beta in pairs[1:]:
+        # Carter's loop over the positive pairs (a, b), a < b, by sum g, then a: the first
+        # pair of each g is extraspecial, N = p + 1; every other one is forced by it
+        g1 = -1
+        for g, a, b in sorted(zip(*(col[y < npos].tolist() for col in (z, x, y)))):
+            if g != g1:
+                g1, a1, b1 = g, a, b
+                v = self._down_string(rts[b], rts[a]) + 1
+            else:
                 t = 0
-                d1 = tuple(x - a for x, a in zip(b1, alpha))  # b1 - alpha
-                if d1 in idx:
-                    t += nmixed(b1, tuple(-c for c in alpha)) * nmixed(d1, a1)
-                d2 = tuple(x - a for x, a in zip(a1, alpha))  # a1 - alpha
-                if d2 in idx:
-                    t += nmixed(tuple(-c for c in alpha), a1) * nmixed(d2, b1)
-                n = exact(dd[gamma] * t, dd[beta] * n1)
-                if abs(n) != self._down_string(beta, alpha) + 1:
+                if add[b1][opp[a]] >= 0:  # b1 - a a root
+                    t += n(b1, opp[a]) * n(add[b1][opp[a]], a1)
+                if add[a1][opp[a]] >= 0:  # a1 - a a root
+                    t += n(opp[a], a1) * n(add[a1][opp[a]], b1)
+                v = exact(d[g] * t, d[b] * N[a1][b1])
+                if abs(v) != self._down_string(rts[b], rts[a]) + 1:
                     raise ArithmeticError(
-                        f"structure constant N{(alpha, beta)} = {n} violates root strings"
+                        f"structure constant N{(rts[a], rts[b])} = {v} violates root strings"
                     )
-                npos[(alpha, beta)] = n
+            N[a][b], N[b][a] = v, -v
 
         # the terms (j, i, k, c) of [b_j, b_i] = c b_k: [h_i, e_beta] and [e_beta, h_i],
         # [e_beta, e_-beta] = h_beta, and [e_x, e_y] = N_{x,y} e_{x+y} with [e_y, e_x] = -it
-        rts, r = rs.all_roots, self.rank
-        roots = np.array(rts, dtype=np.int64)
-        pair = roots @ np.array(rs.cartan_matrix, dtype=np.int64).T  # <beta, alpha_i^vee>
         b, h = np.nonzero(pair)
         terms = [(h, b + r, b + r, pair[b, h]), (b + r, h, b + r, -pair[b, h])]
-        co = np.array([rs.coroot_coords(beta) for beta in rts], dtype=np.int64)
         b, t = np.nonzero(co)
-        terms.append((b + r, (b + rs.num_positive) % len(rts) + r, t, co[b, t]))
-        # key(v) = sum_i v_i base^i is linear, and injective on sums of two roots: shifted by
-        # 2m (m the largest |root coordinate|), their digits lie in [0, 4m] < base; so
-        # x + y = rho iff key(x) + key(y) = key(rho).  Python ints once base**rank outgrows int64
-        base = 4 * int(abs(roots).max()) + 1
-        dt = np.int64 if base ** r < 1 << 63 else object
-        key = roots.astype(dt) @ np.array([base ** m for m in range(r)], dtype=dt)
-        by = np.argsort(key, kind="stable")
-        x, y = np.triu_indices(len(rts), 1)
-        sums = key[x] + key[y]
-        at = np.minimum(np.searchsorted(key[by], sums), len(rts) - 1)
-        hit = key[by][at] == sums
-        x, y, z = x[hit], y[hit], by[at[hit]]
-        n = np.array([nmixed(rts[p], rts[q]) for p, q in zip(x.tolist(), y.tolist())], np.int64)
-        terms += [(x + r, y + r, z + r, n), (y + r, x + r, z + r, -n)]
+        terms.append((b + r, (b + npos) % m + r, t, co[b, t]))
+        c = np.array([n(p, q) for p, q in zip(x.tolist(), y.tolist())], np.int64)
+        terms += [(x + r, y + r, z + r, c), (y + r, x + r, z + r, -c)]
         return np.concatenate([np.array(part, dtype=np.int64) for part in terms], axis=1)
 
     def _build_index(self, terms):
         """Pack the terms (j, i, k, c) into `_ad`, rows sorted by (i, k), and slice them into
-        `_rows` for `bracket_vec`: row i as one (j, k, c) per term of [b_i, b_j] = sum c b_k.
-        Also the int64 headroom (see `cohom`; fan_in is the most terms of one row that land
-        on one b_k), and `max_ad_power`, the largest k with ad(e_gamma)^k != 0 for a root."""
+        `_rows` for `bracket_vec`: row i as one (j, k, c) per term of [b_i, b_j] = sum c b_k;
+        and the int64 headroom (see `cohom`; fan_in: most terms of one row on one b_k)."""
         n = self.dim
         j, i, k, c = terms[:, np.argsort((terms[0] * n + terms[1]) * n + terms[2], kind="stable")]
         slot = np.arange(len(j)) - np.searchsorted(j, j)
@@ -223,12 +214,6 @@ class ChevalleyAlgebra:
         start = np.searchsorted(j, np.arange(n + 1)).tolist()
         ikc = list(zip(i.tolist(), k.tolist(), c.tolist()))
         self._rows = [ikc[s:e] for s, e in zip(start, start[1:])]
-        # ad(e_g)^k b != 0 needs b, [e_g, b], ... nonzero, of weights wt(b) + m g:
-        # k <= 2 through -g, k <= 1 through 0, and through another root a g-string
-        # whose bottom beta has 1 - <beta, g^vee> roots (|<., .>| is sign-blind)
-        pos = self.rs.positive_roots
-        co = np.array([self.rs.coroot_coords(g) for g in pos]) @ np.array(self.rs.cartan_matrix)
-        self.max_ad_power = max(2, int(abs(co @ np.array(pos).T).max()))
 
     def root_vector_index(self, beta) -> int:
         return self.rank + self.rs.root_index[beta]
@@ -325,7 +310,7 @@ class ChevalleyAlgebra:
         """K(x, y) = tr(ad x ad y) for integer coordinate vectors x and y.
 
         K(x, y) = x_h^T G y_h + sum_{beta > 0} (x_beta y_-beta + x_-beta y_beta) K_beta,
-        with K_beta = c_beta^T G c_beta / 2 and c_beta = `coroot_coords(beta)`.  Proof:
+        with K_beta = c_beta^T G c_beta / 2 (`_killing`), c_beta the coroot of beta.  Proof:
         - ad h kills the Cartan and scales e_gamma by gamma(h), so K(h_i, h_j) = G[i][j];
         - h_beta = [e_beta, e_-beta] = sum_i c_beta,i h_i, and by invariance
           K(h_beta, h_beta) = K(e_beta, [e_-beta, h_beta]) = 2 K(e_beta, e_-beta);
@@ -334,11 +319,8 @@ class ChevalleyAlgebra:
         """
         r, npos, g = self.rank, self.rs.num_positive, self._gram
         total = sum(x[i] * g[i][j] * y[j] for i in range(r) if x[i] for j in range(r))
-        for k, beta in enumerate(self.rs.positive_roots):
-            w = x[r + k] * y[r + npos + k] + x[r + npos + k] * y[r + k]
-            if w:
-                c = self.rs.coroot_coords(beta)
-                total += w * (sum(c[i] * g[i][j] * c[j] for i in range(r) for j in range(r)) // 2)
+        for k, kb in enumerate(self._killing):
+            total += (x[r + k] * y[r + npos + k] + x[r + npos + k] * y[r + k]) * kb
         return total
 
     # -- verification ---------------------------------------------------------------

@@ -12,15 +12,17 @@ Conventions, fixed for the whole package:
 * Symmetrizers ``d_i = (alpha_i, alpha_i)/2`` are normalized so short roots
   have squared length 2 (d in {1,2,3}).
 
-`_simple_cartan_matrix` is the only Dynkin-diagram data: `identify_subsystem`
-names a diagram by the orders of its nodes that turn its Cartan matrix into a
-standard one (`cartan_matches`), and a type's diagram automorphisms are its
-Cartan matrix's matches onto itself.
+`_simple_cartan_matrix` is the only Dynkin-diagram data: the symmetrizers are
+read off it (`_symmetrizers`), `identify_subsystem` names a diagram by the
+orders of its nodes that turn its Cartan matrix into a standard one
+(`cartan_matches`), and a type's diagram automorphisms are its Cartan matrix's
+matches onto itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .linalg import kernel_basis_int
 
@@ -118,18 +120,19 @@ def _simple_cartan_matrix(family: str, n: int) -> list[list[int]]:
     return a
 
 
-def _simple_symmetrizers(family: str, n: int) -> list[int]:
-    if family in ("A", "D", "E"):
-        return [1] * n
-    if family == "B":
-        return [2] * (n - 1) + [1]
-    if family == "C":
-        return [1] * (n - 1) + [2]
-    if family == "F":
-        return [2, 2, 1, 1]
-    if family == "G":
-        return [1, 3]
-    raise AssertionError
+def _symmetrizers(cartan: list[list[int]]) -> list[int]:
+    """d_i = (alpha_i, alpha_i)/2 on a connected diagram: d_i C[i][j] = d_j C[j][i] along
+    its edges, reached from node 0, as coprime integers, so that the least d is 1."""
+    d, queue = [1] + [0] * (len(cartan) - 1), [0]
+    for i in queue:
+        for j, c in enumerate(cartan[i]):
+            if c and not d[j]:
+                if d[i] * c % cartan[j][i]:  # scale every d so that d_j is an integer
+                    d = [-v * cartan[j][i] for v in d]
+                d[j] = d[i] * c // cartan[j][i]
+                queue.append(j)
+    g = gcd(*d)
+    return [v // g for v in d]
 
 
 def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
@@ -186,10 +189,9 @@ class RootSystem:
         sym: list[int] = []
         for comp in cartan_type.components:
             sub = _simple_cartan_matrix(comp.family, comp.rank)
-            for i in range(comp.rank):
-                for j in range(comp.rank):
-                    cm[offset + i][offset + j] = sub[i][j]
-            sym.extend(_simple_symmetrizers(comp.family, comp.rank))
+            for i, row in enumerate(sub):
+                cm[offset + i][offset:offset + comp.rank] = row
+            sym.extend(_symmetrizers(sub))
             offset += comp.rank
         self.cartan_matrix = tuple(tuple(row) for row in cm)
         self.symmetrizers = tuple(sym)

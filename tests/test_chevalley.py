@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction as Q
@@ -9,7 +10,7 @@ import pytest
 from orbitatlas._modp import residues
 from orbitatlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from orbitatlas.classify import TABLE1_TYPES
-from orbitatlas.flags import flag_point, painted
+from orbitatlas.flags import flag_point, painted, scan_types
 from orbitatlas.roots import build_root_system, parse_cartan_type, simple
 from test_linalg import is_negative_definite
 
@@ -343,6 +344,41 @@ def test_structure_constant_table_is_pinned():
     assert canonical_table_hash(TABLE1_TYPES + ["A2xG2"]) == (
         "89588abc9cfbfec3d1d1992dcabbc68f4b2367f0d92d832e7649bdc10f5c2798"
     )
+
+
+def test_structure_constant_table_is_pinned_beyond_table1():
+    # the scan types that Table 1 leaves out (A1, A7, A8, B2, B5-B8, C5-C8, D6-D8) and a
+    # product of three factors, recorded before the table was built over root indices
+    names = [str(t) for t in scan_types(8) if str(t) not in TABLE1_TYPES] + ["A2xG2xB3"]
+    assert len(names) == 16
+    assert canonical_table_hash(names) == (
+        "47d0e57e3e709f3911ae3c03f358f5f566719d7d0fe40ff9d2d22435e475510a"
+    )
+
+
+def test_root_sum_keys_past_int64_give_each_factor_its_own_constants():
+    # nine G2 factors: root coordinates up to 3, so base 13 and rank 18, and
+    # 13**18 >= 2**63 puts the root-sum keys in Python ints (object dtype)
+    assert 13**18 >= 1 << 63
+    g2, a = build_algebra("G2"), build_algebra("x".join(["G2"] * 9))
+    assert (a.rank, a.dim) == (18, 126)
+    pairs = _root_pairs(a)
+    assert len(pairs) == 9 * len(_root_pairs(g2)) == 540
+    for x, y in pairs:
+        k = next(i for i, c in enumerate(x) if c) // 2 * 2  # the factor's first coordinate
+        assert _n(a, x, y) == _n(g2, x[k:k + 2], y[k:k + 2])
+
+
+def test_construction_leaves_no_garbage():
+    # no closure of the construction refers to itself, so a build leaves no cycle behind
+    rs = build_root_system("E7")
+    gc.collect()
+    gc.disable()
+    try:
+        ChevalleyAlgebra(rs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _terms(a, i, j):

@@ -32,6 +32,31 @@ HIGHEST_ROOTS = {
 }
 
 
+SYMMETRIZERS = {
+    "A": lambda n: [1] * n,
+    "B": lambda n: [2] * (n - 1) + [1],
+    "C": lambda n: [1] * (n - 1) + [2],
+    "D": lambda n: [1] * n,
+    "E": lambda n: [1] * n,
+    "F": lambda n: [2, 2, 1, 1],
+    "G": lambda n: [1, 3],
+}
+
+
+@pytest.mark.parametrize("family", SYMMETRIZERS)
+def test_symmetrizers_are_read_off_the_cartan_matrix(family):
+    # d_i = (alpha_i, alpha_i) / 2, short roots 1, through rank 10
+    for n in range(1, 11):
+        try:
+            rs = build_root_system(simple(family, n))
+        except ValueError:  # no such rank in the family
+            continue
+        d, c = rs.symmetrizers, rs.cartan_matrix
+        assert list(d) == SYMMETRIZERS[family](n)
+        assert all(d[i] * c[i][j] == d[j] * c[j][i] for i in range(n) for j in range(n))
+    assert build_root_system("A2xG2xB3").symmetrizers == (1, 1, 1, 3, 2, 2, 1)
+
+
 @pytest.mark.parametrize("name,count", POSITIVE_COUNTS.items())
 def test_positive_root_counts(name, count):
     rs = build_root_system(name)

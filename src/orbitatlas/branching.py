@@ -59,10 +59,7 @@ class _WeightGeometry:
         ]
         # (alpha, F alpha, (alpha, alpha)) per simple and per positive root alpha
         self.simple = [self._root_data(a) for a in self.alpha_fund]
-        self.pos = [
-            self._root_data(tuple(rs.pair_with_coroot(g, i) for i in range(self.n)))
-            for g in rs.positive_roots
-        ]
+        self.pos = [self._root_data(p) for p in rs.pairings[:rs.num_positive]]
         # det_cartan times the height (sum of simple-root coordinates) of a weight
         self.height_vec = [sum(col) for col in zip(*rs.inv_cartan_times_det)]
 
@@ -245,7 +242,7 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
     rows = restriction_matrix(rs, ordered)
 
     # torus charge functionals: kernel of h -> <beta_j, h>
-    pair_rows = [[rs.pair_with_coroot(b, i) for i in range(rs.rank)] for b in ordered]
+    pair_rows = [rs.pairings[rs.root_index[b]] for b in ordered]
     torus, tden = kernel_basis_int(pair_rows, rs.rank)
 
     def charge(w):
@@ -256,13 +253,12 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
 
     sub_geo = _geometry(build_root_system(ctype))
     keys = []
-    for beta in rs.all_roots:
+    for beta, w in zip(rs.all_roots, rs.pairings):
         # e_beta is killed by every e_alpha iff no beta + alpha is a root or 0
         if all(
             any(s) and s not in rs.root_index
             for s in (tuple(x + y for x, y in zip(beta, a)) for a in ordered)
         ):
-            w = tuple(rs.pair_with_coroot(beta, i) for i in range(rs.rank))
             keys.append((restrict(w), charge(w), 1))
     if rs.rank > len(ordered):
         # the highest-weight vectors in h: the common kernel of the beta_j

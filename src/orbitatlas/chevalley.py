@@ -17,7 +17,8 @@ array built from arrays of terms: shape (dim, 3, width), row j listing each
 derived from it: blocks of ad(x) by gathers and scatters over the array, exactly
 in int64 (`ad_ints`, its headroom checked on each call) or mod P = 2**31 - 1
 (`ad_residues`, `bracket_residues`), and brackets of elements of any size exactly
-by `ChevalleyAlgebra.bracket_vec`, which walks the array's rows as lists of terms.
+by `ChevalleyAlgebra.bracket_vec`, which walks the array's rows as Python ints:
+the array is the table's only copy.  Root data comes from `RootSystem`'s tables.
 An element is an integer vector over one positive denominator
 (`AlgebraElement`).  The Killing form is one integer formula over the coroot
 Gram matrix G (`killing`).  Construction proves the table a Lie algebra
@@ -100,10 +101,9 @@ class ChevalleyAlgebra:
         self.dim = rs.dimension
         npos = rs.num_positive
         roots = np.array(rs.all_roots, dtype=np.int64)
-        pair = roots @ np.array(rs.cartan_matrix, dtype=np.int64).T  # <beta, alpha_i^vee>
-        co = np.array([rs.coroot_coords(b) for b in rs.all_roots], dtype=np.int64)
-        d = [rs.root_d(b) for b in rs.all_roots]  # half squared lengths
-        self._build_index(self._build_constants(roots, pair, co, d))
+        pair = np.array(rs.pairings, dtype=np.int64)  # <beta, alpha_i^vee>
+        co = np.array(rs.coroots, dtype=np.int64)
+        self._build_index(self._build_constants(roots, pair, co, rs.lengths))
         # G[i][j] = K(h_i, h_j) = 2 sum_{gamma > 0} <gamma, alpha_i^vee><gamma, alpha_j^vee>
         self._gram = (2 * pair[:npos].T @ pair[:npos]).tolist()
         # m[gamma, beta] = <gamma, beta^vee> for gamma > 0: c_beta^T G c_beta / 2 sums its
@@ -197,9 +197,9 @@ class ChevalleyAlgebra:
         return np.concatenate([np.array(part, dtype=np.int64) for part in terms], axis=1)
 
     def _build_index(self, terms):
-        """Pack the terms (j, i, k, c) into `_ad`, rows sorted by (i, k), and slice them into
-        `_rows` for `bracket_vec`: row i as one (j, k, c) per term of [b_i, b_j] = sum c b_k;
-        and the int64 headroom (see `cohom`; fan_in: most terms of one row on one b_k)."""
+        """Pack the terms (j, i, k, c) into `_ad`, row j listing (i, k, c) per term of
+        [b_j, b_i] = sum c b_k, sorted by (i, k) and padded with c = 0; and the int64
+        headroom (see `cohom`; fan_in: most terms of one row on one b_k)."""
         n = self.dim
         j, i, k, c = terms[:, np.argsort((terms[0] * n + terms[1]) * n + terms[2], kind="stable")]
         slot = np.arange(len(j)) - np.searchsorted(j, j)
@@ -210,10 +210,6 @@ class ChevalleyAlgebra:
         self._headroom = cmax * fan_in  # an entry of ad(x) is below max|x| times this
         if max(self._headroom * (P - 1), (P - 1) ** 2 + P - 1) >= 1 << 63:
             raise ArithmeticError(f"int64 headroom fails: |c| <= {cmax}, fan-in {fan_in}")
-        # the terms as placed, in the array's row order, sliced at each row's start
-        start = np.searchsorted(j, np.arange(n + 1)).tolist()
-        ikc = list(zip(i.tolist(), k.tolist(), c.tolist()))
-        self._rows = [ikc[s:e] for s, e in zip(start, start[1:])]
 
     def root_vector_index(self, beta) -> int:
         return self.rank + self.rs.root_index[beta]
@@ -252,14 +248,13 @@ class ChevalleyAlgebra:
     def bracket_vec(self, x, y) -> list[int]:
         """[x, y] for integer coordinate vectors x and y.
 
-        It walks the table rows of x's nonzeros, so it is cheapest when x is
-        sparse, a basis vector say.
+        It walks the index array's rows of x's nonzeros as Python ints (padding adds
+        c = 0), so it is exact at any size, and cheapest when x is sparse.
         """
         out = [0] * self.dim
-        rows = self._rows
         for i, a in enumerate(x):
             if a:
-                for j, k, c in rows[i]:
+                for j, k, c in zip(*self._ad[i].tolist()):
                     b = y[j]
                     if b:
                         out[k] += a * b * c

@@ -261,11 +261,10 @@ def next_to_minimal(t) -> list[OrbitLabel]:
     if fam in ("G", "F"):
         marks = rs.coroot_marks(rs.highest_short_root)
     else:
-        theta = rs.highest_root
-        beta = next(
-            b for b in rs.positive_roots if rs.bilinear(theta, b) == 0
-        )
-        marks = [p + q for p, q in zip(rs.coroot_marks(theta), rs.coroot_marks(beta))]
+        # theta the highest root and beta the first positive root with <beta, theta^vee> = 0
+        tm = rs.coroot_marks(rs.highest_root)
+        beta = next(b for b, v in zip(rs.positive_roots, rs.root_pairings(tm)) if v == 0)
+        marks = [p + q for p, q in zip(tm, rs.coroot_marks(beta))]
     marks = rs.dominant_marks(marks)
     return [OrbitLabel(diagram=WeightedDynkinDiagram(marks), name="next-to-minimal")]
 

@@ -9,6 +9,9 @@ Conventions, fixed for the whole package:
 * ``cartan_matrix[i][j] = <alpha_j, alpha_i^vee>``.
 * Roots are integer coordinate tuples in the simple-root basis; pairings are
   computed through the Cartan matrix, so no irrational geometry appears.
+* `RootSystem` tabulates each root's numbers once, in `all_roots` order: its
+  pairings <beta, alpha_i^vee>, coroot coordinates and half squared length.
+  Every other module reads these tables and computes none of them.
 * Symmetrizers ``d_i = (alpha_i, alpha_i)/2`` are normalized so short roots
   have squared length 2 (d in {1,2,3}).
 
@@ -204,49 +207,39 @@ class RootSystem:
         self.root_index = {r: k for k, r in enumerate(self.all_roots)}
         self.num_positive = len(self.positive_roots)
         self.dimension = 2 * self.num_positive + self.rank
+        # per root beta, in `all_roots` order: its pairings <beta, alpha_i^vee>, half its
+        # squared length d = (beta, beta)/2 = sum_i beta_i d_i <beta, alpha_i^vee> / 2, and
+        # its coroot beta^vee = sum_i (beta_i d_i / d) alpha_i^vee
+        tables = []
+        for beta in self.all_roots:
+            p = tuple(sum(c * b for c, b in zip(row, beta)) for row in cm)
+            d, odd = divmod(sum(b * s * v for b, s, v in zip(beta, sym, p)), 2)
+            if odd:
+                raise ArithmeticError(f"odd squared length {2 * d + 1} of {beta}")
+            if any(b * s % d for b, s in zip(beta, sym)):
+                raise ArithmeticError(f"coroot of {beta} is not integral")
+            tables.append((p, d, tuple(b * s // d for b, s in zip(beta, sym))))
+        self.pairings, self.lengths, self.coroots = zip(*tables)
 
     # -- pairings ----------------------------------------------------------
 
     def pair_with_coroot(self, beta, i: int) -> int:
-        """<beta, alpha_i^vee> for a root (or root-lattice vector) beta."""
+        """<beta, alpha_i^vee> for a root-lattice vector beta; `pairings` holds the roots'."""
         row = self.cartan_matrix[i]
         return sum(row[j] * beta[j] for j in range(self.rank))
 
-    def bilinear(self, x, y):
-        """Symmetric invariant form with short roots of squared length 2."""
-        total = 0
-        for i in range(self.rank):
-            if x[i]:
-                row = self.cartan_matrix[i]
-                di = self.symmetrizers[i]
-                total += x[i] * di * sum(row[j] * y[j] for j in range(self.rank))
-        return total
-
     def root_d(self, beta) -> int:
         """Half the squared length of a root (1, 2 or 3)."""
-        n2 = self.bilinear(beta, beta)
-        if n2 % 2:
-            raise ArithmeticError(f"odd squared length {n2} of {beta}")
-        return n2 // 2
+        return self.lengths[self.root_index[beta]]
 
     def coroot_coords(self, beta) -> tuple[int, ...]:
         """Coordinates of beta^vee over the simple coroots (always integers)."""
-        d = self.root_d(beta)
-        out = []
-        for i in range(self.rank):
-            num = beta[i] * self.symmetrizers[i]
-            if num % d:
-                raise ArithmeticError(f"coroot of {beta} is not integral")
-            out.append(num // d)
-        return tuple(out)
+        return self.coroots[self.root_index[beta]]
 
     def coroot_marks(self, beta) -> tuple[int, ...]:
         """Marks <alpha_j, beta^vee> of the coroot of beta."""
         c = self.coroot_coords(beta)
-        return tuple(
-            sum(c[i] * self.cartan_matrix[i][j] for i in range(self.rank))
-            for j in range(self.rank)
-        )
+        return tuple(sum(x * y for x, y in zip(c, col)) for col in zip(*self.cartan_matrix))
 
     def root_pairings(self, marks) -> list[int]:
         """<beta, h> = sum_j beta_j marks_j for every root beta, in `all_roots` order.
@@ -270,11 +263,9 @@ class RootSystem:
     def highest_short_root(self) -> tuple[int, ...]:
         if not self.cartan_type.is_simple:
             raise ValueError("highest short root of a product type")
-        dmin = min(self.root_d(r) for r in self.positive_roots)
-        return max(
-            (r for r in self.positive_roots if self.root_d(r) == dmin),
-            key=lambda r: (sum(r), r),
-        )
+        # positive_roots ascend by (height, coordinates): the last short one is highest
+        dmin = min(self.lengths)
+        return [r for r, d in zip(self.positive_roots, self.lengths) if d == dmin][-1]
 
     def dominant_marks(self, marks) -> tuple[int, ...]:
         """Marks of the Weyl-dominant conjugate of the Cartan element with these marks."""
@@ -368,17 +359,15 @@ def identify_subsystem(rs: RootSystem, simples) -> tuple[CartanType, tuple]:
     standard Cartan matrix of the named type (per component, components sorted
     by family/rank then concatenated).  Each connected component, its roots in
     the order a search from its lowest index reaches them, takes the first
-    family A to G that `cartan_matches` it, else raises ValueError.
+    family A to G that `cartan_matches` it, else raises ValueError; so does a non-root.
     """
     n = len(simples)
-    pair = [[0] * n for _ in range(n)]
-    for i, bi in enumerate(simples):
-        d = rs.root_d(bi)
-        for j, bj in enumerate(simples):
-            num = rs.bilinear(bi, bj)
-            if num % d:
-                raise ArithmeticError(f"pairing of {bi} with {bj} is not an integer")
-            pair[i][j] = num // d
+    for b in simples:
+        if tuple(b) not in rs.root_index:
+            raise ValueError(f"{tuple(b)} is not a root of {rs.cartan_type}")
+    ts = [rs.root_index[tuple(b)] for b in simples]
+    # pair[i][j] = <b_j, b_i^vee> = sum_k (b_i^vee)_k <b_j, alpha_k^vee>
+    pair = [[sum(c * p for c, p in zip(rs.coroots[s], rs.pairings[t])) for t in ts] for s in ts]
     identified = []
     seen: set[int] = set()
     for s in range(n):

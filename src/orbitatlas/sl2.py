@@ -116,7 +116,7 @@ def isotypic_decomposition(a: ChevalleyAlgebra, t: Sl2Triple) -> IsotypicDecompo
         if k == 2:
             ak -= 1  # the triple itself spans one adjoint copy of S^2
         if ak < 0:
-            raise RuntimeError("negative isotypic multiplicity")
+            raise ArithmeticError(f"negative isotypic multiplicity A_{k} = {ak}")
         if ak:
             mult[k] = ak
     k_dim = n.get(0, 0) - n.get(2, 0)

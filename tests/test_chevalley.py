@@ -300,6 +300,24 @@ def test_bracket_with_denominators(name):
             assert a.bracket(x.scale(q), y) == z.scale(q)
 
 
+def test_bracket_vec_is_exact_past_int64():
+    # brackets are exact at any size: 2**70 e_alpha and 3**50 e_beta bracket to
+    # 2**70 3**50 N_{alpha,beta} e_{alpha+beta}, a coefficient that int64 would wrap
+    a = build_algebra("E8")
+    alpha = a.rs.positive_roots[0]
+    beta = next(b for b in a.rs.positive_roots
+                if tuple(p + q for p, q in zip(alpha, b)) in a.rs.root_index)
+    gamma = tuple(p + q for p, q in zip(alpha, beta))
+    i, j, k = (a.root_vector_index(r) for r in (alpha, beta, gamma))
+    js, ks, cs = a._ad[i]
+    (n,) = cs[(js == j) & (ks == k) & (cs != 0)].tolist()  # [e_alpha, e_beta] = n e_gamma
+    x, y, expected = a.basis_vector(i), a.basis_vector(j), [0] * a.dim
+    x[i], y[j], expected[k] = 2**70, 3**50, 2**70 * 3**50 * n
+    assert n != 0 and abs(expected[k]) >= 1 << 140
+    assert a.bracket_vec(x, y) == expected
+    assert a.bracket(AlgebraElement(x, 5), AlgebraElement(y, 7)) == AlgebraElement(expected, 35)
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6", "A2xG2"])
 def test_table_is_antisymmetric(name):
     a = build_algebra(name)

@@ -240,7 +240,9 @@ def test_parse_cartan_type():
 def test_dominant_marks_conjugation():
     rs = build_root_system("E6")
     theta = rs.highest_root
-    beta = next(b for b in rs.positive_roots if rs.bilinear(theta, b) == 0)
+    co = rs.coroot_coords(theta)  # <b, theta^vee> = 0 iff (theta, b) = 0
+    beta = next(b for b in rs.positive_roots
+                if sum(c * rs.pair_with_coroot(b, i) for i, c in enumerate(co)) == 0)
     marks = [p + q for p, q in zip(rs.coroot_marks(theta), rs.coroot_marks(beta))]
     dom = rs.dominant_marks(marks)
     assert dom == (1, 0, 0, 0, 0, 1)  # the next-to-minimal diagram of E6
@@ -306,3 +308,29 @@ def test_positive_roots_match_the_pinned_hash():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     total = sum(build_root_system(name).num_positive for name in POSITIVE_ROOTS_TYPES)
     assert (len(lines), total, digest) == (35, 960, POSITIVE_ROOTS_SHA256)
+
+
+def test_identify_subsystem_rejects_a_non_root():
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError, match=r"\(1, -1\) is not a root of A2"):
+        identify_subsystem(rs, [(1, 0), (1, -1)])
+
+
+ROOT_TABLE_TYPES = [str(t) for t in scan_types(8)] + ["A2xG2xB3", "B3xC4"]
+# sha256 of each root's (pairings <beta, alpha_i^vee>, coroot, half squared length),
+# in `all_roots` order, recorded from the per-root helpers that computed them one
+# root at a time before `RootSystem` tabulated them
+ROOT_TABLE_SHA256 = "4917c1904a6222d362949252966f03aa1bb8d226dd2f518f89652cbb05ef990b"
+
+
+def test_root_tables_match_the_pinned_hash():
+    lines, total = [], 0
+    for name in ROOT_TABLE_TYPES:
+        rs = build_root_system(name)
+        rows = list(zip(rs.pairings, rs.coroots, rs.lengths))
+        # Python ints, not numpy scalars: callers need exact ints and int.bit_length
+        assert all(type(v) is int for p, c, d in rows for v in (*p, *c, d))
+        lines.append(f"{name} {rows}")
+        total += len(rows)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), total, digest) == (34, 1956, ROOT_TABLE_SHA256)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction as Q
 
@@ -83,6 +84,15 @@ def test_A2_regular_decomposition():
     assert d.k_dim == 0
     assert d.multiplicities == {4: 1}
     assert d.w_dim == 3
+
+
+def test_negative_isotypic_multiplicity_raises_arithmetic_error():
+    # a grading with one vector in degree 3 and none in degree 1 reads A_1 = n_1 - n_3 = -1
+    a = build_algebra("A1")
+    t = complete_triple(a, a.root_vector((1,)), [2])
+    bad = dataclasses.replace(t, grading={0: [0], 3: [1], -3: [2]})
+    with pytest.raises(ArithmeticError, match="negative isotypic multiplicity"):
+        isotypic_decomposition(a, bad)
 
 
 def test_bookkeeping_identity():

@@ -9,11 +9,15 @@ independent, every other row ends at 0, and the rank is the number of
 pivots, as any other elimination over GF(P) would give.  The caller bounds
 B * n * m, and so the memory (`cohom.STACK_CELLS`).
 
-int64 headroom: row i and the multipliers are reduced into [0, P) when step
-i reads them, so each product is below 2**62.  The rows below are only folded,
-x -> (x & P) + (x >> 31), equal mod P as 2**31 = 1 mod P: an entry below 2**33
-plus a product is below 2**63 and folds back below 2**33.  No int64 value
-wraps, and no float is used anywhere.
+Delayed reduction: the elimination runs on a zero-copy uint64 view of the
+stack.  Row i and the multipliers are reduced into [0, P) when step i reads
+them, so each product is at most (P - 1)**2 = 2**62 - 2**33 + 4.  The rows
+below are folded, x -> (x & P) + (x >> 31), equal mod P as 2**31 = 1 mod P,
+only once every fourth update: a folded entry, like an unread input entry,
+is at most (2**31 - 1) + (2**33 - 1) < 2**33 + 2**31, and that plus four
+products is at most 2**64 - 3 * 2**33 + 2**31 + 14 < 2**64.  No uint64 value
+wraps, and no float is used anywhere: every operand is uint64, array or
+np.uint64 scalar, as int64 mixed with uint64 would promote to float64.
 
 Reducing mod P never raises a rank: every r x r minor that vanishes over Q
 vanishes mod P.  Each result is therefore a lower bound on the rank r over
@@ -25,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 P = (1 << 31) - 1  # a Mersenne prime
+_P, _31 = np.uint64(P), np.uint64(31)
 
 
 def residues(rows: list[list[int]], ncols: int) -> np.ndarray:
@@ -35,24 +40,32 @@ def residues(rows: list[list[int]], ncols: int) -> np.ndarray:
 
 
 def rank_mod_p(a: np.ndarray) -> list[int]:
-    """Ranks over GF(P) of a (B, n, m) int64 stack with entries in [0, P); may destroy `a`."""
+    """Ranks over GF(P) of a (B, n, m) int64 stack with entries in [0, P); may destroy `a`.
+
+    ValueError for an entry outside [0, P): the uint64 view would misread a negative one.
+    """
+    if a.size and not 0 <= a.min() <= a.max() < P:
+        raise ValueError(f"rank_mod_p needs entries in [0, {P})")
     if a.shape[1] > a.shape[2]:
         a = a.transpose(0, 2, 1).copy()
+    a = a.view(np.uint64)
     b, n, buf = np.arange(len(a)), a.shape[1], np.empty_like(a)
-    ranks = [0] * len(a)
+    ranks, updates = [0] * len(a), 0
     for i in range(n):
         row = a[:, i]
-        row %= P
+        row %= _P
         j = (row != 0).argmax(1)
         piv = row[b, j].tolist()
         ranks = [r + (v != 0) for r, v in zip(ranks, piv)]
         if i + 1 < n and any(piv):
-            g = a[b, i + 1:, j] % P
-            g *= np.array([P - pow(v, -1, P) if v else 0 for v in piv], dtype=np.int64)[:, None]
-            g %= P  # -f: row k += g[k] row i clears column j below the pivot
+            g = a[b, i + 1:, j] % _P
+            g *= np.array([P - pow(v, -1, P) if v else 0 for v in piv], dtype=np.uint64)[:, None]
+            g %= _P  # -f: row k += g[k] row i clears column j below the pivot
             rest, tmp = a[:, i + 1:], buf[:, i + 1:]
             rest += np.multiply(g[..., None], row[:, None], out=tmp)
-            np.right_shift(rest, 31, out=tmp)  # fold
-            rest &= P
-            rest += tmp
+            updates += 1
+            if updates % 4 == 0:  # fold
+                np.right_shift(rest, _31, out=tmp)
+                rest &= _P
+                rest += tmp
     return ranks

@@ -16,9 +16,12 @@ array built from arrays of terms: shape (dim, 3, width), row j listing each
 [b_j, b_i] = c b_k as (i, k, c), padded with c = 0.  Every bracket is
 derived from it: blocks of ad(x) by gathers and scatters over the array, exactly
 in int64 (`ad_ints`, its headroom checked on each call) or mod P = 2**31 - 1
-(`ad_residues`, `bracket_residues`), and brackets of elements of any size exactly
-by `ChevalleyAlgebra.bracket_vec`, which walks the array's rows as Python ints:
-the array is the table's only copy.  Root data comes from `RootSystem`'s tables.
+(`ad_residues`), and brackets of elements of any size exactly by
+`ChevalleyAlgebra.bracket_vec`, which walks the array's rows as Python ints: the
+array is the table's only copy.  Construction also derives from it, once, the
+powers ad(e_gamma)^p of every root vector, one slot per path of terms
+(`ad_powers`), on which `cohom` runs its unipotent flows.  Root data comes from
+`RootSystem`'s tables.
 An element is an integer vector over one positive denominator
 (`AlgebraElement`).  The Killing form is one integer formula over the coroot
 Gram matrix G (`killing`).  Construction proves the table a Lie algebra
@@ -114,6 +117,7 @@ class ChevalleyAlgebra:
         self._killing = (m[:, :npos] ** 2).sum(axis=0).tolist()
         self.max_ad_power = max(2, int(abs(m).max()))
         self.verify_jacobi()
+        self._build_ad_powers()
 
     # -- construction --------------------------------------------------------
 
@@ -198,18 +202,58 @@ class ChevalleyAlgebra:
 
     def _build_index(self, terms):
         """Pack the terms (j, i, k, c) into `_ad`, row j listing (i, k, c) per term of
-        [b_j, b_i] = sum c b_k, sorted by (i, k) and padded with c = 0; and the int64
-        headroom (see `cohom`; fan_in: most terms of one row on one b_k)."""
+        [b_j, b_i] = sum c b_k, sorted by (i, k) and padded with c = 0; and `ad_ints`'s
+        int64 headroom (fan_in: most terms of one row on one b_k)."""
         n = self.dim
         j, i, k, c = terms[:, np.argsort((terms[0] * n + terms[1]) * n + terms[2], kind="stable")]
         slot = np.arange(len(j)) - np.searchsorted(j, j)
         self._ad = np.zeros((n, 3, slot.max() + 1), dtype=np.int64)
         self._ad[j, :, slot] = np.stack([i, k, c], axis=1)
         fan_in = int(np.bincount(j * n + k).max())
-        cmax = int(abs(c).max())
-        self._headroom = cmax * fan_in  # an entry of ad(x) is below max|x| times this
-        if max(self._headroom * (P - 1), (P - 1) ** 2 + P - 1) >= 1 << 63:
-            raise ArithmeticError(f"int64 headroom fails: |c| <= {cmax}, fan-in {fan_in}")
+        self._headroom = int(abs(c).max()) * fan_in  # an entry of ad(x) is below max|x| times this
+
+    def _build_ad_powers(self):
+        """Tabulate ad(e_gamma)^p for each root gamma (row gamma, `all_roots` order) and each
+        p <= `max_ad_power` as `ad_powers` and `ad_power_widths`.
+
+        A power-p term is one path of p terms of row gamma of `_ad`, b_i -> ... -> c b_k
+        (c the product of their coefficients); it gets its own slot (i, k, c), so equal
+        (i, k) are never merged and ad(e_gamma)^p b_i sums its slots.  Columns hold power 1,
+        then 2, ..., each power padded with c = 0 to width `ad_power_widths[p - 1]`.  Paths
+        grow one term at a time: a path ending at b_k continues along every term of row
+        gamma with source k (`_ad` rows are sorted by source, so those terms are one run).
+        Two checks, raising ArithmeticError: no path is longer than `max_ad_power`, so the
+        table is all of exp(t ad e_gamma); and the int64 headroom of the flow in `cohom`: a
+        product of two residues, (P - 1)**2, and a scatter onto one entry, (P - 1) (1 + max|c|
+        width), stay below 2**63, as the table's width bounds the slots of one row on one
+        b_k.  The table is allocated once, when its widths are known, and filled one field
+        of one power at a time, which keeps the build's peak memory low.
+        """
+        n, ad = self.dim, self._ad[self.rank:]
+        live = ad[:, 2] != 0
+        g = np.nonzero(live)[0]
+        i, k, c = ad[:, 0][live], ad[:, 1][live], ad[:, 2][live]
+        key = g * n + i  # ascending
+        paths = [(g, i, k, c)]  # paths[p - 1]: (gamma, i, k, c) of each power-p path
+        for _ in range(self.max_ad_power):
+            pg, pi, pk, pc = paths[-1]
+            at = pg * n + pk
+            lo = np.searchsorted(key, at)
+            run = np.searchsorted(key, at, side="right") - lo
+            pick = np.repeat(np.arange(len(pg)), run)
+            step = np.arange(len(pick)) + np.repeat(lo - np.cumsum(run) + run, run)
+            paths.append((pg[pick], pi[pick], k[step], pc[pick] * c[step]))
+        if len(paths.pop()[0]):
+            raise ArithmeticError(f"ad(e_gamma) is not nilpotent of order {self.max_ad_power}")
+        slots = [np.arange(len(pg)) - np.searchsorted(pg, pg) for pg, *_ in paths]
+        self.ad_power_widths = tuple(int(slot.max()) + 1 for slot in slots)
+        width, cmax = sum(self.ad_power_widths), max(int(abs(pc).max()) for *_, pc in paths)
+        if max((P - 1) ** 2, (P - 1) * (1 + cmax * width)) >= 1 << 63:
+            raise ArithmeticError(f"int64 headroom fails: |c| <= {cmax}, row width {width}")
+        self.ad_powers = np.zeros((len(ad), 3, width), dtype=np.int64)
+        for (pg, *terms), slot, col in zip(paths, slots, np.cumsum((0,) + self.ad_power_widths)):
+            for row, v in enumerate(terms):
+                self.ad_powers[pg, row, col + slot] = v
 
     def root_vector_index(self, beta) -> int:
         return self.rank + self.rs.root_index[beta]
@@ -267,18 +311,6 @@ class ChevalleyAlgebra:
         """Row j is [b_j, x] = -(column j of ad(x)), for an integer vector x."""
         return [self.bracket_vec(self.basis_vector(j), x) for j in range(self.dim)]
 
-    def bracket_residues(self, js: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Row s is [b_{js[s]}, xs[s]] mod P, for int64 rows xs in [0, P).
-
-        One gather of xs along row js[s] of the index array and one
-        scatter-add; a single row xs serves every js.
-        """
-        i, k, c = self._ad[js].transpose(1, 0, 2)
-        n = self.dim
-        out = np.zeros(len(js) * n, dtype=np.int64)
-        np.add.at(out, k + n * np.arange(len(js))[:, None], c * xs[np.arange(len(xs))[:, None], i])
-        return out.reshape(-1, n) % P
-
     def ad_ints(self, xs, js=None) -> np.ndarray:
         """Rows js (default all) of `ad_rows(x)` for each integer row x of xs, exactly, as one
         (len(xs), len(js), dim) int64 array: one gather of xs along those rows of the index
@@ -293,7 +325,9 @@ class ChevalleyAlgebra:
 
     def ad_residues(self, xs: np.ndarray) -> np.ndarray:
         """`ad_ints(xs)` mod P: ad_rows(x) mod P for each int64 row x of xs in [0, P)."""
-        return self.ad_ints(xs) % P
+        out = self.ad_ints(xs)
+        out %= P
+        return out
 
     def centralizer_dim(self, x: AlgebraElement) -> int:
         """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""

@@ -17,16 +17,18 @@ expected values in the test suite surface any run where it is not.
 Sample s draws its flows from its own derived seed, whatever the point, and
 the samples are merged by max, so a report is deterministic for a given
 (seed, num_samples) and no row depends on the rows beside it.  All samples
-of all points of one call flow together as one int64 array, each step a
-gather and a scatter over the algebra's index array per power of
-ad(e_gamma).  Their compact-form matrices are ranked as stacks, one
-`_modp.rank_mod_p` call each; a stack holds at most STACK_CELLS entries (or
-one point), a bound set by the matrix shape alone that keeps, say,
-`--samples 1000` on E8 from allocating half a gigabyte at once.
+of all points of one call flow together as one int64 array, each step one
+gather and one scatter-add over the algebra's table of the powers of
+ad(e_gamma) (`ChevalleyAlgebra.ad_powers`).  Their compact-form matrices are
+ranked as stacks, one `_modp.rank_mod_p` call each; a stack holds at most
+STACK_CELLS entries (or one point), a bound set by the matrix shape alone
+that keeps, say, `--samples 1000` on E8 from allocating half a gigabyte at
+once.
 
 int64 headroom: residues lie in [0, P), P < 2**31, and `ChevalleyAlgebra`
-checks when it is built that a scatter's sum max|c| (P - 1) fan_in and the
-flow's (P - 1)**2 + P stay below 2**63 (raising `ArithmeticError`).
+checks when it is built that a product of two residues, (P - 1)**2, and a
+step's scatter onto one entry, (P - 1) (1 + max|c| width) with `ad_powers`'s
+width and path coefficients c, stay below 2**63 (raising `ArithmeticError`).
 """
 
 from __future__ import annotations
@@ -99,9 +101,11 @@ def sample_orbit_point(
 
     Sample s draws each step's root gamma and parameter t once, from its own
     `derived_seed(cfg, s)`.  A step applies exp(t ad e_gamma) = sum_k t^k
-    (k!)^-1 ad(e_gamma)^k, k <= `a.max_ad_power` (at most 3), to all rows,
-    one `bracket_residues` call per power.  P divides no such k!, so each
-    row is the reduction of the exact point den(x0) * image.
+    (k!)^-1 ad(e_gamma)^k, k <= `a.max_ad_power` (at most 3), to all rows at
+    once: one gather of each row's slots of `a.ad_powers[gamma]`, each slot
+    times its power's t^k / k! mod P and its path coefficient, and one
+    scatter-add.  P divides no such k!, so each row is the reduction of the
+    exact point den(x0) * image.
     """
     roots = a.rs.all_roots
     params = [c for c in range(-COEFFICIENT_RANGE, COEFFICIENT_RANGE + 1) if c]
@@ -110,18 +114,23 @@ def sample_orbit_point(
     for s in range(n):
         rng = random.Random(derived_seed(cfg, s))
         for _ in range(steps):
-            draws += (a.root_vector_index(roots[rng.randrange(len(roots))]), rng.choice(params) % P)
+            draws += (rng.randrange(len(roots)), rng.choice(params) % P)
     # row d * n + s flows under sample s's draws
     gammas, t = np.tile(np.array(draws, dtype=np.int64).reshape(n, steps, 2), (len(x0s), 1, 1)).T
     coef = [t]  # coef[k - 1][step, row] = t^k / k! mod P
     for k in range(2, a.max_ad_power + 1):
         coef.append(coef[-1] * t % P * pow(k, -1, P) % P)
     x = np.array([[v % P for v in x0.num] for x0 in x0s for _ in range(n)], dtype=np.int64)
-    for step, g in enumerate(gammas):
-        term = x
-        for ck in coef:
-            term = a.bracket_residues(g, term)  # ad(e_gamma)^k x mod P
-            x = (x + ck[step, :, None] * term) % P
+    flat, at = x.reshape(-1), a.dim * np.arange(len(x))[:, None]
+    for g, tg in zip(gammas, np.stack(coef, axis=2)):
+        # row r: x_k += c (t^p / p! x_i mod P) over the slots (i, k, c) of row g[r]'s power p
+        i, k, c = a.ad_powers[g].transpose(1, 0, 2)
+        v = flat[i + at]
+        v *= np.repeat(tg, a.ad_power_widths, axis=1)
+        v %= P
+        v *= c
+        np.add.at(flat, k + at, v)
+        x %= P
     return x.reshape(len(x0s), n, a.dim)
 
 

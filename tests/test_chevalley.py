@@ -177,6 +177,33 @@ def test_max_ad_power_is_the_nilpotency_of_root_vectors(name):
     assert reached == a.max_ad_power
 
 
+@pytest.mark.parametrize("name", ["A1", "B3", "C3", "G2", "F4", "A2xG2"])
+def test_ad_power_rows_are_the_powers_of_ad_root_vectors(name):
+    # row gamma of `ad_powers`, power block p, summed slot by slot, is ad(e_gamma)^p
+    # computed by p exact brackets, on every basis vector
+    a = build_algebra(name)
+    widths = a.ad_power_widths
+    assert len(widths) == a.max_ad_power and a.ad_powers.shape[2] == sum(widths)
+    for q, gamma in enumerate(a.rs.all_roots):
+        e = a.root_vector(gamma).num
+        powers = [[a.basis_vector(i) for i in range(a.dim)]]
+        for _ in widths:
+            powers.append([a.bracket_vec(e, v) for v in powers[-1]])
+        blocks = np.split(a.ad_powers[q], np.cumsum(widths)[:-1], axis=1)
+        for block, expected in zip(blocks, powers[1:]):
+            i, k, c = block
+            table = np.zeros((a.dim, a.dim), dtype=np.int64)
+            np.add.at(table, (i, k), c)  # padding adds c = 0
+            assert table.tolist() == expected
+
+
+def test_ad_powers_refuse_paths_longer_than_max_ad_power():
+    a = ChevalleyAlgebra(build_root_system("A2"))
+    a.max_ad_power = 1  # ad(e_gamma)^2 e_-gamma = -2 e_gamma has paths of length 2
+    with pytest.raises(ArithmeticError, match="not nilpotent"):
+        a._build_ad_powers()
+
+
 def test_index_array_refuses_a_prime_without_int64_headroom(monkeypatch):
     from orbitatlas import chevalley
 

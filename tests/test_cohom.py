@@ -19,6 +19,7 @@ from orbitatlas.cohom import (
     real_orbit_dim,
     sample_orbit_point,
 )
+from orbitatlas.flags import scan_types
 from orbitatlas.linalg import rank_int_rows
 from orbitatlas.orbits import (
     Partition,
@@ -122,6 +123,49 @@ def test_sample_rows_do_not_depend_on_the_batch(name):
     together = sample_orbit_point(a, others, cfg)
     for d, x in enumerate(others):
         assert together[d].tolist() == sample_orbit_point(a, [x], cfg)[0].tolist()
+
+
+def _flow_by_powers(a, x0s, cfg):
+    """`sample_orbit_point` the long way, the oracle for its residues: the same draws, and each
+    step applies ad(e_gamma) `max_ad_power` times over `_ad`, one gather and scatter-add per power."""
+    roots = a.rs.all_roots
+    params = [c for c in range(-COEFFICIENT_RANGE, COEFFICIENT_RANGE + 1) if c]
+    n, steps = cfg.num_samples, cfg.steps_for(a)
+    draws = []
+    for s in range(n):
+        rng = random.Random(derived_seed(cfg, s))
+        for _ in range(steps):
+            draws += (a.root_vector_index(roots[rng.randrange(len(roots))]), rng.choice(params) % P)
+    gammas, t = np.tile(np.array(draws, dtype=np.int64).reshape(n, steps, 2), (len(x0s), 1, 1)).T
+    coef = [t]  # coef[k - 1][step, row] = t^k / k! mod P
+    for k in range(2, a.max_ad_power + 1):
+        coef.append(coef[-1] * t % P * pow(k, -1, P) % P)
+    x = np.array([[v % P for v in x0.num] for x0 in x0s for _ in range(n)], dtype=np.int64)
+    rows = np.arange(len(x))[:, None]
+    for step, g in enumerate(gammas):
+        term = x
+        for ck in coef:
+            i, k, c = a._ad[g].transpose(1, 0, 2)
+            out = np.zeros(x.size, dtype=np.int64)
+            np.add.at(out, k + a.dim * rows, c * term[rows, i])
+            term = out.reshape(-1, a.dim) % P  # ad(e_gamma)^k x mod P
+            x = (x + ck[step, :, None] * term) % P
+    return x.reshape(len(x0s), n, a.dim)
+
+
+@pytest.mark.parametrize("name", [str(t) for t in scan_types(6)] + ["E7", "A2xG2"])
+def test_flow_table_equals_the_flow_by_powers(name):
+    a = build_algebra(name)
+    rng = random.Random(name)
+    # dense points over a denominator, with entries past P and negative ones
+    x0s = [AlgebraElement([rng.randint(-1 << 40, 1 << 40) for _ in range(a.dim)], den)
+           for den in (1, 6)]
+    for seed in (0, 3):
+        for steps in (0, 1, None):
+            cfg = SampleConfig(seed=seed, num_samples=2, unipotent_steps=steps)
+            got = sample_orbit_point(a, x0s, cfg)
+            assert got.dtype == np.int64 and got.shape == (2, 2, a.dim)
+            assert np.array_equal(got, _flow_by_powers(a, x0s, cfg))
 
 
 def test_sampled_dimension_above_orbit_dimension_raises(monkeypatch):

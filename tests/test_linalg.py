@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 from math import prod
 
@@ -207,6 +208,60 @@ def test_stacked_rank_edge_cases():
     assert rank_mod_p(stack_residues(mats)) == expected
     for rows, r in zip(mats, expected):
         assert rank_mod_p(residues(rows, 5)[None]) == [r]
+
+
+def _rank_gf_p(rows) -> int:
+    """Rank over GF(P) by Gaussian elimination in Python ints, the reference for `rank_mod_p`."""
+    rows, rank = [[v % P for v in row] for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, P)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % P
+            rows[r] = [(a - f * b) % P for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("n", [12, 16, 23, 29, 34, 40])
+def test_rank_mod_p_with_delayed_folds_equals_python_elimination(n):
+    # n rows, so several folds, each after four updates, and entries in [P - 2**10, P)
+    # with planted dependent rows:
+    # - random entries, some rows repeating an earlier row, which must end exactly 0;
+    # - the staircase L U, L unit lower triangular with 1s below the diagonal and row i of
+    #   U equal to -1 from column i on, but 0 on every sixth row.  Eliminating it reads
+    #   back every multiplier -1 and every pivot row entry -1, so each update adds the
+    #   largest product, (P - 1)**2.  Row 5 equals row 4, and ends 0 only if the update at
+    #   step 4, the fifth, does not wrap: with no fold after the fourth it would.
+    # A low-rank product A B mod P plants dependences among residues spread over [0, P).
+    rng = random.Random(n)
+    m = rng.randint(n, 40)
+    mats = []
+    for _ in range(2):
+        rows = [[rng.randrange(P - (1 << 10), P) for _ in range(m)] for _ in range(n)]
+        for r in rng.sample(range(1, n), n // 3):
+            rows[r] = list(rows[rng.randrange(r)])
+        mats.append(rows)
+    live = [i for i in range(n) if i % 6 != 5]
+    mats.append([[P - sum(i <= min(j, k) for i in live) for j in range(m)] for k in range(n)])
+    k = rng.randint(1, n - 1)
+    left = [[rng.randrange(P) for _ in range(k)] for _ in range(n)]
+    right = [[rng.randrange(P - (1 << 10), P) for _ in range(m)] for _ in range(k)]
+    mats.append([[sum(x * y for x, y in zip(row, col)) % P for col in zip(*right)] for row in left])
+    expected = [_rank_gf_p(rows) for rows in mats]
+    assert all(r < n for r in expected[2:])
+    assert rank_mod_p(np.array(mats, dtype=np.int64)) == expected
+
+
+@pytest.mark.parametrize("entry", [-1, -P, P, 1 << 62])
+def test_rank_mod_p_rejects_entries_outside_the_residues(entry):
+    a = np.zeros((2, 3, 4), dtype=np.int64)
+    a[1, 2, 0] = entry
+    with pytest.raises(ValueError, match="entries in"):
+        rank_mod_p(a)
 
 
 @given(int_matrices())

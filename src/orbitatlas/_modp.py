@@ -9,10 +9,15 @@ independent, every other row ends at 0, and the rank is the number of
 pivots, as any other elimination over GF(P) would give.  The caller bounds
 B * n * m, and so the memory (`cohom.STACK_CELLS`).
 
+Entries may be any int64: `rank_mod_p` reduces the stack into [0, P) in
+place, the one reduction on the way to each rank.  The largest come from
+`cohom.real_orbit_dim`, sums of two entries of ad(x) for x in [0, P), below
+2 (P - 1) headroom < 2**63, as `ChevalleyAlgebra` checks when it is built.
+
 Delayed reduction: the elimination runs on a zero-copy uint64 view of the
-stack.  Row i and the multipliers are reduced into [0, P) when step i reads
-them, so each product is at most (P - 1)**2 = 2**62 - 2**33 + 4.  The rows
-below are folded, x -> (x & P) + (x >> 31), equal mod P as 2**31 = 1 mod P,
+reduced stack.  Row i and the multipliers are reduced into [0, P) when step i
+reads them, so each product is at most (P - 1)**2 = 2**62 - 2**33 + 4.  The
+rows below are folded, x -> (x & P) + (x >> 31), equal mod P as 2**31 = 1 mod P,
 only once every fourth update: a folded entry, like an unread input entry,
 is at most (2**31 - 1) + (2**33 - 1) < 2**33 + 2**31, and that plus four
 products is at most 2**64 - 3 * 2**33 + 2**31 + 14 < 2**64.  No uint64 value
@@ -40,12 +45,8 @@ def residues(rows: list[list[int]], ncols: int) -> np.ndarray:
 
 
 def rank_mod_p(a: np.ndarray) -> list[int]:
-    """Ranks over GF(P) of a (B, n, m) int64 stack with entries in [0, P); may destroy `a`.
-
-    ValueError for an entry outside [0, P): the uint64 view would misread a negative one.
-    """
-    if a.size and not 0 <= a.min() <= a.max() < P:
-        raise ValueError(f"rank_mod_p needs entries in [0, {P})")
+    """Ranks over GF(P) of the matrices of a (B, n, m) int64 stack; may destroy `a`."""
+    np.remainder(a, P, out=a)
     if a.shape[1] > a.shape[2]:
         a = a.transpose(0, 2, 1).copy()
     a = a.view(np.uint64)

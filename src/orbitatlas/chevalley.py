@@ -15,10 +15,10 @@ Each algebra builds its structure-constant table once, as one int64 index
 array built from arrays of terms: shape (dim, 3, width), row j listing each
 [b_j, b_i] = c b_k as (i, k, c), padded with c = 0.  Every bracket is
 derived from it: blocks of ad(x) by gathers and scatters over the array, exactly
-in int64 (`ad_ints`, its headroom checked on each call) or mod P = 2**31 - 1
-(`ad_residues`), and brackets of elements of any size exactly by
-`ChevalleyAlgebra.bracket_vec`, which walks the array's rows as Python ints: the
-array is the table's only copy.  Construction also derives from it, once, the
+in int64 (`ad_ints`, its headroom checked on each call; `_modp.rank_mod_p`
+reduces them mod P = 2**31 - 1), and brackets of elements of any size exactly
+by `ChevalleyAlgebra.bracket_vec`, which walks the array's rows as Python ints:
+the array is the table's only copy.  Construction also derives from it, once, the
 powers ad(e_gamma)^p of every root vector, one slot per path of terms
 (`ad_powers`), on which `cohom` runs its unipotent flows.  Root data comes from
 `RootSystem`'s tables.
@@ -223,11 +223,12 @@ class ChevalleyAlgebra:
         grow one term at a time: a path ending at b_k continues along every term of row
         gamma with source k (`_ad` rows are sorted by source, so those terms are one run).
         Two checks, raising ArithmeticError: no path is longer than `max_ad_power`, so the
-        table is all of exp(t ad e_gamma); and the int64 headroom of the flow in `cohom`: a
-        product of two residues, (P - 1)**2, and a scatter onto one entry, (P - 1) (1 + max|c|
-        width), stay below 2**63, as the table's width bounds the slots of one row on one
-        b_k.  The table is allocated once, when its widths are known, and filled one field
-        of one power at a time, which keeps the build's peak memory low.
+        table is all of exp(t ad e_gamma); and the int64 headroom of `cohom`: a product of two
+        residues, (P - 1)**2, a flow's scatter onto one entry, (P - 1) (1 + max|c| width), as
+        the table's width bounds the slots of one row on one b_k, and a sum of two entries of
+        ad(x) for x in [0, P), 2 (P - 1) `_headroom`, stay below 2**63.  The table is
+        allocated once, when its widths are known, and filled one field of one power at a
+        time, which keeps the build's peak memory low.
         """
         n, ad = self.dim, self._ad[self.rank:]
         live = ad[:, 2] != 0
@@ -248,7 +249,7 @@ class ChevalleyAlgebra:
         slots = [np.arange(len(pg)) - np.searchsorted(pg, pg) for pg, *_ in paths]
         self.ad_power_widths = tuple(int(slot.max()) + 1 for slot in slots)
         width, cmax = sum(self.ad_power_widths), max(int(abs(pc).max()) for *_, pc in paths)
-        if max((P - 1) ** 2, (P - 1) * (1 + cmax * width)) >= 1 << 63:
+        if max((P - 1) ** 2, (P - 1) * max(1 + cmax * width, 2 * self._headroom)) >= 1 << 63:
             raise ArithmeticError(f"int64 headroom fails: |c| <= {cmax}, row width {width}")
         self.ad_powers = np.zeros((len(ad), 3, width), dtype=np.int64)
         for (pg, *terms), slot, col in zip(paths, slots, np.cumsum((0,) + self.ad_power_widths)):
@@ -322,12 +323,6 @@ class ChevalleyAlgebra:
         out = np.zeros(len(xs) * m * n, dtype=np.int64)
         np.add.at(out, k + n * np.arange(len(xs) * m).reshape(-1, m, 1), c * xs[:, i])
         return out.reshape(-1, m, n)
-
-    def ad_residues(self, xs: np.ndarray) -> np.ndarray:
-        """`ad_ints(xs)` mod P: ad_rows(x) mod P for each int64 row x of xs in [0, P)."""
-        out = self.ad_ints(xs)
-        out %= P
-        return out
 
     def centralizer_dim(self, x: AlgebraElement) -> int:
         """Complex dimension of ker ad(x), exactly (rank(ad) = rank(ad^T))."""

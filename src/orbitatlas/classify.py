@@ -364,11 +364,11 @@ def assemble_tables_2_3(cfg: SampleConfig = SampleConfig()):
             )
             checked["shared_pair"] = entry
             prov = prov + " [external data]"
-        checked["support_checks"] = {
+        checks = checked["support_checks"] = {
             k: v for k, v in support.items()
             if key in (k,) or k in ("table1-desk", "min-orbit")
         }
-        return TableRow(f"{m} | {g}", checked, {}, all(support.values()), prov)
+        return TableRow(f"{m} | {g}", checked, {}, all(checks.values()), prov)
 
     t2 = ClassificationTable("compact quaternionic Kahler, cohomogeneity one")
     for m, g, prov, key in _TABLE2_ROWS:

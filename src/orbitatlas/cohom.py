@@ -26,9 +26,11 @@ that keeps, say, `--samples 1000` on E8 from allocating half a gigabyte at
 once.
 
 int64 headroom: residues lie in [0, P), P < 2**31, and `ChevalleyAlgebra`
-checks when it is built that a product of two residues, (P - 1)**2, and a
-step's scatter onto one entry, (P - 1) (1 + max|c| width) with `ad_powers`'s
-width and path coefficients c, stay below 2**63 (raising `ArithmeticError`).
+checks when it is built that a product of two residues, (P - 1)**2, a step's
+scatter onto one entry, (P - 1) (1 + max|c| width) with `ad_powers`'s width
+and path coefficients c, and a sum e +- f of two entries of ad(x) in
+`real_orbit_dim`, 2 (P - 1) headroom with `ad_ints`'s headroom, stay below
+2**63 (raising `ArithmeticError`); `rank_mod_p` reduces those sums.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._modp import P, rank_mod_p
+from ._modp import P, rank_mod_p, residues
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 
 
@@ -120,7 +122,7 @@ def sample_orbit_point(
     coef = [t]  # coef[k - 1][step, row] = t^k / k! mod P
     for k in range(2, a.max_ad_power + 1):
         coef.append(coef[-1] * t % P * pow(k, -1, P) % P)
-    x = np.array([[v % P for v in x0.num] for x0 in x0s for _ in range(n)], dtype=np.int64)
+    x = np.repeat(residues([x0.num for x0 in x0s], a.dim), n, axis=0)
     flat, at = x.reshape(-1), a.dim * np.arange(len(x))[:, None]
     for g, tg in zip(gammas, np.stack(coef, axis=2)):
         # row r: x_k += c (t^p / p! x_i mod P) over the slots (i, k, c) of row g[r]'s power p
@@ -139,7 +141,7 @@ def real_orbit_dim(a: ChevalleyAlgebra, xs: np.ndarray) -> list[int]:
 
     A row x holds residues mod P (as `sample_orbit_point` gives them); the
     rank is taken mod 2**31 - 1, which can only lower it.  Of the rows of
-    ad(x) mod P, i[h_j, x] is imaginary, and for each positive root beta
+    ad(x), exact in int64, i[h_j, x] is imaginary, and for each positive root beta
     (`all_roots` puts -beta at the same offset among the negative roots)
     [e_beta - e_-beta, x] is real and i[e_beta + e_-beta, x] imaginary.  So
     the realified rank is the sum of the ranks of a real half (zero-padded
@@ -149,13 +151,12 @@ def real_orbit_dim(a: ChevalleyAlgebra, xs: np.ndarray) -> list[int]:
     per = max(1, STACK_CELLS // (2 * (r + npos) * n))  # points per stack
     dims = []
     for c in range(0, len(xs), per):
-        h, e, f = np.split(a.ad_residues(xs[c:c + per]), [r, r + npos], axis=1)
+        h, e, f = np.split(a.ad_ints(xs[c:c + per]), [r, r + npos], axis=1)
         stack = np.zeros((len(h), 2, r + npos, n), dtype=np.int64)
         np.subtract(e, f, out=stack[:, 0, :npos])
         stack[:, 1, :r] = h
         np.add(e, f, out=stack[:, 1, r:])
         del h, e, f  # free ad(x) before the elimination
-        stack %= P
         ranks = rank_mod_p(stack.reshape(-1, r + npos, n))
         dims += [p + q for p, q in zip(ranks[::2], ranks[1::2])]
     return dims

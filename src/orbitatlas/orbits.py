@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
-from ._modp import rank_mod_p, residues
+from ._modp import rank_mod_p
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .roots import CartanType, build_root_system, parse_cartan_type
 
@@ -310,7 +310,7 @@ def representative(
         co = [0] * a.dim
         for b, c in zip(g2, coeffs):
             co[b] = c
-        if rank_mod_p(a.ad_residues(residues([co], a.dim)))[0] == expected:
+        if rank_mod_p(a.ad_ints([co]))[0] == expected:
             return AlgebraElement(co)
         if attempt % 3 == 2:
             crange *= 2

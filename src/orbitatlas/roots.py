@@ -223,15 +223,6 @@ class RootSystem:
 
     # -- pairings ----------------------------------------------------------
 
-    def pair_with_coroot(self, beta, i: int) -> int:
-        """<beta, alpha_i^vee> for a root-lattice vector beta; `pairings` holds the roots'."""
-        row = self.cartan_matrix[i]
-        return sum(row[j] * beta[j] for j in range(self.rank))
-
-    def root_d(self, beta) -> int:
-        """Half the squared length of a root (1, 2 or 3)."""
-        return self.lengths[self.root_index[beta]]
-
     def coroot_coords(self, beta) -> tuple[int, ...]:
         """Coordinates of beta^vee over the simple coroots (always integers)."""
         return self.coroots[self.root_index[beta]]

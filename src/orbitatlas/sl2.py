@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._modp import P, rank_mod_p
+from ._modp import rank_mod_p
 from .chevalley import AlgebraElement, ChevalleyAlgebra, int64_array
 from .linalg import kernel_basis_int, rank_int_rows, solve_linear
 
@@ -162,7 +162,7 @@ def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
     mats = int64_array(action_matrices)[0].reshape(-1, d, d)
     cs = [range(1, len(mats) + 1), [(-1) ** i * (i * i % 7 + 1) for i in range(len(mats))]]
     pair = _dot(cs, mats.reshape(len(mats), d * d)).reshape(2, d, d)
-    if d * d - rank_mod_p(_commutator_rows(pair)[None] % P)[0] == 1:
+    if d * d - rank_mod_p(_commutator_rows(pair)[None])[0] == 1:
         return 1
     return d * d - rank_int_rows(_commutator_rows(mats).tolist(), d * d)
 

@@ -144,7 +144,7 @@ def test_criterion_8_fig1_pipeline():
     assert br.total_dimension == 248
     # oracle case: G2 adjoint to the long-root A2
     g2 = build_root_system("G2")
-    longs = [r for r in g2.positive_roots if g2.root_d(r) == 3]
+    longs = [r for r in g2.positive_roots if g2.lengths[g2.root_index[r]] == 3]
     lset = set(longs)
     simples = [
         r for r in longs

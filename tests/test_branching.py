@@ -16,12 +16,12 @@ from orbitatlas.roots import build_root_system, identify_subsystem, root_central
 
 
 def adjoint_hw(rs):
-    return tuple(rs.pair_with_coroot(rs.highest_root, i) for i in range(rs.rank))
+    return rs.pairings[rs.root_index[rs.highest_root]]
 
 
 def adjoint_table(rs):
     """The adjoint representation's weight table: each root once, and zero `rank` times."""
-    table = {tuple(rs.pair_with_coroot(g, i) for i in range(rs.rank)): 1 for g in rs.all_roots}
+    table = {rs.pairings[rs.root_index[g]]: 1 for g in rs.all_roots}
     table[(0,) * rs.rank] = rs.rank
     return table
 
@@ -58,9 +58,7 @@ SIMPLE_TYPES = (
 def test_adjoint_zero_weight_is_rank(name):
     # the whole adjoint table: each root's weight once, and zero rank times
     rs = build_root_system(name)
-    expected = {
-        tuple(rs.pair_with_coroot(r, i) for i in range(rs.rank)): 1 for r in rs.all_roots
-    }
+    expected = {rs.pairings[rs.root_index[r]]: 1 for r in rs.all_roots}
     expected[(0,) * rs.rank] = rs.rank
     t = weight_multiplicities(rs, adjoint_hw(rs))
     assert t.entries == expected
@@ -133,7 +131,7 @@ def test_branch_to_full_system_is_identity():
 
 def test_branch_G2_to_long_A2():
     rs = build_root_system("G2")
-    longs = [r for r in rs.positive_roots if rs.root_d(r) == 3]
+    longs = [r for r in rs.positive_roots if rs.lengths[rs.root_index[r]] == 3]
     lset = set(longs)
     simples = [
         r for r in longs
@@ -231,7 +229,7 @@ def peel(rs, subsystem):
     ctype, ordered = identify_subsystem(rs, [tuple(b) for b in subsystem])
     sub_rs = build_root_system(ctype)
     rows = restriction_matrix(rs, ordered)
-    pair_rows = [[rs.pair_with_coroot(b, i) for i in range(rs.rank)] for b in ordered]
+    pair_rows = [list(rs.pairings[rs.root_index[b]]) for b in ordered]
     torus, tden = kernel_basis_int(pair_rows, rs.rank)
     remaining = {}
     for w, m in adjoint_table(rs).items():

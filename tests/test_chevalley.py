@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from orbitatlas._modp import residues
+from orbitatlas._modp import P, residues
 from orbitatlas.chevalley import AlgebraElement, ChevalleyAlgebra, build_algebra
 from orbitatlas.classify import TABLE1_TYPES
 from orbitatlas.flags import flag_point, painted, scan_types
@@ -126,11 +126,11 @@ def test_ad_residues_is_ad_rows_mod_p(name):
     wide = [c * 3**41 - 2**64 for c in h.num]  # entries beyond +-2**63
     dense = [rng.randint(-2**70, 2**70) for _ in range(a.dim)]
     for x in (h.num, wide, dense):
-        assert np.array_equal(a.ad_residues(residues([x], a.dim))[0],
+        assert np.array_equal(a.ad_ints(residues([x], a.dim))[0] % P,
                               residues(a.ad_rows(list(x)), a.dim))
     # several points in one call: each matrix is its point's alone
     xs = residues([h.num, wide, dense], a.dim)
-    assert np.array_equal(a.ad_residues(xs), np.concatenate([a.ad_residues(x[None]) for x in xs]))
+    assert np.array_equal(a.ad_ints(xs), np.concatenate([a.ad_ints(x[None]) for x in xs]))
 
 
 @pytest.mark.parametrize("name", ["A2", "G2", "F4", "E6"])
@@ -201,6 +201,16 @@ def test_ad_powers_refuse_paths_longer_than_max_ad_power():
     a = ChevalleyAlgebra(build_root_system("A2"))
     a.max_ad_power = 1  # ad(e_gamma)^2 e_-gamma = -2 e_gamma has paths of length 2
     with pytest.raises(ArithmeticError, match="not nilpotent"):
+        a._build_ad_powers()
+
+
+def test_ad_powers_refuse_a_sum_of_two_ad_entries_past_the_int64_headroom():
+    # real_orbit_dim adds two entries of ad(x), x in [0, P): 2 (P - 1) _headroom < 2**63
+    a = ChevalleyAlgebra(build_root_system("A2"))
+    a._headroom = (1 << 62) // (P - 1)
+    a._build_ad_powers()
+    a._headroom += 1
+    with pytest.raises(ArithmeticError, match="headroom"):
         a._build_ad_powers()
 
 

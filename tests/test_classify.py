@@ -114,6 +114,26 @@ def test_tables_2_3_assembly():
     assert all(r.computed.get("shared_pair") for r in shared_rows)
 
 
+def test_tables_2_3_match_each_row_on_its_own_support_checks(monkeypatch):
+    # a failed product-additivity check fails only the rows that cite it
+    import dataclasses
+
+    import orbitatlas.classify as classify
+
+    def non_additive(components, cfg=SampleConfig()):
+        r = real(components, cfg)
+        return dataclasses.replace(r, component_cohoms=r.component_cohoms + (1,))
+
+    real = classify.product_orbit_cohom
+    monkeypatch.setattr(classify, "product_orbit_cohom", non_additive)
+    t2, t3 = assemble_tables_2_3()
+    failed = [r for r in t2.rows + t3.rows if not r.match]
+    assert [r.label for r in failed] == [r.label for r in t3.rows[:2]]
+    assert all(r.computed["support_checks"] == {"table1-desk": True, "product": False,
+                                                "min-orbit": True} for r in failed)
+    assert all(all(r.computed["support_checks"].values()) for r in t2.rows + t3.rows[2:])
+
+
 def test_tables_2_3_pass_the_sampler_config_to_every_cohomogeneity(monkeypatch):
     # the flag, desk-scale Table 1, product and min-orbit checks all sample orbits
     import orbitatlas.classify as classify

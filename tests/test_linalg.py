@@ -257,11 +257,16 @@ def test_rank_mod_p_with_delayed_folds_equals_python_elimination(n):
 
 
 @pytest.mark.parametrize("entry", [-1, -P, P, 1 << 62])
-def test_rank_mod_p_rejects_entries_outside_the_residues(entry):
+def test_rank_mod_p_ranks_entries_outside_the_residues_as_their_residues(entry):
+    # rank_mod_p reduces its stack itself, so only the entry's residue r shows
+    r = entry % P
     a = np.zeros((2, 3, 4), dtype=np.int64)
     a[1, 2, 0] = entry
-    with pytest.raises(ValueError, match="entries in"):
-        rank_mod_p(a)
+    assert rank_mod_p(a) == [0, int(r != 0)]
+    pairs = np.array([[[entry, 1], [r, 1]], [[entry, 1], [r + 1, 1]]], dtype=np.int64)
+    assert rank_mod_p(pairs) == [1, 2]
+    tall = np.array([[[entry, 1], [r, 1], [r, 1]]], dtype=np.int64)
+    assert rank_mod_p(tall) == [1]
 
 
 @given(int_matrices())

@@ -262,7 +262,7 @@ def test_minimal_marks_bounded_by_theta_pairing():
         )
         theta_vee = rs.coroot_coords(rs.highest_root)
         pair = tuple(
-            sum(c * rs.pair_with_coroot(tuple(int(j == i) for j in range(rs.rank)), k)
+            sum(c * rs.pairings[rs.root_index[tuple(int(j == i) for j in range(rs.rank))]][k]
                 for k, c in enumerate(theta_vee))
             for i in range(rs.rank)
         )

@@ -91,8 +91,8 @@ def test_highest_root_dominates(name):
         assert all(x <= t for x, t in zip(r, theta))
     # unique and long
     assert sum(1 for r in rs.positive_roots if sum(r) == sum(theta)) == 1
-    dmax = max(rs.root_d(r) for r in rs.positive_roots)
-    assert rs.root_d(theta) == dmax
+    dmax = max(rs.lengths[rs.root_index[r]] for r in rs.positive_roots)
+    assert rs.lengths[rs.root_index[theta]] == dmax
 
 
 def test_invalid_ranks():
@@ -206,7 +206,7 @@ def test_centralizer_types(name, marks, expected, torus):
 
 def test_identify_long_root_A2_in_G2():
     rs = build_root_system("G2")
-    longs = [r for r in rs.positive_roots if rs.root_d(r) == 3]
+    longs = [r for r in rs.positive_roots if rs.lengths[rs.root_index[r]] == 3]
     simples = [r for r in longs if not any(
         tuple(a - b for a, b in zip(r, s)) in set(longs) for s in longs if s != r
     )]
@@ -242,7 +242,7 @@ def test_dominant_marks_conjugation():
     theta = rs.highest_root
     co = rs.coroot_coords(theta)  # <b, theta^vee> = 0 iff (theta, b) = 0
     beta = next(b for b in rs.positive_roots
-                if sum(c * rs.pair_with_coroot(b, i) for i, c in enumerate(co)) == 0)
+                if sum(c * rs.pairings[rs.root_index[b]][i] for i, c in enumerate(co)) == 0)
     marks = [p + q for p, q in zip(rs.coroot_marks(theta), rs.coroot_marks(beta))]
     dom = rs.dominant_marks(marks)
     assert dom == (1, 0, 0, 0, 0, 1)  # the next-to-minimal diagram of E6

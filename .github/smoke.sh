@@ -17,6 +17,7 @@ atlas roots A2xG2xB3 > /dev/null
 atlas cohom flag F4 --cross 2,3 --samples 2 > /dev/null
 atlas cohom flag G2xG2xG2xG2xG2xG2xG2xG2xG2 --cross 1 --samples 1 > /dev/null
 atlas cohom flag G2 --cross 1 --samples 2 > /dev/null
+# both flows cross step-block boundaries (cohom.STACK_CELLS): E7 in 4 blocks, E8 in 2
 atlas cohom orbit E7 --label ntm --samples 40 > /dev/null
 atlas cohom orbit E8 --label ntm > /dev/null
 atlas branch E8 --sub marks:1,0,0,0,0,0,0,0 > /dev/null

@@ -24,6 +24,12 @@ products is at most 2**64 - 3 * 2**33 + 2**31 + 14 < 2**64.  No uint64 value
 wraps, and no float is used anywhere: every operand is uint64, array or
 np.uint64 scalar, as int64 mixed with uint64 would promote to float64.
 
+One `pow` per step (Montgomery's simultaneous inversion): with a_j the product
+of the nonzero pivots before matrix j, `_negated_inverses` inverts the product of
+all of them once and walks back from the last, v_j**-1 = a_j (a_j v_j)**-1 and
+a_j**-1 = v_j (a_j v_j)**-1.  It is exact, as nonzero residues have a nonzero
+product in the field GF(P); a matrix with no pivot at the step gets multiplier 0.
+
 Reducing mod P never raises a rank: every r x r minor that vanishes over Q
 vanishes mod P.  Each result is therefore a lower bound on the rank r over
 Q; it is r itself unless P divides every r x r minor.
@@ -44,6 +50,20 @@ def residues(rows: list[list[int]], ncols: int) -> np.ndarray:
     )
 
 
+def _negated_inverses(vs: list[int]) -> list[int]:
+    """P - v**-1 mod P for each residue v of vs, 0 for v = 0, from one `pow`."""
+    pre, acc = [], 1  # pre[j]: the product of the nonzero vs before j
+    for v in vs:
+        pre.append(acc)
+        if v:
+            acc = acc * v % P
+    inv, out = pow(acc, -1, P), [0] * len(vs)  # at j: of the product of the nonzero vs[:j + 1]
+    for j in reversed(range(len(vs))):
+        if vs[j]:
+            out[j], inv = P - inv * pre[j] % P, inv * vs[j] % P
+    return out
+
+
 def rank_mod_p(a: np.ndarray) -> list[int]:
     """Ranks over GF(P) of the matrices of a (B, n, m) int64 stack; may destroy `a`."""
     np.remainder(a, P, out=a)
@@ -60,7 +80,7 @@ def rank_mod_p(a: np.ndarray) -> list[int]:
         ranks = [r + (v != 0) for r, v in zip(ranks, piv)]
         if i + 1 < n and any(piv):
             g = a[b, i + 1:, j] % _P
-            g *= np.array([P - pow(v, -1, P) if v else 0 for v in piv], dtype=np.uint64)[:, None]
+            g *= np.array(_negated_inverses(piv), dtype=np.uint64)[:, None]
             g %= _P  # -f: row k += g[k] row i clears column j below the pivot
             rest, tmp = a[:, i + 1:], buf[:, i + 1:]
             rest += np.multiply(g[..., None], row[:, None], out=tmp)

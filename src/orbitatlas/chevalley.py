@@ -320,8 +320,9 @@ class ChevalleyAlgebra:
         xs = int64_array(xs, self._headroom)[0]
         i, k, c = (self._ad if js is None else self._ad[js]).transpose(1, 0, 2)
         n, m = self.dim, len(i)
-        out = np.zeros(len(xs) * m * n, dtype=np.int64)
-        np.add.at(out, k + n * np.arange(len(xs) * m).reshape(-1, m, 1), c * xs[:, i])
+        out, v = np.zeros(len(xs) * m * n, dtype=np.int64), xs[:, i]
+        v *= c
+        np.add.at(out, k + n * np.arange(len(xs) * m).reshape(-1, m, 1), v)
         return out.reshape(-1, m, n)
 
     def centralizer_dim(self, x: AlgebraElement) -> int:

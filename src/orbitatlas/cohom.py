@@ -19,18 +19,20 @@ the samples are merged by max, so a report is deterministic for a given
 (seed, num_samples) and no row depends on the rows beside it.  All samples
 of all points of one call flow together as one int64 array, each step one
 gather and one scatter-add over the algebra's table of the powers of
-ad(e_gamma) (`ChevalleyAlgebra.ad_powers`).  Their compact-form matrices are
-ranked as stacks, one `_modp.rank_mod_p` call each; a stack holds at most
-STACK_CELLS entries (or one point), a bound set by the matrix shape alone
-that keeps, say, `--samples 1000` on E8 from allocating half a gigabyte at
-once.
+ad(e_gamma) (`ChevalleyAlgebra.ad_powers`), read once per block of steps of
+at most STACK_CELLS slots (steps x rows x table width, at least one step).
+Their compact-form matrices are ranked as stacks, one `_modp.rank_mod_p` call
+each; a stack holds at most STACK_CELLS entries (or one point), a bound set by
+the matrix shape alone that keeps, say, `--samples 1000` on E8 from
+allocating half a gigabyte at once.
 
 int64 headroom: residues lie in [0, P), P < 2**31, and `ChevalleyAlgebra`
-checks when it is built that a product of two residues, (P - 1)**2, a step's
-scatter onto one entry, (P - 1) (1 + max|c| width) with `ad_powers`'s width
-and path coefficients c, and a sum e +- f of two entries of ad(x) in
-`real_orbit_dim`, 2 (P - 1) headroom with `ad_ints`'s headroom, stay below
-2**63 (raising `ArithmeticError`); `rank_mod_p` reduces those sums.
+checks when it is built that (P - 1)**2, (P - 1) (1 + max|c| width) (`ad_powers`'s
+width and path coefficients c) and 2 (P - 1) headroom (`ad_ints`'s) stay below
+2**63, raising `ArithmeticError`.  They bound a product of two residues, a slot's
+coefficient c t^p / p! before its reduction, a step's scatter onto one entry (a
+residue plus at most width residues, below (P - 1) (1 + width)), and a sum e +- f
+of two entries of ad(x) in `real_orbit_dim`, which `rank_mod_p` reduces.
 """
 
 from __future__ import annotations
@@ -101,38 +103,55 @@ def sample_orbit_point(
 ) -> np.ndarray:
     """Row (d, s) is den(x0) times x0 = x0s[d] moved by sample s's random flows, mod P.
 
-    Sample s draws each step's root gamma and parameter t once, from its own
-    `derived_seed(cfg, s)`.  A step applies exp(t ad e_gamma) = sum_k t^k
-    (k!)^-1 ad(e_gamma)^k, k <= `a.max_ad_power` (at most 3), to all rows at
-    once: one gather of each row's slots of `a.ad_powers[gamma]`, each slot
-    times its power's t^k / k! mod P and its path coefficient, and one
-    scatter-add.  P divides no such k!, so each row is the reduction of the
-    exact point den(x0) * image.
+    Sample s draws each step's root gamma and parameter t once, from the words of
+    `random.Random(derived_seed(cfg, s)).getrandbits`: gamma's index in `all_roots` is
+    the first k-bit word below their number (k its bit length), and t's index among
+    -3..3 without 0 the first 3-bit word below 6, the draws `randrange` and `choice`
+    make.  A step applies exp(t ad e_gamma) = sum_k t^k (k!)^-1 ad(e_gamma)^k, k <=
+    `a.max_ad_power` (at most 3), to all rows at once.  A block of steps gathers its
+    slots of `a.ad_powers` once, offsets them to each row and folds each slot's t^k / k!
+    and path coefficient into one residue; a step then gathers the rows' entries at the
+    slots, multiplies, and scatter-adds.  P divides no such k!, so each row is the
+    reduction of the exact point den(x0) * image.
     """
-    roots = a.rs.all_roots
-    params = [c for c in range(-COEFFICIENT_RANGE, COEFFICIENT_RANGE + 1) if c]
+    params = [c % P for c in range(-COEFFICIENT_RANGE, COEFFICIENT_RANGE + 1) if c]
+    nroots, nparams = len(a.rs.all_roots), len(params)
+    kr, kp = nroots.bit_length(), nparams.bit_length()
     n, steps = cfg.num_samples, cfg.steps_for(a)
     draws = []
     for s in range(n):
-        rng = random.Random(derived_seed(cfg, s))
+        word = random.Random(derived_seed(cfg, s)).getrandbits
         for _ in range(steps):
-            draws += (rng.randrange(len(roots)), rng.choice(params) % P)
+            g = word(kr)
+            while g >= nroots:
+                g = word(kr)
+            p = word(kp)
+            while p >= nparams:
+                p = word(kp)
+            draws += (g, p)
     # row d * n + s flows under sample s's draws
-    gammas, t = np.tile(np.array(draws, dtype=np.int64).reshape(n, steps, 2), (len(x0s), 1, 1)).T
-    coef = [t]  # coef[k - 1][step, row] = t^k / k! mod P
-    for k in range(2, a.max_ad_power + 1):
-        coef.append(coef[-1] * t % P * pow(k, -1, P) % P)
+    gammas, picks = np.tile(np.array(draws, dtype=np.int64).reshape(n, steps, 2), (len(x0s), 1, 1)).T
+    coef = [np.array(params, dtype=np.int64)[picks]]  # coef[p - 1][step, row] = t^p / p! mod P
+    for p in range(2, a.max_ad_power + 1):
+        coef.append(coef[-1] * coef[0] % P * pow(p, -1, P) % P)
+    cols = np.cumsum((0,) + a.ad_power_widths).tolist()  # power p's slots: cols[p - 1]:cols[p]
     x = np.repeat(residues([x0.num for x0 in x0s], a.dim), n, axis=0)
     flat, at = x.reshape(-1), a.dim * np.arange(len(x))[:, None]
-    for g, tg in zip(gammas, np.stack(coef, axis=2)):
-        # row r: x_k += c (t^p / p! x_i mod P) over the slots (i, k, c) of row g[r]'s power p
-        i, k, c = a.ad_powers[g].transpose(1, 0, 2)
-        v = flat[i + at]
-        v *= np.repeat(tg, a.ad_power_widths, axis=1)
-        v %= P
-        v *= c
-        np.add.at(flat, k + at, v)
-        x %= P
+    per = max(1, STACK_CELLS // max(1, len(x) * cols[-1]))  # steps per block
+    for b in range(0, steps, per):
+        # slot (i, k, c) of row r at a step: x_k += c t^p / p! x_i, p the slot's power
+        i, k, c = a.ad_powers[gammas[b:b + per]].transpose(2, 0, 1, 3)
+        i += at
+        k += at
+        for cp, lo, hi in zip(coef, cols, cols[1:]):
+            c[..., lo:hi] *= cp[b:b + per, :, None]
+        c %= P
+        for ib, kb, cb in zip(i, k, c):
+            v = flat[ib]
+            v *= cb
+            v %= P
+            np.add.at(flat, kb, v)
+            x %= P
     return x.reshape(len(x0s), n, a.dim)
 
 

@@ -168,6 +168,19 @@ def test_flow_table_equals_the_flow_by_powers(name):
             assert np.array_equal(got, _flow_by_powers(a, x0s, cfg))
 
 
+@pytest.mark.parametrize("name", ["G2", "A2xG2", "E6"])
+@pytest.mark.parametrize("per", [1, 5])
+def test_flow_in_blocks_of_steps_equals_the_flow_by_powers(name, per, monkeypatch):
+    # a block of steps holds `per` of them: one, or five, so that a boundary falls mid-flow
+    a = build_algebra(name)
+    x0s = [a.root_vector(a.rs.all_roots[-1]), AlgebraElement(list(range(-3, a.dim - 3)), 6)]
+    monkeypatch.setattr(cohom, "STACK_CELLS", per * 2 * 3 * sum(a.ad_power_widths))  # 2 x 3 rows
+    for steps in (0, 1, None):
+        cfg = SampleConfig(seed=1, num_samples=3, unipotent_steps=steps)
+        got = sample_orbit_point(a, x0s, cfg)
+        assert np.array_equal(got, _flow_by_powers(a, x0s, cfg))
+
+
 def test_sampled_dimension_above_orbit_dimension_raises(monkeypatch):
     a = build_algebra("A2")
     x0 = a.root_vector(a.rs.highest_root)

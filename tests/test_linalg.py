@@ -6,7 +6,7 @@ import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from orbitatlas._modp import rank_mod_p, residues
+from orbitatlas._modp import _negated_inverses, rank_mod_p, residues
 from orbitatlas.linalg import (
     kernel_basis_int,
     rank_int_rows,
@@ -254,6 +254,33 @@ def test_rank_mod_p_with_delayed_folds_equals_python_elimination(n):
     expected = [_rank_gf_p(rows) for rows in mats]
     assert all(r < n for r in expected[2:])
     assert rank_mod_p(np.array(mats, dtype=np.int64)) == expected
+
+
+@pytest.mark.parametrize("b", [1, 3, 5, 25])
+def test_rank_mod_p_with_matrices_missing_a_pivot_equals_python_elimination(b):
+    # At steps 0, 3 and the last one, the even-numbered matrices have no pivot: the row is
+    # zero there, or at step 3 a repeat of an earlier row.  So a step's pivot list has a zero
+    # first and last, and for B = 5 and 25 in the middle too; the pivots of the odd-numbered
+    # matrices share one inversion per step, which must skip the zeros.
+    rng = random.Random(b)
+    n, m = 7, 9
+    mats = []
+    for d in range(b):
+        rows = [[rng.randrange(P - (1 << 10), P) for _ in range(m)] for _ in range(n)]
+        if d % 2 == 0:
+            rows[0] = [0] * m
+            rows[3] = list(rows[1])
+            rows[n - 1] = [0] * m
+        mats.append(rows)
+    expected = [_rank_gf_p(rows) for rows in mats]
+    assert expected[0] == n - 3 and (b == 1 or expected[1] == n)
+    assert rank_mod_p(np.array(mats, dtype=np.int64)) == expected
+
+
+@pytest.mark.parametrize("vs", [[5], [0], [0, 0, 0], [0, 2, 3], [2, 0, 3], [2, 3, 0],
+                                [P - 1, 1, 0, P - 2, 0, 7] * 4])
+def test_negated_inverses_are_one_per_nonzero_residue(vs):
+    assert _negated_inverses(vs) == [P - pow(v, -1, P) if v else 0 for v in vs]
 
 
 @pytest.mark.parametrize("entry", [-1, -P, P, 1 << 62])

@@ -24,6 +24,8 @@ atlas branch E8 --sub marks:1,0,0,0,0,0,0,0 > /dev/null
 atlas branch G2 --sub nodes:2 > /dev/null
 atlas branch E6 --sub nodes:2,3,4,5 > /dev/null
 atlas branch A2xG2 --sub nodes:1,3 > /dev/null
+atlas branch F4 --sub marks:0,0,0,1 > /dev/null
+atlas decomp E6 --label ntm > /dev/null
 atlas orbits list E8 > /dev/null
 atlas orbits hasse D8 > /dev/null
 atlas orbits list B6 > /dev/null

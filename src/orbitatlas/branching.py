@@ -1,11 +1,21 @@
 """Weight multiplicities and branching of the adjoint representation.
 
-Weights live in fundamental-weight coordinates.  Multiplicities come from
-Freudenthal's recursion, run in integers: the invariant form is scaled by
-det_cartan, and the recursion is a quotient of two sums homogeneous of
-degree 1 in the form, so the scale cancels.  Centralizer subsystems are
-reductive, so each branching component carries a rational torus-charge
-vector alongside its semi-simple highest weight.
+Weights live in fundamental-weight coordinates, roots in simple-root
+coordinates, and every weight quantity is read off `RootSystem`'s tables.
+The invariant form is the normalised one, short roots of squared length 2:
+(omega_i, alpha_j) = delta_ij d_i, so (w, beta) = sum_i w_i beta_i d_i for
+the symmetrizers d_i, and (beta, beta) = 2 d(beta) from `lengths`.  Every
+such pairing is an integer.
+
+Multiplicities come from Freudenthal's recursion in these integers.  A
+weight mu = hw - sum_i k_i alpha_i is kept with its simple-root depth k, so
+with kappa = hw - mu the recursion's denominator is
+|hw + rho|^2 - |mu + rho|^2 = (kappa, hw + mu + 2 rho) = sum_i k_i d_i (hw + mu + 2)_i
+and the walk's ball test |mu|^2 <= |hw|^2 reads sum_i k_i d_i (hw + mu)_i >= 0.
+The Weyl dimension is prod_{beta > 0} <hw + rho, beta^vee> / <rho, beta^vee>
+over `coroots`.  Centralizer subsystems are reductive, so each branching
+component carries a rational torus-charge vector alongside its semi-simple
+highest weight.
 
 Branching the adjoint representation under a subsystem with simple roots
 beta_j needs no multiplicities; it reads the highest-weight vectors off the
@@ -24,10 +34,12 @@ Theory, sections 6 and 20-24):
 * By complete reducibility each highest-weight line spans one irreducible
   summand, of Weyl dimension.  The conservation check (sum of multiplicity
   times dimension equals dim g) raises ArithmeticError if they do not exhaust g.
+  Components are listed by decreasing <w, 2 rho^vee>, twice the height of w.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -35,91 +47,42 @@ from .linalg import kernel_basis_int, rank_int_rows
 from .roots import RootSystem, build_root_system, identify_subsystem
 
 
-def _weight_form(rs: RootSystem):
-    """det_cartan times the invariant form's Gram matrix in fundamental-weight
-    coordinates; the entries are integers."""
-    minv = rs.inv_cartan_times_det
-    n = rs.rank
-    return [[minv[j][i] * rs.symmetrizers[j] for j in range(n)] for i in range(n)]
-
-
 def _dot(x, y) -> int:
     return sum(a * b for a, b in zip(x, y))
 
 
-class _WeightGeometry:
-    """Cached per-root-system data for weight computations."""
-
-    def __init__(self, rs: RootSystem):
-        self.form = _weight_form(rs)
-        self.n = rs.rank
-        # fundamental coordinates of the simple roots: columns of the Cartan matrix
-        self.alpha_fund = [
-            tuple(rs.cartan_matrix[i][j] for i in range(self.n)) for j in range(self.n)
-        ]
-        # (alpha, F alpha, (alpha, alpha)) per simple and per positive root alpha
-        self.simple = [self._root_data(a) for a in self.alpha_fund]
-        self.pos = [self._root_data(p) for p in rs.pairings[:rs.num_positive]]
-        # det_cartan times the height (sum of simple-root coordinates) of a weight
-        self.height_vec = [sum(col) for col in zip(*rs.inv_cartan_times_det)]
-
-    def _root_data(self, a):
-        fa = tuple(_dot(row, a) for row in self.form)
-        return a, fa, _dot(a, fa)
-
-    def ip(self, x, y) -> int:
-        """det_cartan times the invariant form (x, y)."""
-        return sum(a * _dot(row, y) for a, row in zip(x, self.form) if a)
-
-    def height(self, w) -> int:
-        return _dot(self.height_vec, w)
-
-    def dominant_conjugate(self, w):
-        w = list(w)
-        while True:
-            j = next((k for k in range(self.n) if w[k] < 0), None)
-            if j is None:
-                return tuple(w)
-            c = w[j]
-            a = self.alpha_fund[j]
-            for k in range(self.n):
-                w[k] -= c * a[k]
-
-    def weyl_orbit(self, w):
-        seen = {tuple(w)}
-        stack = [tuple(w)]
-        while stack:
-            u = stack.pop()
-            for j in range(self.n):
-                if u[j]:
-                    a = self.alpha_fund[j]
-                    v = tuple(u[k] - u[j] * a[k] for k in range(self.n))
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-        return seen
-
-    def weyl_dimension(self, hw) -> int:
-        # prod (hw + rho, alpha) / (rho, alpha); the det_cartan scale cancels
-        num = den = 1
-        lr = tuple(h + 1 for h in hw)
-        for _, fa, _ in self.pos:
-            num *= _dot(lr, fa)
-            den *= sum(fa)
-        dim, rem = divmod(num, den)
-        if rem:
-            raise ArithmeticError(f"Weyl dimension of {hw} is not an integer")
-        return dim
+def _reflect(rs: RootSystem, w, j):
+    """s_j(w) = w - w_j alpha_j; alpha_j's fundamental coordinates are column j of C."""
+    return tuple(x - w[j] * row[j] for x, row in zip(w, rs.cartan_matrix))
 
 
-_GEO: dict[str, _WeightGeometry] = {}
+def _dominant(rs: RootSystem, w):
+    while (j := next((j for j, x in enumerate(w) if x < 0), None)) is not None:
+        w = _reflect(rs, w, j)
+    return w
 
 
-def _geometry(rs: RootSystem) -> _WeightGeometry:
-    key = str(rs.cartan_type)
-    if key not in _GEO:
-        _GEO[key] = _WeightGeometry(rs)
-    return _GEO[key]
+def _weyl_orbit(rs: RootSystem, w):
+    seen, stack = {w}, [w]
+    while stack:
+        u = stack.pop()
+        for j in range(rs.rank):
+            if u[j] and (v := _reflect(rs, u, j)) not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def weyl_dimension(rs: RootSystem, hw) -> int:
+    """prod over beta > 0 of <hw + rho, beta^vee> / <rho, beta^vee>."""
+    num = den = 1
+    for co in rs.coroots[:rs.num_positive]:
+        num *= sum((h + 1) * c for h, c in zip(hw, co))
+        den *= sum(co)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"Weyl dimension of {hw} is not an integer")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -131,54 +94,50 @@ class WeightMultiplicityTable:
 
 def weight_multiplicities(rs: RootSystem, hw) -> WeightMultiplicityTable:
     """Exact weight multiplicities of the irreducible module V(hw)."""
-    hw = tuple(int(h) for h in hw)
+    try:
+        hw = tuple(map(operator.index, hw))
+    except TypeError:
+        raise ValueError(f"highest weight {hw!r} is not integral") from None
     if len(hw) != rs.rank:
         raise ValueError("highest weight length != rank")
     if any(h < 0 for h in hw):
         raise ValueError("highest weight must be dominant")
-    geo = _geometry(rs)
-    lam_norm = geo.ip(hw, hw)
-    # all lattice points hw - sum k_i alpha_i inside the length ball, with their
-    # norms: |w - alpha|^2 = |w|^2 - 2(w, alpha) + (alpha, alpha)
-    ball = {hw: lam_norm}
-    frontier = [hw]
-    while frontier:
-        new = []
-        for w in frontier:
-            w2 = ball[w]
-            for a, fa, a2 in geo.simple:
-                v2 = w2 - 2 * _dot(w, fa) + a2
-                if v2 <= lam_norm:
-                    v = tuple(x - y for x, y in zip(w, a))
-                    if v not in ball:
-                        ball[v] = v2
-                        new.append(v)
-        frontier = new
-    dominants = [w for w in ball if all(c >= 0 for c in w)]
-    lr = tuple(h + 1 for h in hw)
-    lr2 = geo.ip(lr, lr)
-    # by depth of hw - w in the root lattice, i.e. by decreasing height of w
-    dominants.sort(key=lambda w: (-geo.height(w), w))
-    mult: dict[tuple, int] = {}
-    for w in dominants:
-        if w == hw:
-            mult[w] = 1
-            continue
-        w2 = ball[w]
+    n, sym = rs.rank, rs.symmetrizers
+    cols = [tuple(row[j] for row in rs.cartan_matrix) for j in range(n)]
+
+    def gap(mu, k, shift=0):
+        # |hw + shift rho|^2 - |mu + shift rho|^2 = sum_i k_i d_i (hw + mu + 2 shift)_i
+        return sum(c * d * (h + m + 2 * shift) for c, d, h, m in zip(k, sym, hw, mu))
+
+    # every mu = hw - sum k_i alpha_i inside the ball |mu|^2 <= |hw|^2, with its depth k
+    ball, queue = {hw: (0,) * n}, [hw]
+    for w in queue:
+        k = ball[w]
+        for j, a in enumerate(cols):
+            v = tuple(x - y for x, y in zip(w, a))
+            if v not in ball and gap(v, kv := k[:j] + (k[j] + 1,) + k[j + 1:]) >= 0:
+                ball[v] = kv
+                queue.append(v)
+    # by total depth, so that every mu + t beta comes before mu
+    dominants = sorted((w for w in ball if min(w) >= 0), key=lambda w: (sum(ball[w]), w))
+    pos = [(p, tuple(b * d for b, d in zip(beta, sym)), 2 * d)
+           for beta, p, d in zip(rs.positive_roots, rs.pairings, rs.lengths)]
+    mult = {hw: 1}
+    for w in dominants[1:]:
+        g = gap(w, ball[w])
         rhs = 0
-        for a, fa, a2 in geo.pos:
-            # along v = w + k alpha: |v|^2 = |w|^2 + 2k(w, alpha) + k^2 (alpha, alpha)
-            wa = _dot(w, fa)
-            v, va, v2 = w, wa + a2, w2 + 2 * wa + a2
-            while v2 <= lam_norm:
-                v = tuple(x + y for x, y in zip(v, a))
-                m = mult.get(geo.dominant_conjugate(v), 0)
+        for p, bd, b2 in pos:
+            # along v = w + t beta: va = (v, beta), and the gap |hw|^2 - |v|^2 >= 0
+            va = _dot(w, bd) + b2
+            v, vgap = w, g - 2 * va + b2
+            while vgap >= 0:
+                v = tuple(x + y for x, y in zip(v, p))
+                m = mult.get(_dominant(rs, v), 0)
                 if m:
                     rhs += 2 * m * va
-                v2 += 2 * va + a2
-                va += a2
-        wr = tuple(c + 1 for c in w)
-        denom = lr2 - geo.ip(wr, wr)
+                vgap -= 2 * va + b2
+                va += b2
+        denom = gap(w, ball[w], 1)
         if denom <= 0 or rhs == 0:
             continue  # not a weight of V(hw)
         val, rem = divmod(rhs, denom)
@@ -186,12 +145,9 @@ def weight_multiplicities(rs: RootSystem, hw) -> WeightMultiplicityTable:
             raise ArithmeticError(f"Freudenthal bookkeeping failure at {w}")
         mult[w] = val
 
-    entries: dict[tuple, int] = {}
-    for w, m in mult.items():
-        for u in geo.weyl_orbit(w):
-            entries[u] = m
+    entries = {u: m for w, m in mult.items() for u in _weyl_orbit(rs, w)}
     dim = sum(entries.values())
-    wd = geo.weyl_dimension(hw)
+    wd = weyl_dimension(rs, hw)
     if dim != wd:
         raise ArithmeticError(f"dimension check failed: {dim} != {wd}")
     return WeightMultiplicityTable(hw, entries, dim)
@@ -251,7 +207,9 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
     def restrict(w):
         return tuple(_dot(row, w) for row in rows)
 
-    sub_geo = _geometry(build_root_system(ctype))
+    sub = build_root_system(ctype)
+    # 2 rho^vee, the sum of the positive coroots: <w, 2 rho^vee> is twice w's height
+    two_rho = [sum(col) for col in zip(*sub.coroots[:sub.num_positive])]
     keys = []
     for beta, w in zip(rs.all_roots, rs.pairings):
         # e_beta is killed by every e_alpha iff no beta + alpha is a root or 0
@@ -264,9 +222,9 @@ def branch_adjoint(rs: RootSystem, subsystem) -> BranchingResult:
         # the highest-weight vectors in h: the common kernel of the beta_j
         keys.append(((0,) * len(ordered), charge((0,) * rs.rank), rs.rank - len(ordered)))
     # highest first, the component order of the stable JSON
-    keys.sort(key=lambda k: (sub_geo.height(k[0]), k[:2]), reverse=True)
+    keys.sort(key=lambda k: (_dot(two_rho, k[0]), k[:2]), reverse=True)
     result = BranchingResult(
-        tuple(BranchComponent(str(ctype), hw, ch, m, sub_geo.weyl_dimension(hw))
+        tuple(BranchComponent(str(ctype), hw, ch, m, weyl_dimension(sub, hw))
               for hw, ch, m in keys),
         rs.dimension,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -333,10 +334,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as e:
         # bad input; a failed exactness check is an ArithmeticError and propagates
         args.parser.exit(2, f"{args.parser.prog}: error: {e}\n")
+    except BrokenPipeError:
+        # the reader left; the interpreter's final flush of stdout now goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ Conventions, fixed for the whole package:
   computed through the Cartan matrix, so no irrational geometry appears.
 * `RootSystem` tabulates each root's numbers once, in `all_roots` order: its
   pairings <beta, alpha_i^vee>, coroot coordinates and half squared length.
-  Every other module reads these tables and computes none of them.
+  Every other module reads these tables and computes none of them; the
+  weight layer (`branching`) reads them, `symmetrizers` and `cartan_matrix`,
+  and inverts no matrix.
 * Symmetrizers ``d_i = (alpha_i, alpha_i)/2`` are normalized so short roots
   have squared length 2 (d in {1,2,3}).
 

@@ -1,16 +1,16 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbitatlas.branching import (
     BranchComponent,
     BranchingResult,
-    _geometry,
-    _WeightGeometry,
     branch_adjoint,
     restriction_matrix,
     weight_multiplicities,
 )
+from orbitatlas import branching
 from orbitatlas.linalg import kernel_basis_int
 from orbitatlas.roots import build_root_system, identify_subsystem, root_centralizer_subsystem
 
@@ -83,10 +83,41 @@ def test_weyl_invariance_spot_check():
             assert t.entries.get(refl) == m
 
 
+@pytest.mark.parametrize("name,hw,dim,zero", [
+    ("G2", (2, 0), 27, 3),
+    ("G2", (0, 1), 14, 2),
+    ("F4", (0, 0, 0, 1), 26, 2),
+    ("C3", (0, 1, 0), 14, 2),
+    ("C3", (1, 0, 1), 70, 4),
+])
+def test_non_simply_laced_tables(name, hw, dim, zero):
+    # symmetrizers d_i != 1 enter every pairing of the recursion
+    rs = build_root_system(name)
+    t = weight_multiplicities(rs, hw)
+    assert t.dimension == dim
+    assert t.entries[(0,) * rs.rank] == zero
+    for w, m in t.entries.items():
+        for j in range(rs.rank):
+            refl = tuple(w[k] - w[j] * rs.cartan_matrix[k][j] for k in range(rs.rank))
+            assert t.entries.get(refl) == m
+
+
 def test_non_dominant_rejected():
     rs = build_root_system("A2")
     with pytest.raises(ValueError):
         weight_multiplicities(rs, (1, -1))
+
+
+@pytest.mark.parametrize("hw", [(1.5, 0), ("1", 0), (1.0, 0)])
+def test_non_integral_highest_weight_rejected(hw):
+    # int() would truncate 1.5 and parse "1", returning V(1, 0)
+    with pytest.raises(ValueError, match="not integral"):
+        weight_multiplicities(build_root_system("A2"), hw)
+
+
+def test_numpy_integer_highest_weight_accepted():
+    t = weight_multiplicities(build_root_system("A2"), np.array([1, 0]))
+    assert t.highest_weight == (1, 0) and t.dimension == 3
 
 
 def test_restriction_full_system_identity_like():
@@ -205,14 +236,14 @@ def test_branch_E7_node7_is_E6_plus_torus():
 
 
 def test_dimension_check_raises(monkeypatch):
-    monkeypatch.setattr(_WeightGeometry, "weyl_dimension", lambda self, hw: 9)
+    monkeypatch.setattr(branching, "weyl_dimension", lambda rs, hw: 9)
     with pytest.raises(ArithmeticError, match="dimension check failed"):
         weight_multiplicities(build_root_system("A2"), (1, 1))
 
 
 def test_branch_conservation_check_raises(monkeypatch):
     # a raise, not an assert, so that it also runs under python -O
-    monkeypatch.setattr(_WeightGeometry, "weyl_dimension", lambda self, hw: 1)
+    monkeypatch.setattr(branching, "weyl_dimension", lambda rs, hw: 1)
     with pytest.raises(ArithmeticError, match="dimension conservation failed"):
         branch_adjoint(build_root_system("A2"), [(1, 0)])
 
@@ -238,11 +269,12 @@ def peel(rs, subsystem):
             tuple(Fraction(sum(a * b for a, b in zip(t, w)), tden) for t in torus),
         )
         remaining[key] = remaining.get(key, 0) + m
-    sub_geo = _geometry(sub_rs)
+    # <w, 2 rho^vee>, with 2 rho^vee the sum of the positive coroots
+    two_rho = [sum(col) for col in zip(*sub_rs.coroots[:sub_rs.num_positive])]
     components = []
     while any(remaining.values()):
         hw, ch = max((k for k, m in remaining.items() if m),
-                     key=lambda k: (sub_geo.height(k[0]), k))
+                     key=lambda k: (sum(a * b for a, b in zip(two_rho, k[0])), k))
         mult = remaining[hw, ch]
         assert mult > 0 and min(hw) >= 0
         if (str(ctype), hw) not in _TABLES:

@@ -242,11 +242,30 @@ def _marks(n, i):
 ] + [
     # the only golden run of the product-orbit cohomogeneity
     ("classify_tables23", ["classify", "tables23"]),
+] + [
+    # non-simply-laced: torus charges of +-1/2, dimensions and order where d_i != 1
+    (f"branch_{t}_marks_e{i}", ["branch", t, "--sub", _marks(4, i)])
+    for t, i in (("F4", 4), ("F4", 1), ("C4", 1), ("B4", 4))
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_a_closed_output_pipe_exits_1_without_a_traceback():
+    # about 300 KB of JSON, more than a pipe buffer holds: the write blocks until the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitatlas.cli", "orbits", "list", "D16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_the_parser_built_once_serves_a_good_call_after_a_bad_one(capsys):

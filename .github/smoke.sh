@@ -10,6 +10,12 @@ test "$status" -eq 2
 status=0
 atlas classify mixed --n 0 2> /dev/null || status=$?
 test "$status" -eq 2
+status=0
+atlas cohom orbit A2 --label wdd:20 2> /dev/null || status=$?  # not a diagram of A2
+test "$status" -eq 2
+status=0
+atlas classify table1 --types '' 2> /dev/null || status=$?
+test "$status" -eq 2
 atlas classify ss-c2 --max-rank 1 > /dev/null
 atlas classify ss-c2 --max-rank 4 --seed 1 > /dev/null
 atlas classify ss-c2 --max-rank 8 > /dev/null

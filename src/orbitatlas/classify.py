@@ -321,7 +321,7 @@ _TABLE3_ROWS = [
      "the (3,1^{n-3}) classification row", "pair:orthogonal"),
     ("SU(2n)/S(U(2n-2)U(1))", "Sp(n)", "shared-orbit pair su(2n) > sp(n); supported by "
      "the (2,2,1^{2n-4}) classification row", "pair:symplectic"),
-    ("SO(7)/SO(4)Sp(1)", "G2", "shared-orbit pair so(7) > G2; supported by the G2 "
+    ("SO(7)/SO(3)Sp(1)", "G2", "shared-orbit pair so(7) > G2; supported by the G2 "
      "classification row", "pair:G2"),
     ("F4/Sp(3)", "Spin(9)", "shared-orbit pair F4 > so(9); supported by the (2^4,1) "
      "classification row", "pair:so(9)"),

@@ -247,7 +247,7 @@ def cmd_classify(args):
     cfg = _cfg(args)
     try:
         if args.what == "table1":
-            types = args.types.split(",") if args.types else None
+            types = args.types.split(",") if args.types is not None else None
             table = reproduce_table1(types=types, cfg=cfg)
             _emit(table.as_dict())
             return 0 if table.all_match else 1

@@ -9,19 +9,21 @@ Exceptional minimal and next-to-minimal orbits are labeled by the weighted
 Dynkin diagrams of explicit representatives (highest-root vector;
 highest-short-root vector for G2/F4; a sum over a strongly orthogonal pair of
 long roots for E6/E7/E8).  A representative is a random point of the degree-2
-piece of its diagram's grading, `ChevalleyAlgebra.graded_basis`.
+piece of its diagram's grading (`ChevalleyAlgebra.graded_basis`) with an exact
+sl2 partner (`sl2.complete_triple`), which certifies diagram and orbit dimension.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
-from ._modp import rank_mod_p
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .roots import CartanType, build_root_system, parse_cartan_type
+from .sl2 import _embed, complete_triple
 
 
 @dataclass(frozen=True)
@@ -288,30 +290,26 @@ def representative(
 ) -> AlgebraElement:
     """Nilpotent representative: random small-integer point of g_2(h).
 
-    x is accepted iff the rank of ad(x) mod 2**31 - 1 equals the orbit
-    dimension the diagram predicts, `expected_orbit_dimension`; this proves
-    that the rank over Q equals it too.  ad(x) maps g_j to g_{j+2}, so its
-    kernel on g_j has dimension at least dim g_j - dim g_{j+2}; summed over
-    j >= -1 this telescopes to dim ker ad(x) >= dim g_{-1} + dim g_0 =
-    dim g_0 + dim g_1, that is rank_Q ad(x) <= expected.  Reducing mod p never
-    raises a rank, so rank_p = expected forces rank_Q = expected.  On failure
-    it retries with fresh coefficients, widening the range after every third.
+    x is accepted iff `sl2.complete_triple` finds an exact sl2 partner Y with
+    [X, Y] = H, H the Cartan element of the marks.  The marks are >= 0, so the
+    triple proves that w is x's weighted Dynkin diagram (Kostant).  g is a sum
+    of irreducible sl2-modules; ad X kills exactly the highest vector of each,
+    and each has exactly one vector of H-eigenvalue 0 or 1, so
+    dim ker ad X = dim g_0 + dim g_1: `expected_orbit_dimension` is x's
+    certified orbit dimension.  On failure it retries with fresh coefficients,
+    widening the range after every third.
     """
     g2 = a.graded_basis(w.marks).get(2)
     if not g2:
         raise ValueError(f"diagram {w} has empty degree-2 piece")
-    expected = expected_orbit_dimension(a.rs, w)
     rng = random.Random(seed)
     crange = 3
     for attempt in range(30):
         coeffs = [rng.randint(-crange, crange) for _ in g2]
         if not any(coeffs):
             continue
-        co = [0] * a.dim
-        for b, c in zip(g2, coeffs):
-            co[b] = c
-        if rank_mod_p(a.ad_ints([co]))[0] == expected:
-            return AlgebraElement(co)
+        with suppress(ValueError):  # no sl2 partner for this H: draw again
+            return complete_triple(a, _embed(a, g2, coeffs), w.marks).x
         if attempt % 3 == 2:
             crange *= 2
     raise ValueError(

@@ -155,6 +155,7 @@ def test_branch_bad_sub_is_one_line_exit_2(capsys, spec):
     (["classify", "mixed", "--n", "0"], "atlas classify"),
     (["classify", "ss-c2", "--max-rank", "0"], "atlas classify"),
     (["classify", "table1", "--types", "A1"], "atlas classify"),
+    (["cohom", "orbit", "A2", "--label", "wdd:20"], "atlas cohom orbit"),  # A2's diagrams: 00, 11, 22
 ])
 def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     with pytest.raises(SystemExit) as exc:
@@ -164,6 +165,15 @@ def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"{prog}: error: ")
+
+
+def test_empty_types_filter_is_an_unparsable_type(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "table1", "--types", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "atlas classify: error: cannot parse Cartan type ''\n"
 
 
 def test_unparsable_rank_names_the_type(capsys):

@@ -20,6 +20,7 @@ from orbitatlas.orbits import (
     weighted_diagram,
 )
 from orbitatlas.roots import build_root_system
+from orbitatlas.sl2 import complete_triple
 
 
 def labels(t):
@@ -274,6 +275,41 @@ def test_representative_rejects_a_non_diagram():
     a = build_algebra("G2")
     with pytest.raises(ValueError, match="diagram 20"):
         representative(a, WeightedDynkinDiagram((2, 0)))
+
+
+# marks whose degree-2 piece holds points x with rank ad(x) equal to
+# `expected_orbit_dimension`, although no orbit has them as its diagram
+# (A2 (2, 0): x is a sum of two commuting root vectors, in the minimal orbit 11)
+RANK_ONLY_MARKS = [
+    ("A2", (2, 0)), ("A2", (0, 2)), ("A3", (2, 0, 0)), ("A3", (1, 1, 2)),
+    ("B2", (1, 1)), ("B2", (0, 2)), ("C3", (2, 0, 0)), ("B3", (2, 0, 1)),
+    ("D4", (1, 1, 1, 0)), ("D4", (2, 0, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("tname, marks", RANK_ONLY_MARKS)
+def test_representative_rejects_marks_that_only_match_the_rank(tname, marks):
+    assert marks not in {weighted_diagram(tname, l).marks for l in valid_partitions(tname)}
+    a = build_algebra(tname)
+    with pytest.raises(ValueError, match="not a weighted Dynkin diagram"):
+        representative(a, WeightedDynkinDiagram(marks))
+
+
+@pytest.mark.parametrize(
+    "tname", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4"]
+)
+def test_representative_completes_a_triple_with_the_exact_orbit_dimension(tname):
+    a = build_algebra(tname)
+    if a.rs.cartan_type.family in "ABCD":
+        ws = [weighted_diagram(tname, l) for l in valid_partitions(tname)]
+    else:
+        ws = [l.diagram for l in [minimal_orbit(tname)] + next_to_minimal(tname)]
+    for w in ws:
+        if not any(w.marks):
+            continue  # the zero orbit has no representative
+        x = representative(a, w)
+        assert complete_triple(a, x, w.marks).x == x
+        assert a.dim - a.centralizer_dim(x) == expected_orbit_dimension(a.rs, w), str(w)
 
 
 CLASSICAL_TYPES = [

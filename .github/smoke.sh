@@ -14,6 +14,9 @@ status=0
 atlas cohom orbit A2 --label wdd:20 2> /dev/null || status=$?  # not a diagram of A2
 test "$status" -eq 2
 status=0
+atlas decomp B2 --label wdd:02 2> /dev/null || status=$?  # not a diagram of B2
+test "$status" -eq 2
+status=0
 atlas classify table1 --types '' 2> /dev/null || status=$?
 test "$status" -eq 2
 atlas classify ss-c2 --max-rank 1 > /dev/null

@@ -35,7 +35,6 @@ from .orbits import (
 from .roots import parse_cartan_type
 from .sl2 import (
     commutant_dim,
-    complete_triple,
     isotypic_decomposition,
     triple_centralizer,
     w_isotypic_action,
@@ -141,11 +140,10 @@ def table1_row(a: ChevalleyAlgebra, label: OrbitLabel, cfg: SampleConfig) -> dic
     """Computed facts for one next-to-minimal orbit."""
     t = a.rs.cartan_type
     w = weighted_diagram(t, label)
-    x = representative(a, w, seed=cfg.seed)
-    triple = complete_triple(a, x, w.marks)
+    triple = representative(a, w, seed=cfg.seed)
     kbasis, k_dim = triple_centralizer(a, triple)
     decomp = isotypic_decomposition(a, triple)
-    report = cohom_adjoint(a, x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
+    report = cohom_adjoint(a, triple.x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
     blocks = w_isotypic_action(a, triple, kbasis)
     # an empty k acts trivially: the commutant is all of End(W-block)
     commutants = {
@@ -266,7 +264,7 @@ def _component_x0(a: ChevalleyAlgebra, t: str, spec, first: int = 0) -> AlgebraE
     if isinstance(spec, OrbitLabel):
         marks = weighted_diagram(t, spec).marks
         pad = (0,) * (a.rank - first - len(marks))
-        return representative(a, WeightedDynkinDiagram((0,) * first + marks + pad))
+        return representative(a, WeightedDynkinDiagram((0,) * first + marks + pad)).x
     raise TypeError(f"cannot interpret component orbit {spec!r}")
 
 

@@ -39,7 +39,7 @@ from .orbits import (
     weighted_diagram,
 )
 from .roots import build_root_system, root_centralizer_subsystem
-from .sl2 import complete_triple, isotypic_decomposition, triple_centralizer
+from .sl2 import isotypic_decomposition, triple_centralizer
 
 
 def _emit(obj):
@@ -151,7 +151,7 @@ def cmd_cohom_orbit(args):
     a = build_algebra(t)
     lab = _parse_label(t, args.label)
     w = weighted_diagram(t, lab)
-    x = representative(a, w, seed=args.seed or 0)
+    x = representative(a, w, seed=args.seed or 0).x
     rep = cohom_adjoint(a, x, _cfg(args), orbit_dim=expected_orbit_dimension(a.rs, w))
     _emit({"type": t, "label": str(lab), "weighted_diagram": str(w), **asdict(rep)})
     return 0
@@ -179,8 +179,7 @@ def cmd_decomp(args):
     a = build_algebra(t)
     lab = _parse_label(t, args.label)
     w = weighted_diagram(t, lab)
-    x = representative(a, w, seed=args.seed or 0)
-    triple = complete_triple(a, x, w.marks)
+    triple = representative(a, w, seed=args.seed or 0)
     _, k_dim = triple_centralizer(a, triple)
     d = isotypic_decomposition(a, triple)
     _emit({

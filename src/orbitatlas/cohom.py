@@ -189,7 +189,7 @@ def cohom_adjoints(
 
     Each value is a certified upper bound (see the module docstring), and
     report d is the one-point report of x0s[d].  Orbit complex dimensions
-    already certified (as by `orbits.representative`) come as `orbit_dims`;
+    already certified (as for `orbits.representative(...).x`) come as `orbit_dims`;
     otherwise they are computed exactly from the centralizers.
     """
     if orbit_dims is None:

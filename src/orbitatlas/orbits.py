@@ -10,7 +10,7 @@ Dynkin diagrams of explicit representatives (highest-root vector;
 highest-short-root vector for G2/F4; a sum over a strongly orthogonal pair of
 long roots for E6/E7/E8).  A representative is a random point of the degree-2
 piece of its diagram's grading (`ChevalleyAlgebra.graded_basis`) with an exact
-sl2 partner (`sl2.complete_triple`), which certifies diagram and orbit dimension.
+sl2 partner (`sl2.complete_triple`); it is returned as that certified triple.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import accumulate
 
 from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .roots import CartanType, build_root_system, parse_cartan_type
-from .sl2 import _embed, complete_triple
+from .sl2 import Sl2Triple, _embed, complete_triple
 
 
 @dataclass(frozen=True)
@@ -287,11 +287,12 @@ def expected_orbit_dimension(rs, w: WeightedDynkinDiagram) -> int:
 
 def representative(
     a: ChevalleyAlgebra, w: WeightedDynkinDiagram, seed: int = 0
-) -> AlgebraElement:
-    """Nilpotent representative: random small-integer point of g_2(h).
+) -> Sl2Triple:
+    """Nilpotent representative: the sl2 triple of a random small-integer x in g_2(h).
 
     x is accepted iff `sl2.complete_triple` finds an exact sl2 partner Y with
-    [X, Y] = H, H the Cartan element of the marks.  The marks are >= 0, so the
+    [X, Y] = H, H the Cartan element of the marks, and that triple is returned
+    (x is its `.x`), so no caller solves it again.  The marks are >= 0, so the
     triple proves that w is x's weighted Dynkin diagram (Kostant).  g is a sum
     of irreducible sl2-modules; ad X kills exactly the highest vector of each,
     and each has exactly one vector of H-eigenvalue 0 or 1, so
@@ -309,7 +310,7 @@ def representative(
         if not any(coeffs):
             continue
         with suppress(ValueError):  # no sl2 partner for this H: draw again
-            return complete_triple(a, _embed(a, g2, coeffs), w.marks).x
+            return complete_triple(a, _embed(a, g2, coeffs), w.marks)
         if attempt % 3 == 2:
             crange *= 2
     raise ValueError(

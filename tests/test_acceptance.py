@@ -29,7 +29,6 @@ from orbitatlas.orbits import (
     weighted_diagram,
 )
 from orbitatlas.roots import build_root_system, root_centralizer_subsystem
-from orbitatlas.sl2 import complete_triple
 from test_chevalley import compact_gram_killing
 from test_cohom import orbit_cohoms
 from test_linalg import is_negative_definite
@@ -163,12 +162,11 @@ def test_criterion_9_structural_invariants():
     # Killing form negative definite on compact bases
     for t in ("A2", "B2", "C3", "G2", "F4", "D4", "E6"):
         assert is_negative_definite(compact_gram_killing(build_algebra(t)))
-    # triple relations after complete_triple
+    # relations of the triple `representative` returns
     for t, p in [("A3", (2, 2)), ("C3", (2, 2, 1, 1)), ("B4", (2, 2, 2, 2, 1))]:
         a = build_algebra(t)
         w = weighted_diagram(t, Partition(p))
-        x = representative(a, w)
-        tr = complete_triple(a, x, w.marks)
+        tr = representative(a, w)
         assert a.bracket(tr.x, tr.y) == tr.h
         assert a.bracket(tr.h, tr.x) == tr.x.scale(2)
         assert a.bracket(tr.h, tr.y) == tr.y.scale(-2)

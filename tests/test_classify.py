@@ -72,6 +72,30 @@ def test_reproduce_table1_small():
     assert len(table.rows) == 5
 
 
+@pytest.mark.parametrize("tname, via_cli", [("G2", False), ("E6", False), ("E6", True)])
+def test_no_caller_solves_the_triple_of_representative_again(monkeypatch, tname, via_cli):
+    """`table1_row` and `atlas decomp` read the sl2 triple `representative` certified."""
+    from orbitatlas import sl2
+    from orbitatlas.chevalley import build_algebra
+    from orbitatlas.classify import table1_row
+    from orbitatlas.cli import main
+    from orbitatlas.orbits import next_to_minimal, representative, weighted_diagram
+
+    a = build_algebra(tname)
+    label = next_to_minimal(tname)[0]
+    cfg = SampleConfig(num_samples=1)
+    solves = []
+    solve = sl2.solve_linear  # called by `complete_triple` alone
+    monkeypatch.setattr(sl2, "solve_linear", lambda *args: solves.append(args) or solve(*args))
+    representative(a, weighted_diagram(tname, label), seed=cfg.seed)
+    alone = len(solves)
+    if via_cli:
+        assert main(["decomp", tname, "--label", "ntm"]) == 0  # seed 0, as cfg's
+    else:
+        table1_row(a, label, cfg)
+    assert len(solves) == 2 * alone
+
+
 def test_reproduce_table1_reports_diagnostics_on_mismatch(monkeypatch):
     import orbitatlas.classify as C
 

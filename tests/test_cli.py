@@ -256,6 +256,10 @@ def _marks(n, i):
     # non-simply-laced: torus charges of +-1/2, dimensions and order where d_i != 1
     (f"branch_{t}_marks_e{i}", ["branch", t, "--sub", _marks(4, i)])
     for t, i in (("F4", 4), ("F4", 1), ("C4", 1), ("B4", 4))
+] + [
+    # the sl2 data of the largest next-to-minimal orbits, read off `representative`'s triple
+    ("decomp_E7_ntm", ["decomp", "E7", "--label", "ntm"]),
+    ("decomp_E8_ntm", ["decomp", "E8", "--label", "ntm"]),
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)
@@ -351,6 +355,6 @@ def test_cohom_orbit_passes_steps_and_samples_to_the_sampler(capsys, monkeypatch
     a = build_algebra("A2")
     w = WeightedDynkinDiagram((1, 1))
     assert str(minimal_orbit("A2")) == "(2,1)"
-    rep = real(a, representative(a, w), cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
+    rep = real(a, representative(a, w).x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
     expected = {"type": "A2", "label": "(2,1)", "weighted_diagram": "11", **asdict(rep)}
     assert json.loads(out) == json.loads(json.dumps(expected))

@@ -95,7 +95,7 @@ def _exact_real_orbit_dim(a, y):
 def test_sampled_rank_mod_p_equals_exact_rank(name):
     a = build_algebra(name)
     # x0 / 2 is on the same nilpotent orbit, and its denominator must show in the residues
-    x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0])).scale(Fraction(1, 2))
+    x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0])).x.scale(Fraction(1, 2))
     cfg = SampleConfig(seed=0)
     points = sample_orbit_point(a, [x0], cfg)[0]
     assert len(points) == cfg.num_samples
@@ -111,7 +111,7 @@ def test_sampled_rank_mod_p_equals_exact_rank(name):
 @pytest.mark.parametrize("name", ["A2", "G2", "F4"])
 def test_sample_rows_do_not_depend_on_the_batch(name):
     a = build_algebra(name)
-    x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0]))
+    x0 = representative(a, weighted_diagram(name, next_to_minimal(name)[0])).x
     batches = [sample_orbit_point(a, [x0], SampleConfig(seed=4, num_samples=n))[0]
                for n in range(1, 6)]
     for i in range(5):
@@ -208,7 +208,7 @@ def test_A2_regular_cohom_four():
     from orbitatlas.orbits import representative, weighted_diagram
 
     a = build_algebra("A2")
-    x = representative(a, weighted_diagram("A2", Partition((3,))))
+    x = representative(a, weighted_diagram("A2", Partition((3,)))).x
     assert cohom_adjoint(a, x).cohomogeneity == 4
 
 
@@ -219,7 +219,7 @@ def test_nilpotent_cohom_at_least_one():
             continue
         from orbitatlas.orbits import representative, weighted_diagram
 
-        x = representative(a, weighted_diagram("B2", lab))
+        x = representative(a, weighted_diagram("B2", lab)).x
         assert cohom_adjoint(a, x).cohomogeneity >= 1
 
 
@@ -245,7 +245,7 @@ def test_monotone_refinement_under_pooling():
 def orbit_cohoms(a, labels):
     """The cohomogeneity of each labelled orbit, through `representative` and `cohom_adjoint`."""
     t = a.rs.cartan_type
-    return [cohom_adjoint(a, representative(a, weighted_diagram(t, lab))).cohomogeneity
+    return [cohom_adjoint(a, representative(a, weighted_diagram(t, lab)).x).cohomogeneity
             for lab in labels]
 
 
@@ -277,7 +277,7 @@ def test_certified_orbit_dim_gives_the_same_report(tname):
 
     a = build_algebra(tname)
     w = weighted_diagram(tname, next_to_minimal(tname)[0])
-    x = representative(a, w)
+    x = representative(a, w).x
     cfg = SampleConfig(num_samples=2)
     given = cohom_adjoint(a, x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
     assert given == cohom_adjoint(a, x, cfg)
@@ -285,7 +285,7 @@ def test_certified_orbit_dim_gives_the_same_report(tname):
 
 def test_points_over_several_stacks_rank_as_one_point_at_a_time():
     a = build_algebra("E6")
-    x0 = representative(a, weighted_diagram("E6", next_to_minimal("E6")[0]))
+    x0 = representative(a, weighted_diagram("E6", next_to_minimal("E6")[0])).x
     cfg = SampleConfig(seed=2, num_samples=12)
     per_stack = STACK_CELLS // (2 * (a.rank + a.rs.num_positive) * a.dim)
     assert 1 <= per_stack < cfg.num_samples  # the points take at least two stacks
@@ -296,7 +296,7 @@ def test_points_over_several_stacks_rank_as_one_point_at_a_time():
 def test_cohom_adjoints_is_the_one_point_report_per_point():
     a = build_algebra("B3")
     xs = [min_orbit_representative(a)]
-    xs += [representative(a, weighted_diagram("B3", lab)) for lab in next_to_minimal("B3")]
+    xs += [representative(a, weighted_diagram("B3", lab)).x for lab in next_to_minimal("B3")]
     cfg = SampleConfig(seed=7, num_samples=3)
     assert cohom_adjoints(a, xs, cfg) == [cohom_adjoint(a, x, cfg) for x in xs]
     with pytest.raises(ValueError):

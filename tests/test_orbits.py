@@ -20,7 +20,6 @@ from orbitatlas.orbits import (
     weighted_diagram,
 )
 from orbitatlas.roots import build_root_system
-from orbitatlas.sl2 import complete_triple
 
 
 def labels(t):
@@ -70,7 +69,7 @@ def test_orbit_dim_matches_representative_rank():
     for t, p in [("A3", (2, 2)), ("C2", (2, 2)), ("B3", (3, 1, 1, 1, 1)), ("D4", (2, 2, 2, 2))]:
         a = build_algebra(t)
         w = weighted_diagram(t, Partition(p))
-        x = representative(a, w)
+        x = representative(a, w).x
         assert a.dim - a.centralizer_dim(x) == orbit_dimension(t, Partition(p))
 
 
@@ -202,20 +201,20 @@ def test_dimension_formula_agrees_with_grading():
 
 def test_representative_A1():
     a = build_algebra("A1")
-    x = representative(a, weighted_diagram("A1", Partition((2,))))
+    x = representative(a, weighted_diagram("A1", Partition((2,)))).x
     assert a.centralizer_dim(x) == 1
 
 
 def test_representative_A2_minimal():
     a = build_algebra("A2")
-    x = representative(a, weighted_diagram("A2", Partition((2, 1))))
+    x = representative(a, weighted_diagram("A2", Partition((2, 1)))).x
     assert a.dim - a.centralizer_dim(x) == 4
 
 
 def test_representative_nilpotent():
     a = build_algebra("C3")
     w = weighted_diagram("C3", Partition((2, 2, 1, 1)))
-    x = representative(a, w)
+    x = representative(a, w).x
     # ad(X), from ad_rows: row j is [b_j, X.num] = -den(X) * column j
     assert x.den == 1
     rows = a.ad_rows(x.num)
@@ -232,7 +231,7 @@ def test_representative_nilpotent():
 
 def test_representative_scaling_invariance():
     a = build_algebra("B3")
-    x = representative(a, weighted_diagram("B3", Partition((3, 1, 1, 1, 1))))
+    x = representative(a, weighted_diagram("B3", Partition((3, 1, 1, 1, 1)))).x
     assert a.centralizer_dim(x.scale(4)) == a.centralizer_dim(x)
 
 
@@ -241,7 +240,7 @@ def test_representative_accepted_mod_p_has_the_exact_orbit_dimension(tname):
     a = build_algebra(tname)
     for label in next_to_minimal(tname):
         w = weighted_diagram(tname, label)
-        x = representative(a, w)
+        x = representative(a, w).x
         assert a.centralizer_dim(x) == a.dim - expected_orbit_dimension(a.rs, w)
 
 
@@ -307,9 +306,12 @@ def test_representative_completes_a_triple_with_the_exact_orbit_dimension(tname)
     for w in ws:
         if not any(w.marks):
             continue  # the zero orbit has no representative
-        x = representative(a, w)
-        assert complete_triple(a, x, w.marks).x == x
-        assert a.dim - a.centralizer_dim(x) == expected_orbit_dimension(a.rs, w), str(w)
+        t = representative(a, w)
+        assert t.marks == w.marks
+        assert a.bracket(t.x, t.y) == t.h
+        assert a.bracket(t.h, t.x) == t.x.scale(2)
+        assert a.bracket(t.h, t.y) == t.y.scale(-2)
+        assert a.dim - a.centralizer_dim(t.x) == expected_orbit_dimension(a.rs, w), str(w)
 
 
 CLASSICAL_TYPES = [

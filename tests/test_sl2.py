@@ -25,9 +25,8 @@ from orbitatlas.sl2 import (
 
 
 def sl2_data_for_diagram(a, w, seed=0):
-    """representative -> triple -> decomposition, in one call."""
-    x = representative(a, w, seed=seed)
-    t = complete_triple(a, x, w.marks)
+    """representative's triple and its decomposition, in one call."""
+    t = representative(a, w, seed=seed)
     return t, isotypic_decomposition(a, t)
 
 
@@ -49,8 +48,7 @@ def test_triple_relations_exact():
     for t, p in [("A3", (2, 2)), ("B3", (3, 1, 1, 1, 1)), ("C3", (2, 2, 1, 1))]:
         a = build_algebra(t)
         w = weighted_diagram(t, Partition(p))
-        x = representative(a, w)
-        tr = complete_triple(a, x, w.marks)
+        tr = representative(a, w)
         assert a.bracket(tr.x, tr.y) == tr.h
         assert a.bracket(tr.h, tr.x) == tr.x.scale(2)
         assert a.bracket(tr.h, tr.y) == tr.y.scale(-2)
@@ -149,7 +147,7 @@ def test_E6_ntm_quick():
 def test_triple_carries_its_integer_grading():
     a = build_algebra("B3")
     w = weighted_diagram("B3", Partition((3, 1, 1, 1, 1)))
-    t = complete_triple(a, representative(a, w), w.marks)
+    t = representative(a, w)
     assert t.marks == w.marks
     assert t.grading[0][: a.rank] == list(range(a.rank))
     for k, idx in t.grading.items():
@@ -163,7 +161,7 @@ def test_triple_carries_its_integer_grading():
 def test_wrong_partner_fails_the_triple_check(monkeypatch):
     a = build_algebra("A2")
     w = weighted_diagram("A2", Partition((3,)))
-    x = representative(a, w)
+    x = representative(a, w).x
     good = sl2.solve_linear
     monkeypatch.setattr(sl2, "solve_linear",
                         lambda *args: (tuple(2 * c for c in good(*args)[0]), good(*args)[1]))

@@ -19,6 +19,9 @@ test "$status" -eq 2
 status=0
 atlas classify table1 --types '' 2> /dev/null || status=$?
 test "$status" -eq 2
+status=0
+atlas orbits list A1xA1 2> /dev/null || status=$?  # orbit labels need a simple type
+test "$status" -eq 2
 atlas classify ss-c2 --max-rank 1 > /dev/null
 atlas classify ss-c2 --max-rank 4 --seed 1 > /dev/null
 atlas classify ss-c2 --max-rank 8 > /dev/null

@@ -297,34 +297,35 @@ def load_shared_orbits() -> dict:
         return json.load(fh)
 
 
+# (space, group, provenance, the one support check cited or None, (cover, algebra) or None)
 _TABLE2_ROWS = [
-    ("HP(n)", "Sp(n)", "geometric, external: hypercomplex case (no open orbit)", None),
+    ("HP(n)", "Sp(n)", "geometric, external: hypercomplex case (no open orbit)", None, None),
     ("HP(n)", "SU(n+1)", "non-proper case, external; supported by the cohomogeneity-one "
-     "semi-simple orbit T*CP(n)", "flag:A:1"),
+     "semi-simple orbit T*CP(n)", "flag:A:1", None),
     ("Gr_2(C^n)", "SU(n-1)", "non-proper case, external (Grassmannian branch); supported "
-     "by the cohomogeneity-one semi-simple orbit T*CP(n)", "flag:A:1"),
-    ("Gr_2(C^{2n})", "Sp(n)", "shared-orbit pair su(2n) > sp(n)", "pair:symplectic"),
-    ("Gr~_4(R^n)", "SO(n-1)", "shared-orbit pair so(n) > so(n-1)", "pair:orthogonal"),
-    ("Gr~_4(R^7)", "G2", "shared-orbit pair so(7) > G2", "pair:G2"),
-    ("G2/SO(4)", "SU(3)", "shared-orbit pair G2 > su(3)", "pair:su(3)"),
-    ("F4/Sp(3)Sp(1)", "Spin(9)", "shared-orbit pair F4 > so(9)", "pair:so(9)"),
-    ("E6/SU(6)Sp(1)", "F4", "shared-orbit pair E6 > F4", "pair:F4"),
+     "by the cohomogeneity-one semi-simple orbit T*CP(n)", "flag:A:1", None),
+    ("Gr_2(C^{2n})", "Sp(n)", "shared-orbit pair su(2n) > sp(n)", None, ("su(2n)", "sp(n)")),
+    ("Gr~_4(R^n)", "SO(n-1)", "shared-orbit pair so(n) > so(n-1)", None, ("so(n+1)", "so(n)")),
+    ("Gr~_4(R^7)", "G2", "shared-orbit pair so(7) > G2", None, ("so(7)", "G2")),
+    ("G2/SO(4)", "SU(3)", "shared-orbit pair G2 > su(3)", None, ("G2", "su(3)")),
+    ("F4/Sp(3)Sp(1)", "Spin(9)", "shared-orbit pair F4 > so(9)", None, ("F4", "so(9)")),
+    ("E6/SU(6)Sp(1)", "F4", "shared-orbit pair E6 > F4", None, ("E6", "F4")),
 ]
 
 _TABLE3_ROWS = [
     ("S^{4n+3}", "Sp(r)xSp(n+1-r)", "product shared-orbit pair; supported by computed "
-     "additivity of product cohomogeneities", "product"),
-    ("RP^{4n+3}", "Sp(r)xSp(n+1-r)", "product shared-orbit pair (quotient)", "product"),
+     "additivity of product cohomogeneities", "product", None),
+    ("RP^{4n+3}", "Sp(r)xSp(n+1-r)", "product shared-orbit pair (quotient)", "product", None),
     ("SO(n+1)/SO(n-3)Sp(1)", "SO(n)", "shared-orbit pair so(n+1) > so(n); supported by "
-     "the (3,1^{n-3}) classification row", "pair:orthogonal"),
+     "the (3,1^{n-3}) classification row", None, ("so(n+1)", "so(n)")),
     ("SU(2n)/S(U(2n-2)U(1))", "Sp(n)", "shared-orbit pair su(2n) > sp(n); supported by "
-     "the (2,2,1^{2n-4}) classification row", "pair:symplectic"),
+     "the (2,2,1^{2n-4}) classification row", None, ("su(2n)", "sp(n)")),
     ("SO(7)/SO(3)Sp(1)", "G2", "shared-orbit pair so(7) > G2; supported by the G2 "
-     "classification row", "pair:G2"),
+     "classification row", None, ("so(7)", "G2")),
     ("F4/Sp(3)", "Spin(9)", "shared-orbit pair F4 > so(9); supported by the (2^4,1) "
-     "classification row", "pair:so(9)"),
+     "classification row", None, ("F4", "so(9)")),
     ("E6/SU(6)", "F4", "shared-orbit pair E6 > F4; supported by the F4 classification "
-     "row", "pair:F4"),
+     "row", None, ("E6", "F4")),
 ]
 
 
@@ -333,45 +334,36 @@ def assemble_tables_2_3(cfg: SampleConfig = SampleConfig()):
 
     Machine-checkable supporting facts are re-verified at desk scale: the
     minimal-orbit and next-to-minimal rows this assembly leans on, the
-    T*CP(n) flag, and product additivity.
+    T*CP(n) flag, and product additivity.  A row matches iff its `support_checks`
+    pass: the one check it cites, if any, with table1-desk and min-orbit.  Its
+    shared pair is read by (cover, algebra); a missing one is a ClassificationError.
     """
-    shared = load_shared_orbits()
+    pairs = {(p["cover"], p["algebra"]): p for p in load_shared_orbits()["pairs"]}
     support: dict[str, bool] = {}
     a2 = build_algebra("A2")
-    support["flag:A:1"] = (
-        flag_cohom(a2, painted("A2", [0]), cfg).cohomogeneity == 1
-    )
+    support["flag:A:1"] = flag_cohom(a2, painted("A2", [0]), cfg).cohomogeneity == 1
     small = reproduce_table1(types=["A2", "C3", "B4", "G2", "F4"], cfg=cfg)
     support["table1-desk"] = small.all_match
-    prod = product_orbit_cohom(
-        [("A1", minimal_orbit("A1")), ("A1", minimal_orbit("A1"))], cfg
-    )
+    a1_min = ("A1", minimal_orbit("A1"))
+    prod = product_orbit_cohom([a1_min, a1_min], cfg)
     support["product"] = prod.additive and prod.report.cohomogeneity == 2
     support["min-orbit"] = all(
         cohom_adjoint(a, min_orbit_representative(a), cfg).cohomogeneity == 1
         for a in map(build_algebra, ("A2", "C2", "B3"))
     )
 
-    def mkrow(m, g, prov, key):
-        checked = {}
-        if key and key.startswith("pair:"):
-            fam = key.split(":", 1)[1]
-            entry = next(
-                (p for p in shared["pairs"]
-                 if fam in (p["family"], p["algebra"], p["cover"])), None
-            )
-            checked["shared_pair"] = entry
-            prov = prov + " [external data]"
-        checks = checked["support_checks"] = {
-            k: v for k, v in support.items()
-            if key in (k,) or k in ("table1-desk", "min-orbit")
-        }
-        return TableRow(f"{m} | {g}", checked, {}, all(checks.values()), prov)
-
     t2 = ClassificationTable("compact quaternionic Kahler, cohomogeneity one")
-    for m, g, prov, key in _TABLE2_ROWS:
-        t2.rows.append(mkrow(m, g, prov, key))
     t3 = ClassificationTable("compact 3-Sasakian, cohomogeneity one")
-    for m, g, prov, key in _TABLE3_ROWS:
-        t3.rows.append(mkrow(m, g, prov, key))
+    for table, rows in ((t2, _TABLE2_ROWS), (t3, _TABLE3_ROWS)):
+        for m, g, prov, cites, pair in rows:
+            computed = {}
+            if pair:
+                if pair not in pairs:
+                    raise ClassificationError(f"{m} | {g}: shared pair {' > '.join(pair)} missing")
+                computed["shared_pair"] = pairs[pair]
+                prov += " [external data]"
+            checks = computed["support_checks"] = {
+                k: v for k, v in support.items() if k in (cites, "table1-desk", "min-orbit")
+            }
+            table.rows.append(TableRow(f"{m} | {g}", computed, {}, all(checks.values()), prov))
     return t2, t3

@@ -103,29 +103,17 @@ def cmd_roots(args):
 
 def cmd_orbits_list(args):
     t = args.type
-    mini = minimal_orbit(t)
-    ntm = {str(l) for l in next_to_minimal(t)}
-    rows = []
-    rs = build_root_system(t)
-    if rs.cartan_type.family in "ABCD":
-        for lab in valid_partitions(t):
-            rows.append({
-                "label": str(lab),
-                "dimension": orbit_dimension(t, lab),
-                "weighted_diagram": str(weighted_diagram(t, lab)),
-                "very_even_pair": lab.very_even,
-                "minimal": lab.partition == mini.partition,
-                "next_to_minimal": str(lab) in ntm,
-            })
-    else:
-        for lab in [mini] + next_to_minimal(t):
-            rows.append({
-                "label": str(lab),
-                "dimension": expected_orbit_dimension(rs, lab.diagram),
-                "weighted_diagram": str(lab.diagram),
-                "minimal": lab.name == "minimal",
-                "next_to_minimal": lab.name == "next-to-minimal",
-            })
+    mini, ntm = minimal_orbit(t), next_to_minimal(t)
+    # every partition on classical types; only these two on exceptional ones (no catalog yet)
+    labels = valid_partitions(t) if mini.partition is not None else [mini, *ntm]
+    rows = [{
+        "label": str(lab),
+        "dimension": orbit_dimension(t, lab),
+        "weighted_diagram": str(weighted_diagram(t, lab)),
+        **({"very_even_pair": lab.very_even} if lab.partition is not None else {}),
+        "minimal": lab == mini,
+        "next_to_minimal": lab in ntm,
+    } for lab in labels]
     _emit({"type": t, "orbits": rows})
     return 0
 

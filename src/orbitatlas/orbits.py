@@ -81,13 +81,15 @@ class OrbitLabel:
 
 
 def _ctype(t) -> CartanType:
-    return parse_cartan_type(t) if isinstance(t, str) else t
+    """The type t names, which must be simple: every label but wdd:<marks> needs one."""
+    t = parse_cartan_type(t) if isinstance(t, str) else t
+    if not t.is_simple:
+        raise ValueError(f"{t} is a product type: only wdd:<marks> orbit labels work on it")
+    return t
 
 
 def _classical_data(t: CartanType):
-    if not t.is_simple:
-        raise ValueError("classical operations need a simple type")
-    fam, n = t.family, t.components[0].rank
+    fam, n = t.family, t.rank
     if fam == "A":
         return fam, n, n + 1
     if fam == "B":
@@ -139,10 +141,13 @@ def _labels(t: CartanType) -> tuple[OrbitLabel, ...]:
 
 
 def orbit_dimension(t, p: Partition | OrbitLabel) -> int:
-    """Complex dimension of the orbit via the dual-partition centralizer formula."""
-    t = _ctype(t)
+    """Complex orbit dimension: a diagram label's `expected_orbit_dimension`, and
+    for a partition the dual-partition centralizer formula."""
     if isinstance(p, OrbitLabel):
+        if p.diagram is not None:
+            return expected_orbit_dimension(build_root_system(t), p.diagram)
         p = p.partition
+    t = _ctype(t)
     fam, n, size = _classical_data(t)
     if not partition_valid(t, p):
         raise ValueError(f"invalid partition {p} for {t}")
@@ -212,11 +217,11 @@ def weighted_diagram(t, label: OrbitLabel | Partition) -> WeightedDynkinDiagram:
     strings, take the dominant rearrangement in epsilon-coordinates, and read
     off the simple-root values.
     """
-    t = _ctype(t)
     if isinstance(label, Partition):
         label = OrbitLabel(partition=label)
     if label.diagram is not None:
         return label.diagram
+    t = _ctype(t)
     fam, n, size = _classical_data(t)
     p = label.partition
     if not partition_valid(t, p):

@@ -158,6 +158,26 @@ def test_tables_2_3_match_each_row_on_its_own_support_checks(monkeypatch):
     assert all(all(r.computed["support_checks"].values()) for r in t2.rows + t3.rows[2:])
 
 
+def test_a_row_citing_a_missing_shared_pair_is_a_mismatch(monkeypatch, capsys):
+    import orbitatlas.classify as classify
+    from orbitatlas.cli import main
+
+    def without_so7_g2():
+        data = real()
+        data["pairs"] = [p for p in data["pairs"] if (p["cover"], p["algebra"]) != ("so(7)", "G2")]
+        return data
+
+    real = classify.load_shared_orbits
+    monkeypatch.setattr(classify, "load_shared_orbits", without_so7_g2)
+    with pytest.raises(classify.ClassificationError, match=r"Gr~_4\(R\^7\) \| G2: .*so\(7\) > G2"):
+        assemble_tables_2_3()
+    assert main(["classify", "tables23"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("classification mismatch: ")
+
+
 def test_tables_2_3_pass_the_sampler_config_to_every_cohomogeneity(monkeypatch):
     # the flag, desk-scale Table 1, product and min-orbit checks all sample orbits
     import orbitatlas.classify as classify

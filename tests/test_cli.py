@@ -167,6 +167,32 @@ def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     assert captured.err.startswith(f"{prog}: error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbits", "list", "A1xA1"],
+    ["orbits", "hasse", "A1xA1"],
+    ["cohom", "orbit", "A1xA1", "--label", "min"],
+    ["cohom", "orbit", "A1xA1", "--label", "ntm"],
+    ["cohom", "orbit", "A1xA1", "--label", "2,1"],
+    ["decomp", "A1xA1", "--label", "min"],
+    ["classify", "table1", "--types", "A1xA1"],
+], ids="-".join)
+def test_orbit_labels_on_a_product_type_give_one_error_naming_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.endswith(": error: A1xA1 is a product type: only wdd:<marks> orbit labels "
+                         "work on it")
+
+
+def test_a_diagram_label_still_works_on_a_product_type(capsys):
+    code, out = run(capsys, "cohom", "orbit", "A1xA1", "--label", "wdd:22")
+    assert code == 0
+    assert json.loads(out)["weighted_diagram"] == "22"
+
+
 def test_empty_types_filter_is_an_unparsable_type(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "table1", "--types", ""])
@@ -260,6 +286,13 @@ def _marks(n, i):
     # the sl2 data of the largest next-to-minimal orbits, read off `representative`'s triple
     ("decomp_E7_ntm", ["decomp", "E7", "--label", "ntm"]),
     ("decomp_E8_ntm", ["decomp", "E8", "--label", "ntm"]),
+] + [
+    # the exceptional rows, which carry no very_even_pair key
+    ("orbits_list_E8", ["orbits", "list", "E8"]),
+    # a very even [I/II] label, and two next-to-minimal flags
+    ("orbits_list_D4", ["orbits", "list", "D4"]),
+    # a non-default sampler config through every support check
+    ("classify_tables23_s1", ["classify", "tables23", "--seed", "1", "--samples", "3"]),
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)

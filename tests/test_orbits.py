@@ -186,12 +186,15 @@ def test_expected_dims_exceptional():
         rs = build_root_system(t)
         assert expected_orbit_dimension(rs, minimal_orbit(t).diagram) == dmin
         assert expected_orbit_dimension(rs, next_to_minimal(t)[0].diagram) == dntm
+        assert orbit_dimension(t, minimal_orbit(t)) == dmin
+        assert orbit_dimension(t, next_to_minimal(t)[0]) == dntm
 
 
 def test_dimension_formula_agrees_with_grading():
     # dual-partition centralizer formula vs the sl2-grading count of the
-    # weighted diagram: two independent routes to the orbit dimension
-    for t in ("A4", "B3", "B4", "C3", "C4", "D4", "D5"):
+    # weighted diagram: two independent routes to the orbit dimension, on every
+    # classical label through rank 6, so the sweep also checks the diagram recipe
+    for t in (t for t in CLASSICAL_TYPES if int(t[1:]) <= 6):
         rs = build_root_system(t)
         for lab in valid_partitions(t):
             w = weighted_diagram(t, lab)

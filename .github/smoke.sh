@@ -44,3 +44,4 @@ atlas orbits list B6 > /dev/null
 atlas orbits list D12 > /dev/null
 atlas classify mixed --n 6 > /dev/null
 atlas classify table1 --types G2,F4,E6,E7 > /dev/null
+atlas classify table1 --types E8 > /dev/null

@@ -314,8 +314,9 @@ _TABLE2_ROWS = [
 
 _TABLE3_ROWS = [
     ("S^{4n+3}", "Sp(r)xSp(n+1-r)", "product shared-orbit pair; supported by computed "
-     "additivity of product cohomogeneities", "product", None),
-    ("RP^{4n+3}", "Sp(r)xSp(n+1-r)", "product shared-orbit pair (quotient)", "product", None),
+     "additivity of product cohomogeneities", "product", ("sp(a+b)", "sp(a)+sp(b)")),
+    ("RP^{4n+3}", "Sp(r)xSp(n+1-r)", "product shared-orbit pair (quotient)", "product",
+     ("sp(a+b)", "sp(a)+sp(b)")),
     ("SO(n+1)/SO(n-3)Sp(1)", "SO(n)", "shared-orbit pair so(n+1) > so(n); supported by "
      "the (3,1^{n-3}) classification row", None, ("so(n+1)", "so(n)")),
     ("SU(2n)/S(U(2n-2)U(1))", "Sp(n)", "shared-orbit pair su(2n) > sp(n); supported by "

@@ -9,6 +9,9 @@ copy at k = 2), and the bundle fibre W = sum_{k>=2} A_k S^{k-2} has
 dimension sum A_k (k-1).  Every map is exact integer arithmetic on blocks of
 ad(x) from `ChevalleyAlgebra.ad_ints` and int64 products through `_dot`,
 each of which checks its headroom and raises ArithmeticError past it.
+k acts irreducibly on a W-block when `commutant_dim` reads 1, certified mod P
+by a combination A of k's matrices that is non-derogatory, so its centralizer
+is Q[A]; only a failed certificate ranks the d^2-column system exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._modp import rank_mod_p
+from ._modp import P, rank_mod_p
 from .chevalley import AlgebraElement, ChevalleyAlgebra, int64_array
 from .linalg import kernel_basis_int, rank_int_rows, solve_linear
 
@@ -132,27 +135,21 @@ def isotypic_decomposition(a: ChevalleyAlgebra, t: Sl2Triple) -> IsotypicDecompo
 # ---------------------------------------------------------------------------
 # commutants and the W-module realization
 
-def _commutator_rows(mats: np.ndarray) -> np.ndarray:
-    """Nonzero rows of B -> [M, B] for each d x d matrix M of an int64 stack, on B flattened.
-
-    That is M (x) I - I (x) M^T: entry (i d + j, k d + l) is M_ik [j = l] - [i = k] M_lj."""
-    eye = np.eye(mats.shape[1], dtype=np.int64)
-    rows = np.concatenate([
-        _dot(np.stack([np.kron(m, eye), np.kron(eye, m.T)], axis=-1), [1, -1]) for m in mats
-    ])
-    return rows[rows.any(axis=1)]
-
-
 def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
     """Dimension of the space of matrices commuting with all integer action matrices.
 
-    Exact.  The commutant of two fixed integer combinations A, B of the
-    matrices is ranked mod 2**31 - 1 first.  A and B lie in the span of the
-    matrices, so their commutant contains the one sought; reducing mod p can
-    only lower a rank, so only raise a nullity; and the identity always
-    commutes.  A reading of 1 is therefore the exact
-    answer.  Any other reading falls back to the exact rank of all the
-    stacked constraints.
+    Exact.  Two fixed integer combinations A, B of the matrices lie in their
+    span, so the commutant of the pair {A, B} contains the one sought, and
+    both contain the identity.  One stack is ranked mod P: the d powers
+    vec(A^k) and the d commutators vec([A^k, B]), k < d, with ranks r_pow and
+    r_comm.  Reducing mod P never raises a rank, so r_pow = d means
+    I, A, ..., A^(d-1) are independent over Q: A's minimal polynomial has
+    degree d, A is non-derogatory and its centralizer is Q[A].  The pair's
+    commutant is then {p(A) : [p(A), B] = 0}, of dimension
+    d - rank_Q [A^k, B] <= d - r_comm.  A reading d - r_comm = 1 is therefore
+    exact, for O(d^4) work where the pair's d^2-column commutator system
+    took O(d^6).  Any other reading (a derogatory A, or a larger
+    commutant) falls back to the exact rank of all the stacked constraints.
     """
     if not action_matrices:
         raise ValueError("need at least one matrix")
@@ -161,10 +158,21 @@ def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
         raise ValueError("matrices must act on a common space")
     mats = int64_array(action_matrices)[0].reshape(-1, d, d)
     cs = [range(1, len(mats) + 1), [(-1) ** i * (i * i % 7 + 1) for i in range(len(mats))]]
-    pair = _dot(cs, mats.reshape(len(mats), d * d)).reshape(2, d, d)
-    if d * d - rank_mod_p(_commutator_rows(pair)[None])[0] == 1:
+    a, b = _dot(cs, mats.reshape(len(mats), d * d)).reshape(2, d, d)
+    pows = [np.eye(d, dtype=np.int64)]
+    for _ in range(1, d):
+        pows.append(_dot(pows[-1], a) % P)
+    pows = np.stack(pows)  # A^k mod P, k < d; _dot(b, pows) sums len(pows) = d products
+    comm = _dot(pows, b) % P - _dot(b, pows) % P
+    r_pow, r_comm = rank_mod_p(np.stack([pows, comm]).reshape(2, d, d * d))
+    if r_pow == d and d - r_comm == 1:
         return 1
-    return d * d - rank_int_rows(_commutator_rows(mats).tolist(), d * d)
+    # vec([M, X]) = (M (x) I - I (x) M^T) vec(X), on X flattened, for each matrix M
+    eye = np.eye(d, dtype=np.int64)
+    rows = np.concatenate([
+        _dot(np.stack([np.kron(m, eye), np.kron(eye, m.T)], axis=-1), [1, -1]) for m in mats
+    ])
+    return d * d - rank_int_rows(rows[rows.any(axis=1)].tolist(), d * d)
 
 
 def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):

@@ -138,6 +138,14 @@ def test_tables_2_3_assembly():
     assert all(r.computed.get("shared_pair") for r in shared_rows)
 
 
+def test_every_shared_orbit_pair_is_cited_by_a_row():
+    t2, t3 = assemble_tables_2_3()
+    cited = {(r.computed["shared_pair"]["cover"], r.computed["shared_pair"]["algebra"])
+             for r in t2.rows + t3.rows if "shared_pair" in r.computed}
+    assert cited == {(p["cover"], p["algebra"]) for p in load_shared_orbits()["pairs"]}
+    assert [r.computed["shared_pair"]["family"] for r in t3.rows[:2]] == ["product"] * 2
+
+
 def test_tables_2_3_match_each_row_on_its_own_support_checks(monkeypatch):
     # a failed product-additivity check fails only the rows that cite it
     import dataclasses

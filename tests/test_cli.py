@@ -293,6 +293,8 @@ def _marks(n, i):
     ("orbits_list_D4", ["orbits", "list", "D4"]),
     # a non-default sampler config through every support check
     ("classify_tables23_s1", ["classify", "tables23", "--seed", "1", "--samples", "3"]),
+    # the largest W-block that the commutant certificate meets: E8's, of dimension 13
+    ("classify_table1_E8", ["classify", "table1", "--types", "E8", "--seed", "0"]),
 ])
 def test_output_matches_golden(capsys, name, argv):
     code, out = run(capsys, *argv)

@@ -211,6 +211,9 @@ SO3 = [
 # both fixed combinations are multiples of E11, so they read 2, but the span holds
 # E11 and E12, whose commutant is the scalars: the fallback must correct the reading
 @example([[[-2, -8], [0, 0]], [[0, 1], [0, 0]], [[1, 2], [0, 0]]])
+# the first fixed combination is A = 0, which is derogatory, but the set generates M_2,
+# whose commutant is the scalars: the fallback must answer 1
+@example([[[0, 2], [0, 0]], [[0, -1], [0, 0]], [[0, 0], [4, 0]], [[0, 0], [-3, 0]]])
 @settings(max_examples=150, deadline=None)
 def test_commutant_dim_matches_bareiss_on_the_full_stack(mats):
     assert commutant_dim(mats) == _commutant_reference(mats)
@@ -233,6 +236,26 @@ def test_commutant_reading_above_one_falls_back_to_exact(monkeypatch):
     calls = _count_exact_ranks(monkeypatch)
     assert commutant_dim([[[0, -1], [1, 0]]]) == 2
     assert calls == [1]
+
+
+def test_every_table1_w_block_is_certified_or_makes_one_exact_rank(monkeypatch):
+    from orbitatlas.classify import TABLE1_TYPES
+
+    rows = []
+    for tname in TABLE1_TYPES:
+        a = build_algebra(tname)
+        for lab in next_to_minimal(tname):
+            t = representative(a, weighted_diagram(tname, lab))
+            kb, _ = triple_centralizer(a, t)
+            rows.append((tname, [mats for _, mats, _ in w_isotypic_action(a, t, kb)]))
+    assert len(rows) == 20
+    calls = _count_exact_ranks(monkeypatch)
+    for tname, blocks in rows:
+        for mats in filter(None, blocks):
+            calls.clear()
+            # the non-derogatory certificate reads 1; C2-C4's reading 2 is the exact fallback's
+            want = (2, [1]) if tname[0] == "C" else (1, [])
+            assert (commutant_dim(mats), calls) == want, tname
 
 
 # ---------------------------------------------------------------------------

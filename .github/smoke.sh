@@ -43,5 +43,7 @@ atlas orbits hasse D8 > /dev/null
 atlas orbits list B6 > /dev/null
 atlas orbits list D12 > /dev/null
 atlas classify mixed --n 6 > /dev/null
+# C2 and C4 read commutant 2: the exact fallback of sl2.commutant_dim runs
+atlas classify table1 --types C2,C4 > /dev/null
 atlas classify table1 --types G2,F4,E6,E7 > /dev/null
 atlas classify table1 --types E8 > /dev/null

@@ -146,9 +146,7 @@ def table1_row(a: ChevalleyAlgebra, label: OrbitLabel, cfg: SampleConfig) -> dic
     report = cohom_adjoint(a, triple.x, cfg, orbit_dim=expected_orbit_dimension(a.rs, w))
     blocks = w_isotypic_action(a, triple, kbasis)
     # an empty k acts trivially: the commutant is all of End(W-block)
-    commutants = {
-        k: (commutant_dim(mats) if mats else d * d) for k, mats, d in blocks
-    }
+    commutants = {k: commutant_dim(mats) if len(mats) else d * d for k, mats, d in blocks}
     return {
         "orbit_dim": report.orbit_real_dim // 2,
         "cohom": report.cohomogeneity,

@@ -6,9 +6,10 @@ piece.  The centralizer k of the triple is the kernel of ad(X) on the
 degree-0 piece; the isotypic multiplicities A_k come from the eigenvalue
 dimensions n_k of ad(H): A_k = n_k - n_{k+2} (minus the triple's own adjoint
 copy at k = 2), and the bundle fibre W = sum_{k>=2} A_k S^{k-2} has
-dimension sum A_k (k-1).  Every map is exact integer arithmetic on blocks of
-ad(x) from `ChevalleyAlgebra.ad_ints` and int64 products through `_dot`,
-each of which checks its headroom and raises ArithmeticError past it.
+dimension sum A_k (k-1).  Every map is exact: int64 blocks of ad(x) from
+`ChevalleyAlgebra.ad_ints` and products through `_dot` check their headroom
+and raise ArithmeticError past it.  Only X, Y, H are `AlgebraElement`s: k
+travels as integer rows over g_0 and each W-block as one int64 stack.
 k acts irreducibly on a W-block when `commutant_dim` reads 1, certified mod P
 by a combination A of k's matrices that is non-derogatory, so its centralizer
 is Q[A]; only a failed certificate ranks the d^2-column system exactly.
@@ -86,19 +87,21 @@ def complete_triple(a: ChevalleyAlgebra, x: AlgebraElement, marks) -> Sl2Triple:
 
 
 def triple_centralizer(a: ChevalleyAlgebra, t: Sl2Triple):
-    """Basis and dimension of the joint centralizer k of the triple."""
+    """k = ker ad(X) on g_0 as (int64 rows, dim k): a row is a basis vector over t.grading[0],
+    a kernel vector divided by the gcd of its entries and the kernel denominator (as
+    `AlgebraElement` normalises), so entries stay small and `_dot` keeps its headroom."""
     g0 = t.grading[0]
     g2 = t.grading.get(2, [])
     rows = _restricted_map_rows(a, t.x.num, g0, g2)
     vecs, den = kernel_basis_int(rows, len(g0))
-    # D [u, Y] = sum_j v_j [b_j, Y] for u = v / D: the rows g0 of ad(Y), nonzero columns
-    ad_y = a.ad_ints([t.y.num], g0)[0]
-    if vecs and _dot(vecs, ad_y[:, ad_y.any(axis=0)]).any():
+    vecs = int64_array(vecs)[0].reshape(-1, len(g0))
+    vecs //= np.gcd.reduce(vecs, axis=1, initial=den)[:, None]
+    ad_y = a.ad_ints([t.y.num], g0)[0]  # row j is [b_j, Y], so [u, Y] = sum_j u_j row j
+    if _dot(vecs, ad_y[:, ad_y.any(axis=0)]).any():
         raise ArithmeticError("centralizer misses Y")
-    basis = [_embed(a, g0, v, den) for v in vecs]
-    if len(basis) != len(g0) - len(g2):
+    if len(vecs) != len(g0) - len(g2):
         raise ArithmeticError("spectral count mismatch")
-    return basis, len(basis)
+    return vecs, len(vecs)
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,8 @@ def isotypic_decomposition(a: ChevalleyAlgebra, t: Sl2Triple) -> IsotypicDecompo
 # ---------------------------------------------------------------------------
 # commutants and the W-module realization
 
-def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
-    """Dimension of the space of matrices commuting with all integer action matrices.
+def commutant_dim(action_matrices) -> int:
+    """Dimension of the commutant of a stack of integer matrices: nested lists or int64.
 
     Exact.  Two fixed integer combinations A, B of the matrices lie in their
     span, so the commutant of the pair {A, B} contains the one sought, and
@@ -151,7 +154,7 @@ def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
     took O(d^6).  Any other reading (a derogatory A, or a larger
     commutant) falls back to the exact rank of all the stacked constraints.
     """
-    if not action_matrices:
+    if not len(action_matrices):
         raise ValueError("need at least one matrix")
     d = len(action_matrices[0])
     if any(len(m) != d or any(len(row) != d for row in m) for m in action_matrices):
@@ -176,21 +179,19 @@ def commutant_dim(action_matrices: list[list[list[int]]]) -> int:
 
 
 def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
-    """Integer action matrices of k on each W-block (k >= 2 isotypic multiplicity space).
+    """The action of k's rows u on each W-block (k >= 2 isotypic multiplicity space).
 
     Realized on highest-vector slices: ker(ad X) in the degree-k piece; the
     k = 2 slice drops the Killing-orthogonal line through X itself.  The
-    slice basis is integer and reads one common value s on its own unit
-    coordinate of the piece and 0 on the others' (the free columns of
-    `kernel_basis_int`), so the coordinates of an image are read off those
-    positions with no solve, and the image is then checked, in integers, to
-    equal that combination of the slice basis.  The matrix of u is
-    s * den(u) times the matrix of u's action; each scale is a nonzero
-    integer, which leaves the commutant unchanged.
+    integer slice basis reads one common value s on its own unit coordinate
+    of the piece and 0 on the others' (free columns of `kernel_basis_int`),
+    so after one `ad_ints` gather of the slice every image's coordinates are
+    read off those positions with no solve, and checked in integers to give
+    the image back.  A block's matrices form one (dim k, d, d) int64 stack;
+    u's is s times its action, a nonzero scale that keeps the commutant.
     """
     graded = t.grading
     g0 = graded[0]
-    us = int64_array([[u.num[b] for b in g0] for u in kbasis])[0].reshape(len(kbasis), len(g0))
     blocks = []
     for k, ak in isotypic_decomposition(a, t).multiplicities.items():
         if k < 2:
@@ -204,22 +205,23 @@ def w_isotypic_action(a: ChevalleyAlgebra, t: Sl2Triple, kbasis):
             s *= f
         if len(vecs) != ak:
             raise ArithmeticError(f"W-block dimension mismatch at k={k}: {len(vecs)} != {ak}")
-        at = [[v[r] for v in vecs] for r in range(len(gk))]
+        vs = int64_array(vecs)[0]
+        at = vs.T.tolist()
         unit = [at.index([s * (i == j) for j in range(ak)]) for i in range(ak)]
-        vs, cols = int64_array(vecs)[0], []
-        for v in vecs:
-            ad_v = a.ad_ints([_embed(a, gk, v).num], g0)[0]  # row j is [b_j, v]
-            if np.delete(ad_v, gk, axis=1).any():
-                raise ArithmeticError("bracket left the graded piece")
-            img = _dot(us, ad_v[:, gk])  # row u is den(u) [u, v] = sum_j u.num_j [b_j, v]
-            coords = img[:, unit]
-            # img is s^-1 coords . vecs if it lies in the slice: an exact division, no product
-            lhs = _dot(coords, vs)
-            if (lhs % s).any() or (lhs // s != img).any():
-                raise ArithmeticError("k-action leaves the W slice")
-            cols.append(coords)
-        mats = np.stack(cols, axis=-1).tolist()  # column c of u's matrix is u's coords of vecs[c]
-        blocks.append((k, mats, len(vecs)))
+        pts = np.zeros((ak, a.dim), dtype=np.int64)
+        pts[:, gk] = vs
+        ad_v = a.ad_ints(pts, g0)  # ad_v[c, j] is [b_j, vecs[c]]
+        if np.delete(ad_v.any(axis=(0, 1)), gk).any():
+            raise ArithmeticError("bracket left the graded piece")
+        # img[u, c] is [u, vecs[c]] = sum_j u_j [b_j, vecs[c]] for a row u of kbasis, on gk
+        img = _dot(kbasis, ad_v[:, :, gk].swapaxes(0, 1).reshape(len(g0), -1))
+        img = img.reshape(-1, ak, len(gk))
+        coords = img[:, :, unit]
+        # img is s^-1 coords . vecs if it lies in the slice: an exact division, no product
+        lhs = _dot(coords, vs)
+        if (lhs % s).any() or (lhs // s != img).any():
+            raise ArithmeticError("k-action leaves the W slice")
+        blocks.append((k, coords.transpose(0, 2, 1), ak))  # column c of u's matrix: coords[u, c]
     return blocks
 
 

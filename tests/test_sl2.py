@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 from fractions import Fraction as Q
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -217,6 +219,26 @@ SO3 = [
 @settings(max_examples=150, deadline=None)
 def test_commutant_dim_matches_bareiss_on_the_full_stack(mats):
     assert commutant_dim(mats) == _commutant_reference(mats)
+    assert commutant_dim(np.array(mats, dtype=np.int64)) == commutant_dim(mats)
+
+
+@pytest.mark.parametrize("bad", [
+    [], np.zeros((0, 2, 2), dtype=np.int64),
+    [[[1, 2]]], np.zeros((1, 1, 2), dtype=np.int64),
+    [[[1]], [[1, 0], [0, 1]]], [np.eye(1, dtype=np.int64), np.eye(2, dtype=np.int64)],
+], ids=["empty-lists", "empty-int64", "nonsquare-lists", "nonsquare-int64",
+        "mixed-lists", "mixed-int64"])
+def test_commutant_dim_rejects_malformed_stacks(bad):
+    with pytest.raises(ValueError):
+        commutant_dim(bad)
+
+
+def test_commutant_dim_past_int64_raises_arithmetic_error():
+    # 2**63 does not fit int64; an int64 array's -2**63 has that magnitude
+    for mats in ([[[2**63]]], [[[0, 1], [-2**63, 0]]],
+                 np.array([[[-2**63]]], dtype=np.int64), np.array([[[0, 1], [-2**63, 0]]])):
+        with pytest.raises(ArithmeticError):
+            commutant_dim(mats)
 
 
 def _count_exact_ranks(monkeypatch):
@@ -251,7 +273,7 @@ def test_every_table1_w_block_is_certified_or_makes_one_exact_rank(monkeypatch):
     assert len(rows) == 20
     calls = _count_exact_ranks(monkeypatch)
     for tname, blocks in rows:
-        for mats in filter(None, blocks):
+        for mats in filter(len, blocks):
             calls.clear()
             # the non-derogatory certificate reads 1; C2-C4's reading 2 is the exact fallback's
             want = (2, [1]) if tname[0] == "C" else (1, [])
@@ -267,6 +289,36 @@ def _ntm_triple(tname):
     t, _ = sl2_data_for_diagram(a, weighted_diagram(tname, next_to_minimal(tname)[0]))
     kb, _ = triple_centralizer(a, t)
     return a, t, kb
+
+
+@pytest.mark.parametrize("tname", ["G2", "B3", "F4", "E6"])
+def test_k_rows_centralize_the_triple_by_python_int_brackets(tname):
+    a, t, _ = _ntm_triple(tname)
+    kb, dim = triple_centralizer(a, t)
+    g0 = t.grading[0]
+    assert kb.dtype == np.int64 and kb.shape == (dim, len(g0))
+    for row in kb.tolist():
+        assert gcd(*row) == 1  # reduced as an AlgebraElement would be
+        u = [0] * a.dim
+        for b, c in zip(g0, row):
+            u[b] = c
+        assert not any(a.bracket_vec(u, t.x.num)) and not any(a.bracket_vec(u, t.y.num))
+    assert rank_int_rows(kb.tolist(), len(g0)) == dim
+
+
+def test_each_w_block_is_one_ad_ints_gather_and_k_builds_no_element(monkeypatch):
+    a = build_algebra("E7")
+    t, _ = sl2_data_for_diagram(a, weighted_diagram("E7", next_to_minimal("E7")[0]))
+    embeds, good_embed = [], sl2._embed
+    monkeypatch.setattr(sl2, "_embed", lambda *args: embeds.append(1) or good_embed(*args))
+    kb, _ = triple_centralizer(a, t)
+    assert embeds == []
+    calls, good = [], a.ad_ints
+    monkeypatch.setattr(a, "ad_ints", lambda *args: calls.append(1) or good(*args))
+    blocks = w_isotypic_action(a, t, kb)
+    # one block: the slice's map rows, then one gather of the block's 9 slice points
+    assert [(k, d) for k, _, d in blocks] == [(2, 9)]
+    assert len(calls) == 2
 
 
 def _w_action_by_solves(a, t, kbasis):
@@ -287,8 +339,8 @@ def _w_action_by_solves(a, t, kbasis):
             s *= f
         bm = [[v[i] for v in vecs] for i in range(len(gk))]
         mats = []
-        for u in kbasis:
-            cols = []
+        for row in kbasis.tolist():
+            u, cols = sl2._embed(a, t.grading[0], row), []
             for v in vecs:
                 img = a.bracket(u, sl2._embed(a, gk, v)).scale(u.den)
                 assert img.den == 1
@@ -303,7 +355,8 @@ def _w_action_by_solves(a, t, kbasis):
 def test_w_action_equals_the_solves(tname):
     a, t, kb = _ntm_triple(tname)
     blocks = w_isotypic_action(a, t, kb)
-    assert blocks and blocks == _w_action_by_solves(a, t, kb)
+    assert blocks
+    assert [(k, m.tolist(), d) for k, m, d in blocks] == _w_action_by_solves(a, t, kb)
 
 
 def test_bracket_leaving_the_slice_raises(monkeypatch):
@@ -314,7 +367,7 @@ def test_bracket_leaving_the_slice_raises(monkeypatch):
     # column of the kernel kb[0] reads c != 0 and every other basis vector 0, so X added to
     # that row of ad(v) adds c X to the image of kb[0] alone (c = 2 here)
     g0, good = t.grading[0], a.ad_ints
-    j = next(p for p, b in enumerate(g0) if kb[0].num[b] and not any(u.num[b] for u in kb[1:]))
+    j = next(p for p in range(len(g0)) if kb[0, p] and not kb[1:, p].any())
 
     def faulty(xs, js=None):
         out = good(xs, js)
@@ -324,6 +377,21 @@ def test_bracket_leaving_the_slice_raises(monkeypatch):
 
     monkeypatch.setattr(a, "ad_ints", faulty)
     with pytest.raises(ArithmeticError, match="leaves the W slice"):
+        w_isotypic_action(a, t, kb)
+
+
+def test_bracket_leaving_the_graded_piece_raises(monkeypatch):
+    a, t, kb = _ntm_triple("B3")
+    g0, good = t.grading[0], a.ad_ints
+
+    def faulty(xs, js=None):
+        out = good(xs, js)
+        if js is g0:
+            out[-1, -1, 0] = 1  # the last slice point's last row gains a Cartan coordinate
+        return out
+
+    monkeypatch.setattr(a, "ad_ints", faulty)
+    with pytest.raises(ArithmeticError, match="left the graded piece"):
         w_isotypic_action(a, t, kb)
 
 
@@ -341,7 +409,7 @@ def test_w_blocks_and_commutants_match_the_pinned_hash():
         for lab in next_to_minimal(tname):
             t, _ = sl2_data_for_diagram(a, weighted_diagram(tname, lab))
             kb, _ = triple_centralizer(a, t)
-            blocks = [(k, mats, d, commutant_dim(mats) if mats else d * d)
+            blocks = [(k, mats.tolist(), d, commutant_dim(mats) if len(mats) else d * d)
                       for k, mats, d in w_isotypic_action(a, t, kb)]
             h.update(repr((tname, str(lab), blocks)).encode())
     assert h.hexdigest() == SL2_BLOCKS_SHA256

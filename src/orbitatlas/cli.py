@@ -231,6 +231,9 @@ def cmd_branch(args):
 
 
 def cmd_classify(args):
+    for opt, what in (("types", "table1"), ("max_rank", "ss-c2"), ("n", "mixed")):
+        if getattr(args, opt) is not None and args.what != what:
+            raise ValueError(f"--{opt.replace('_', '-')} applies only to classify {what}")
     cfg = _cfg(args)
     try:
         if args.what == "table1":
@@ -239,14 +242,14 @@ def cmd_classify(args):
             _emit(table.as_dict())
             return 0 if table.all_match else 1
         if args.what == "ss-c2":
-            table = reproduce_thm_ss_c2(max_rank=args.max_rank, cfg=cfg)
+            table = reproduce_thm_ss_c2(6 if args.max_rank is None else args.max_rank, cfg)
             _emit(table.as_dict())
             return 0 if table.all_match else 1
         if args.what == "tables23":
             t2, t3 = assemble_tables_2_3(cfg)
             _emit({"table2": t2.as_dict(), "table3": t3.as_dict()})
             return 0 if (t2.all_match and t3.all_match) else 1
-        rep = mixed_orbit_cohom(args.n, cfg)  # "mixed", the last of the parser's choices
+        rep = mixed_orbit_cohom(3 if args.n is None else args.n, cfg)  # "mixed", the last choice
         _emit(asdict(rep))
         return 0
     except ClassificationError as e:
@@ -311,8 +314,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classification drivers")
     p.add_argument("what", choices=["table1", "ss-c2", "tables23", "mixed"])
     p.add_argument("--types", default=None, help="comma list restricting table1")
-    p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--n", type=int, default=3, help="rank for the mixed orbit")
+    p.add_argument("--max-rank", type=int, default=None, help="ss-c2's largest rank (6)")
+    p.add_argument("--n", type=int, default=None, help="rank for the mixed orbit (3)")
     _add_sampler_args(p)
     p.set_defaults(fn=cmd_classify, parser=p)
     return ap

@@ -10,10 +10,11 @@ Conventions, fixed for the whole package:
 * Roots are integer coordinate tuples in the simple-root basis; pairings are
   computed through the Cartan matrix, so no irrational geometry appears.
 * `RootSystem` tabulates each root's numbers once, in `all_roots` order: its
-  pairings <beta, alpha_i^vee>, coroot coordinates and half squared length.
-  Every other module reads these tables and computes none of them; the
-  weight layer (`branching`) reads them, `symmetrizers` and `cartan_matrix`,
-  and inverts no matrix.
+  pairings <beta, alpha_i^vee> as the reflection search found them, its half
+  squared length and coroot coordinates from those; a negative root's are its
+  positive root's negated, the length kept.  Every other module reads these
+  tables and computes none of them; the weight layer (`branching`) reads them,
+  `symmetrizers` and `cartan_matrix`, and inverts no matrix.
 * Symmetrizers ``d_i = (alpha_i, alpha_i)/2`` are normalized so short roots
   have squared length 2 (d in {1,2,3}).
 
@@ -140,8 +141,8 @@ def _symmetrizers(cartan: list[list[int]]) -> list[int]:
     return [v // g for v in d]
 
 
-def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
-    """All positive roots, raised from the simple roots by simple reflections.
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each positive root b with its pairings <b, alpha_i^vee>, raised by simple reflections.
 
     A root b with c = <b, alpha_i^vee> < 0 is not alpha_i, which pairs to 2,
     so s_i(b) = b - c alpha_i is again positive (Humphreys, Lemma 10.2B).
@@ -152,16 +153,16 @@ def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
     """
     n = len(cartan)
     queue = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    found = set(queue)
+    found = dict.fromkeys(queue)
     for b in queue:
-        for i, row in enumerate(cartan):
-            c = sum(a * x for a, x in zip(row, b))
+        p = found[b] = tuple(sum(a * x for a, x in zip(row, b)) for row in cartan)
+        for i, c in enumerate(p):
             if c < 0:
                 r = b[:i] + (b[i] - c,) + b[i + 1:]
                 if r not in found:
-                    found.add(r)
+                    found[r] = None
                     queue.append(r)
-    return sorted(found, key=lambda r: (sum(r), r))
+    return sorted(found.items(), key=lambda bp: (sum(bp[0]), bp[0]))
 
 
 def _det_and_scaled_inverse(a: list[list[int]]):
@@ -200,28 +201,25 @@ class RootSystem:
             offset += comp.rank
         self.cartan_matrix = tuple(tuple(row) for row in cm)
         self.symmetrizers = tuple(sym)
-        self.positive_roots = tuple(_positive_roots(cm))
         self.det_cartan, inv = _det_and_scaled_inverse(cm)
         self.inv_cartan_times_det = tuple(tuple(row) for row in inv)
-        self.all_roots = self.positive_roots + tuple(
-            tuple(-c for c in r) for r in self.positive_roots
-        )
-        self.root_index = {r: k for k, r in enumerate(self.all_roots)}
-        self.num_positive = len(self.positive_roots)
-        self.dimension = 2 * self.num_positive + self.rank
-        # per root beta, in `all_roots` order: its pairings <beta, alpha_i^vee>, half its
-        # squared length d = (beta, beta)/2 = sum_i beta_i d_i <beta, alpha_i^vee> / 2, and
-        # its coroot beta^vee = sum_i (beta_i d_i / d) alpha_i^vee
-        tables = []
-        for beta in self.all_roots:
-            p = tuple(sum(c * b for c, b in zip(row, beta)) for row in cm)
+        # per positive root beta: d = (beta, beta)/2 = sum_i beta_i d_i <beta, alpha_i^vee> / 2
+        # and coroot beta^vee = sum_i (beta_i d_i / d) alpha_i^vee; -beta's row is beta's negated
+        rows = []
+        for beta, p in _positive_roots(cm):
             d, odd = divmod(sum(b * s * v for b, s, v in zip(beta, sym, p)), 2)
             if odd:
                 raise ArithmeticError(f"odd squared length {2 * d + 1} of {beta}")
             if any(b * s % d for b, s in zip(beta, sym)):
                 raise ArithmeticError(f"coroot of {beta} is not integral")
-            tables.append((p, d, tuple(b * s // d for b, s in zip(beta, sym))))
-        self.pairings, self.lengths, self.coroots = zip(*tables)
+            rows.append((beta, p, d, tuple(b * s // d for b, s in zip(beta, sym))))
+        rows += [(tuple(-b for b in beta), tuple(-v for v in p), d, tuple(-c for c in co))
+                 for beta, p, d, co in rows]
+        self.all_roots, self.pairings, self.lengths, self.coroots = zip(*rows)
+        self.num_positive = len(rows) // 2
+        self.positive_roots = self.all_roots[:self.num_positive]
+        self.root_index = {r: k for k, r in enumerate(self.all_roots)}
+        self.dimension = len(rows) + self.rank
 
     # -- pairings ----------------------------------------------------------
 

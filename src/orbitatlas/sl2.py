@@ -141,18 +141,18 @@ def isotypic_decomposition(a: ChevalleyAlgebra, t: Sl2Triple) -> IsotypicDecompo
 def commutant_dim(action_matrices) -> int:
     """Dimension of the commutant of a stack of integer matrices: nested lists or int64.
 
-    Exact.  Two fixed integer combinations A, B of the matrices lie in their
-    span, so the commutant of the pair {A, B} contains the one sought, and
-    both contain the identity.  One stack is ranked mod P: the d powers
-    vec(A^k) and the d commutators vec([A^k, B]), k < d, with ranks r_pow and
-    r_comm.  Reducing mod P never raises a rank, so r_pow = d means
-    I, A, ..., A^(d-1) are independent over Q: A's minimal polynomial has
-    degree d, A is non-derogatory and its centralizer is Q[A].  The pair's
-    commutant is then {p(A) : [p(A), B] = 0}, of dimension
-    d - rank_Q [A^k, B] <= d - r_comm.  A reading d - r_comm = 1 is therefore
-    exact, for O(d^4) work where the pair's d^2-column commutator system
-    took O(d^6).  Any other reading (a derogatory A, or a larger
-    commutant) falls back to the exact rank of all the stacked constraints.
+    Exact.  Two fixed integer combinations A, B of the matrices lie in their span,
+    so the commutant of the pair {A, B} contains the one sought, and both contain
+    the identity.  One matrix is ranked mod P: the commutators vec([A^k, B]), k < d,
+    of rank r_comm.  X -> [X, B] kills I, so r_comm < r_pow, the rank of the powers
+    vec(A^k) mod P, and r_comm = d - 1 forces r_pow = d.  Reducing mod P never
+    raises a rank, so I, A, ..., A^(d-1) are then independent over Q: A's minimal
+    polynomial has degree d, A is non-derogatory and its centralizer is Q[A].  The
+    pair's commutant is then {p(A) : [p(A), B] = 0}, of dimension
+    d - rank_Q [A^k, B] <= d - r_comm.  A reading d - r_comm = 1 is therefore exact,
+    for O(d^4) work where the pair's d^2-column commutator system took O(d^6).  Any
+    other reading (a derogatory A, or a larger commutant) falls back to the exact
+    rank of all the stacked constraints.
     """
     if not len(action_matrices):
         raise ValueError("need at least one matrix")
@@ -162,16 +162,14 @@ def commutant_dim(action_matrices) -> int:
     mats = int64_array(action_matrices)[0].reshape(-1, d, d)
     cs = [range(1, len(mats) + 1), [(-1) ** i * (i * i % 7 + 1) for i in range(len(mats))]]
     a, b = _dot(cs, mats.reshape(len(mats), d * d)).reshape(2, d, d)
-    pows = [np.eye(d, dtype=np.int64)]
-    for _ in range(1, d):
-        pows.append(_dot(pows[-1], a) % P)
-    pows = np.stack(pows)  # A^k mod P, k < d; _dot(b, pows) sums len(pows) = d products
-    comm = _dot(pows, b) % P - _dot(b, pows) % P
-    r_pow, r_comm = rank_mod_p(np.stack([pows, comm]).reshape(2, d, d * d))
-    if r_pow == d and d - r_comm == 1:
+    eye = np.eye(d, dtype=np.int64)
+    pows = np.tile(eye, (d, 1, 1))  # A^k mod P, k < d
+    for k in range(1, d):
+        pows[k] = _dot(pows[k - 1], a) % P
+    comm = _dot(pows, b) % P - _dot(b, pows) % P  # _dot(b, pows) sums d products
+    if d - rank_mod_p(comm.reshape(1, d, d * d))[0] == 1:
         return 1
     # vec([M, X]) = (M (x) I - I (x) M^T) vec(X), on X flattened, for each matrix M
-    eye = np.eye(d, dtype=np.int64)
     rows = np.concatenate([
         _dot(np.stack([np.kron(m, eye), np.kron(eye, m.T)], axis=-1), [1, -1]) for m in mats
     ])

@@ -156,6 +156,10 @@ def test_branch_bad_sub_is_one_line_exit_2(capsys, spec):
     (["classify", "ss-c2", "--max-rank", "0"], "atlas classify"),
     (["classify", "table1", "--types", "A1"], "atlas classify"),
     (["cohom", "orbit", "A2", "--label", "wdd:20"], "atlas cohom orbit"),  # A2's diagrams: 00, 11, 22
+    # an option the chosen table does not read
+    (["classify", "tables23", "--types", "E8"], "atlas classify"),
+    (["classify", "table1", "--types", "A3", "--max-rank", "2"], "atlas classify"),
+    (["classify", "mixed", "--types", "E8"], "atlas classify"),
 ])
 def test_bad_input_is_one_line_exit_2(capsys, argv, prog):
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import pytest
 from orbitatlas.chevalley import AlgebraElement, build_algebra
 from orbitatlas.flags import scan_types
 from orbitatlas.roots import (
+    _positive_roots,
     build_root_system,
     identify_subsystem,
     parse_cartan_type,
@@ -330,6 +331,14 @@ def test_root_tables_match_the_pinned_hash():
         rows = list(zip(rs.pairings, rs.coroots, rs.lengths))
         # Python ints, not numpy scalars: callers need exact ints and int.bit_length
         assert all(type(v) is int for p, c, d in rows for v in (*p, *c, d))
+        # the reflection search's pairing vectors are the table's positive rows
+        npos = rs.num_positive
+        assert _positive_roots(rs.cartan_matrix) == list(zip(rs.positive_roots, rs.pairings))
+        # each negative row is its positive row negated, with the same length
+        for k in range(npos):
+            b, (p, c, d) = rs.all_roots[k], rows[k]
+            neg = tuple(-x for x in b), tuple(-x for x in p), tuple(-x for x in c), d
+            assert (rs.all_roots[npos + k], *rows[npos + k]) == neg
         lines.append(f"{name} {rows}")
         total += len(rows)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -254,6 +254,15 @@ def test_commutant_reading_one_needs_no_exact_rank(monkeypatch):
     assert calls == []
 
 
+def test_certified_commutant_ranks_one_stack_of_one_matrix(monkeypatch):
+    # r_comm = d - 1 forces r_pow = d, so the powers are never ranked
+    shapes = []
+    good = sl2.rank_mod_p
+    monkeypatch.setattr(sl2, "rank_mod_p", lambda m: shapes.append(m.shape) or good(m))
+    assert commutant_dim(SO3) == 1
+    assert shapes == [(1, 3, 9)]
+
+
 def test_commutant_reading_above_one_falls_back_to_exact(monkeypatch):
     calls = _count_exact_ranks(monkeypatch)
     assert commutant_dim([[[0, -1], [1, 0]]]) == 2
